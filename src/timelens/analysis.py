@@ -347,7 +347,8 @@ _PARAM_KEYS = (
 )
 
 
-def _collect(params: GaussianFitParams) -> dict:
+def fit_values(params: GaussianFitParams) -> dict:
+    """Fitted parameters and derived quantities by report key."""
     out = dict(
         zip(
             _PARAM_KEYS,
@@ -393,11 +394,11 @@ def montecarlo_errorbars(
         )
         try:
             report = fit_gaussian_2d(resampled)
-            values = {f"raw_{k}": v for k, v in _collect(report.raw).items()}
+            values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
             if res is not None:
                 report = deconvolve_resolution(report, res)
                 values.update(
-                    {f"dec_{k}": v for k, v in _collect(report.deconvolved).items()}
+                    {f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()}
                 )
         except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError):
             failures += 1

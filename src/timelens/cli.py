@@ -23,9 +23,12 @@ import numpy as np
 
 from . import __version__, gridio, lens, svgplot, units, validate
 from .analysis import (
+    DegenerateDataError,
+    FitConvergenceError,
     ResolutionModel,
     deconvolve_resolution,
     fit_gaussian_2d,
+    fit_values,
     montecarlo_errorbars,
     read_spectrum_csv,
     spectrum_from_field,
@@ -218,7 +221,8 @@ def cmd_simulate(args) -> int:
     ):
         try:
             fit = fit_gaussian_2d(spectrum_from_field(field)).raw
-        except Exception:
+        except (DegenerateDataError, FitConvergenceError) as exc:
+            print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
         _heatmap_from_field(field, out_dir / name, title, contour_fit=fit)
         outputs.append(name)
@@ -365,10 +369,8 @@ def cmd_fit(args) -> int:
         report = deconvolve_resolution(report, res)
     mc = montecarlo_errorbars(spec, res, n_trials=args.trials, seed=args.seed)
 
-    from .analysis import _collect
-
-    raw_vals = _collect(report.raw)
-    dec_vals = _collect(report.deconvolved) if report.deconvolved else {}
+    raw_vals = fit_values(report.raw)
+    dec_vals = fit_values(report.deconvolved) if report.deconvolved else {}
     rows = []
     for key, unit in _FIT_ROWS:
         rows.append(
@@ -406,6 +408,10 @@ def cmd_validate(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"--mutate expects KEY=FACTOR, got {spec!r}")
         key, _, factor = spec.partition("=")
+        if key not in validate.PERTURBABLE:
+            raise ConfigError(
+                f"--mutate key must be one of {', '.join(validate.PERTURBABLE)}, got {key!r}"
+            )
         try:
             perturbations[key] = float(factor)
         except ValueError:
@@ -439,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="configuration file or bundled name")
     p_sim.add_argument("--out", default="out", help="output directory")
     p_sim.add_argument("--grid", type=int, default=None, help="override signal-axis grid size")
-    p_sim.add_argument("--seed", type=int, default=1, help="random seed (reserved)")
     p_sim.add_argument("--format", choices=("csv", "bin"), default="csv", help="field dump format")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -447,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--grid", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="fit a coincidence histogram")
@@ -469,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutate",
         action="append",
         metavar="KEY=FACTOR",
-        help="self-check hook: perturb a closed form and expect the suites to notice",
+        help=f"self-check: scale a closed-form entry point ({' or '.join(validate.PERTURBABLE)}) "
+        "for the run and expect the suites to notice",
     )
     p_val.set_defaults(func=cmd_validate)
     return parser

@@ -114,7 +114,7 @@ def _dimensional(section: str, key: str, raw: str, table: dict, quantity: str) -
     return value * table[unit]
 
 
-def _dimensionless(section: str, key: str, raw: str) -> float:
+def _unitless(section: str, key: str, raw: str) -> float:
     value, unit = _parse_quantity(section, key, raw)
     if unit is not None:
         raise ConfigError(f"[{section}] {key}: dimensionless value must not carry a unit")
@@ -122,7 +122,7 @@ def _dimensionless(section: str, key: str, raw: str) -> float:
 
 
 def _integer(section: str, key: str, raw: str) -> int:
-    value = _dimensionless(section, key, raw)
+    value = _unitless(section, key, raw)
     if value != int(value):
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
     return int(value)
@@ -197,7 +197,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     her_center = _center_rad("input", "herald_center", need("input", "herald_center"))
     sig_sigma = _width_rad("input", parser, "signal", sig_center)
     her_sigma = _width_rad("input", parser, "herald", her_center)
-    rho = _dimensionless("input", "correlation", need("input", "correlation"))
+    rho = _unitless("input", "correlation", need("input", "correlation"))
     try:
         state = GaussianJSA(
             omega1=sig_center, omegah=her_center, sigma1=sig_sigma, sigmah=her_sigma, rho=rho
@@ -278,7 +278,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if parser.has_option("grid", "output_n"):
             kw["output_n"] = _integer("grid", "output_n", parser.get("grid", "output_n"))
         if parser.has_option("grid", "span"):
-            kw["span"] = _dimensionless("grid", "span", parser.get("grid", "span"))
+            kw["span"] = _unitless("grid", "span", parser.get("grid", "span"))
             if kw["span"] < 4.0:
                 raise ConfigError("[grid] span: need at least 4 sigma of coverage")
         grid = GridSettings(**kw)

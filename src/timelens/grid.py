@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import erfc
 
-from .lens import LensConfig
+from .lens import LensConfig, gaussian_output
 from .states import EscortPulse, GaussianJSA, PhasematchingModel, escort_amplitude, jsa_amplitude
 
 NORM_TOLERANCE = 1e-6
@@ -413,9 +413,14 @@ def prepare_sweep(
     taus = np.asarray(list(taus), dtype=float)
     effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
     max_tau = float(np.max(np.abs(taus)))
-    slope3, _ = _center_slope_hint(cfg, effective)
-    margin = 1.5 * max_tau * abs(slope3)
-    hint = _sigma3_estimate(cfg, effective)
+    # sizing hints only (coverage is enforced by the edge-mass check);
+    # the core adds the lens chirp to the state itself
+    moments = gaussian_output(cfg, state)
+    margin = 1.5 * max_tau * abs(moments.slope3)
+    hint = moments.sigma3
+    if not cfg.phasematching.is_infinite:
+        open_cfg = replace(cfg, phasematching=PhasematchingModel.infinite())
+        hint = max(hint, 0.05 * gaussian_output(open_cfg, state).sigma3)
     out_half = span_sigmas * hint + margin
     if n is None:
         n = suggested_input_samples(
@@ -503,49 +508,4 @@ def delay_sweep(
         herald_slope=float(her_slope),
         signal_intercept=float(sig_icpt),
         herald_intercept=float(her_icpt),
-    )
-
-
-def _sigma3_estimate(cfg: LensConfig, effective: GaussianJSA) -> float:
-    """Output-width hint for grid sizing (coverage is enforced separately)."""
-    from .lens import output_sigma3
-
-    probe = LensConfig(
-        signal_chirp=0.0, escort=cfg.escort, phasematching=PhasematchingModel.infinite()
-    )
-    sigma3 = output_sigma3(probe, effective)
-    if not cfg.phasematching.is_infinite:
-        sigma3 = max(
-            1.0 / math.sqrt(1.0 / sigma3**2 + 1.0 / cfg.phasematching.sigma**2),
-            0.05 * sigma3,
-        )
-    return sigma3
-
-
-def _center_slope_hint(cfg: LensConfig, effective: GaussianJSA) -> tuple[float, float]:
-    """Second-moment center slopes versus delay, used only for grid sizing.
-
-    Evaluates the Gaussian quadratic form of the output intensity with
-    the phasematching term included, then reads off the linear response
-    of the two centers.  Numerical coverage is still verified by the
-    edge-mass check after every convolution.
-    """
-    m = 1.0 - effective.rho**2
-    a = 1.0 / (4.0 * effective.sigma1**2 * m)
-    b = 1.0 / (4.0 * effective.sigmah**2 * m)
-    c = effective.rho / (2.0 * effective.sigma1 * effective.sigmah * m)
-    alpha = a - 1j * effective.chirp
-    gamma_e = 1.0 / (4.0 * cfg.escort.sigma**2) - 1j * cfg.escort_chirp
-    p = alpha + gamma_e
-    q33 = 2.0 * (alpha * gamma_e / p).real
-    if not cfg.phasematching.is_infinite:
-        q33 += 0.5 / cfg.phasematching.sigma**2
-    qhh = 2.0 * b - 0.5 * c**2 * (1.0 / p).real
-    q3h = -c * (gamma_e / p).real
-    det = q33 * qhh - q3h**2
-    l3 = 2.0 * (gamma_e / p).imag
-    lh = c * (1.0 / p).imag
-    return (
-        (qhh * l3 - q3h * lh) / (2.0 * det),
-        (q33 * lh - q3h * l3) / (2.0 * det),
     )

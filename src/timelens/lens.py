@@ -5,8 +5,9 @@ temporal magnifications, the output bandwidth and correlation of a
 Gaussian two-photon state sent through the lens with unrestricted
 phasematching, the analytic limits (broad escort, unit-negative
 magnification), and the delay-tunability slopes in the three tractable
-regimes.  The general case with restrictive phasematching has no compact
-closed form and is handled by the grid engine instead.
+regimes.  Every output moment is read from one Gaussian quadratic-form
+core, gaussian_output.  The public closed forms refuse restrictive
+phasematching, which is handled by the grid engine instead.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ LCL_THRESHOLD = 10.0  # dimensionless large-chirp criterion
 IDEAL = "ideal"
 FILTER_LIMIT = "filter-limit"
 PHASEMATCH_LIMIT = "phasematch-limit"
-
-# Multiplicative perturbations used by the validation suite's self-check
-# mode to confirm that the cross-engine comparisons actually detect an
-# incorrect closed form.  Unity in normal operation.
-_VALIDATION_PERTURBATIONS: dict[str, float] = {
-    "output_sigma3": 1.0,
-    "output_correlation": 1.0,
-}
 
 
 class SingularConfigurationError(ValueError):
@@ -87,6 +80,22 @@ class OutputStatePrediction:
     omegah_center: float
     lcl_parameter: float
     flags: frozenset[str]
+
+
+@dataclass(frozen=True)
+class GaussianOutput:
+    """Second moments of the upconverted joint intensity and their delay response.
+
+    sigma3, sigmah: marginal widths of the output signal and herald, rad/s
+    rho_f:          statistical correlation of the output joint intensity
+    slope3, slopeh: center shifts per unit signal delay, rad/s per second
+    """
+
+    sigma3: float
+    sigmah: float
+    rho_f: float
+    slope3: float
+    slopeh: float
 
 
 def solve_imaging(
@@ -162,16 +171,6 @@ def lcl_regime(parameter: float, threshold: float = LCL_THRESHOLD) -> str:
     return "violated"
 
 
-def _dimensionless(state: GaussianJSA, cfg: LensConfig):
-    """Reduced variables: widths ratio and chirps scaled by 4 sigma1^2."""
-    a1 = cfg.total_signal_chirp(state)
-    ae = cfg.escort_chirp
-    s = cfg.escort.sigma / state.sigma1
-    u1 = 4.0 * a1 * state.sigma1**2
-    ue = 4.0 * ae * state.sigma1**2
-    return s, u1, ue
-
-
 def _require_unrestricted(cfg: LensConfig):
     if not cfg.phasematching.is_infinite:
         raise FinitePhasematchingError(
@@ -180,19 +179,46 @@ def _require_unrestricted(cfg: LensConfig):
         )
 
 
+def gaussian_output(cfg: LensConfig, state: GaussianJSA) -> GaussianOutput:
+    """Solve the Gaussian quadratic form of the upconverted joint intensity.
+
+    The chirped signal amplitude exp(-alpha d1^2 + c d1 dh - b dh^2) times
+    the chirped escort exp(-gamma_e (d3 - d1)^2) is integrated over the
+    signal detuning d1 (Kolner's temporal-imaging ABCD treatment, IEEE
+    JQE 30, 1951, 1994).  The joint intensity is then proportional to
+    exp(-(q33 d3^2 + 2 q3h d3 dh + qhh dh^2)) in the output detunings, and
+    a signal delay tau adds the linear term (l3 d3 + lh dh) tau, which
+    moves the centers along the inverse of the form.  A finite Gaussian
+    acceptance multiplies the intensity by exp(-d3^2 / (2 sigma_phi^2)).
+    """
+    m = 1.0 - state.rho**2
+    a = 1.0 / (4.0 * state.sigma1**2 * m)
+    b = 1.0 / (4.0 * state.sigmah**2 * m)
+    c = state.rho / (2.0 * state.sigma1 * state.sigmah * m)
+    alpha = a - 1j * cfg.total_signal_chirp(state)
+    gamma_e = 1.0 / (4.0 * cfg.escort.sigma**2) - 1j * cfg.escort_chirp
+    p = alpha + gamma_e
+    q33 = 2.0 * (alpha * gamma_e / p).real
+    if not cfg.phasematching.is_infinite:
+        q33 += 0.5 / cfg.phasematching.sigma**2
+    qhh = 2.0 * b - 0.5 * c**2 * (1.0 / p).real
+    q3h = -c * (gamma_e / p).real
+    det = q33 * qhh - q3h**2
+    l3 = 2.0 * (gamma_e / p).imag
+    lh = c * (1.0 / p).imag
+    return GaussianOutput(
+        sigma3=math.sqrt(qhh / (2.0 * det)),
+        sigmah=math.sqrt(q33 / (2.0 * det)),
+        rho_f=-q3h / math.sqrt(q33 * qhh),
+        slope3=(qhh * l3 - q3h * lh) / (2.0 * det),
+        slopeh=(q33 * lh - q3h * l3) / (2.0 * det),
+    )
+
+
 def output_sigma3(cfg: LensConfig, state: GaussianJSA) -> float:
     """Spectral width of the upconverted signal, rad/s (unrestricted acceptance)."""
     _require_unrestricted(cfg)
-    s, u1, ue = _dimensionless(state, cfg)
-    m = 1.0 - state.rho**2
-    uo = u1 + ue
-    num = (2.0 - state.rho**2) * s**2 + s**4 + m * (1.0 + uo**2 * s**4)
-    den = s**2 + m * (1.0 + u1**2 * s**2 + ue**2 * s**4)
-    return (
-        state.sigma1
-        * math.sqrt(num / den)
-        * _VALIDATION_PERTURBATIONS["output_sigma3"]
-    )
+    return gaussian_output(cfg, state).sigma3
 
 
 def output_correlation(cfg: LensConfig, state: GaussianJSA) -> float:
@@ -203,13 +229,7 @@ def output_correlation(cfg: LensConfig, state: GaussianJSA) -> float:
     magnification lens.
     """
     _require_unrestricted(cfg)
-    s, u1, ue = _dimensionless(state, cfg)
-    m = 1.0 - state.rho**2
-    uo = u1 + ue
-    num = state.rho * (s**2 + m * (1.0 + ue * uo * s**4))
-    den1 = s**2 + m * (1.0 + u1**2 * m * s**2 + ue**2 * s**4)
-    den2 = (2.0 - state.rho**2) * s**2 + s**4 + m * (1.0 + uo**2 * s**4)
-    return num / math.sqrt(den1 * den2) * _VALIDATION_PERTURBATIONS["output_correlation"]
+    return gaussian_output(cfg, state).rho_f
 
 
 def limit_infinite_escort(
@@ -285,27 +305,6 @@ def tunability(
     raise ValueError(f"unknown tunability regime: {regime!r}")
 
 
-def _output_quadratic_form(state: GaussianJSA, cfg: LensConfig):
-    """Intensity quadratic form of the upconverted joint spectrum.
-
-    Returns (q33, qhh, q3h) such that the joint intensity is
-    proportional to exp(-(q33 d3^2 + 2 q3h d3 dh + qhh dh^2)) in the
-    detunings from the nominal centers.  Valid for unrestricted
-    phasematching.
-    """
-    m = 1.0 - state.rho**2
-    a = 1.0 / (4.0 * state.sigma1**2 * m)
-    b = 1.0 / (4.0 * state.sigmah**2 * m)
-    c = state.rho / (2.0 * state.sigma1 * state.sigmah * m)
-    alpha = a - 1j * cfg.total_signal_chirp(state)
-    gamma_e = 1.0 / (4.0 * cfg.escort.sigma**2) - 1j * cfg.escort_chirp
-    p = alpha + gamma_e
-    q33 = 2.0 * (alpha * gamma_e / p).real
-    qhh = 2.0 * b - 0.5 * c**2 * (1.0 / p).real
-    q3h = -c * (gamma_e / p).real
-    return q33, qhh, q3h
-
-
 def predict_output(
     cfg: LensConfig, state: GaussianJSA, lcl_threshold: float = LCL_THRESHOLD
 ) -> OutputStatePrediction:
@@ -317,25 +316,7 @@ def predict_output(
     signal (escort-aperture limiting).
     """
     _require_unrestricted(cfg)
-    sigma3 = output_sigma3(cfg, state)
-    rho_f = output_correlation(cfg, state)
-
-    q33, qhh, q3h = _output_quadratic_form(state, cfg)
-    det = q33 * qhh - q3h**2
-    sigmah_f = math.sqrt(q33 / (2.0 * det))
-
-    omega3 = state.omega1 + cfg.escort.center
-    omegah = state.omegah
-    if state.delay != 0.0:
-        m = 1.0 - state.rho**2
-        a = 1.0 / (4.0 * state.sigma1**2 * m)
-        c = state.rho / (2.0 * state.sigma1 * state.sigmah * m)
-        gamma_e = 1.0 / (4.0 * cfg.escort.sigma**2) - 1j * cfg.escort_chirp
-        p = a - 1j * cfg.total_signal_chirp(state) + gamma_e
-        l3 = 2.0 * (gamma_e / p).imag * state.delay
-        lh = c * (1.0 / p).imag * state.delay
-        omega3 += (qhh * l3 - q3h * lh) / (2.0 * det)
-        omegah += (q33 * lh - q3h * l3) / (2.0 * det)
+    out = gaussian_output(cfg, state)
 
     a1 = cfg.total_signal_chirp(state)
     lcl = lcl_parameter(a1, cfg.escort_chirp, state.sigma1, state.rho)
@@ -354,11 +335,11 @@ def predict_output(
         flags.add("escort_aperture_limited")
 
     return OutputStatePrediction(
-        sigma3=sigma3,
-        rho_f=rho_f,
-        omega3_center=omega3,
-        sigmah_f=sigmah_f,
-        omegah_center=omegah,
+        sigma3=out.sigma3,
+        rho_f=out.rho_f,
+        omega3_center=state.omega1 + cfg.escort.center + out.slope3 * state.delay,
+        sigmah_f=out.sigmah,
+        omegah_center=state.omegah + out.slopeh * state.delay,
         lcl_parameter=lcl,
         flags=frozenset(flags),
     )

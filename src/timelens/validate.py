@@ -2,8 +2,9 @@
 
 Each suite returns (ok, detail).  The cross-engine suites compare the
 closed-form lens predictions against the brute-force grid engine and are
-sensitive to sub-percent errors in either; the perturbation hook in
-:mod:`timelens.lens` lets the suite runner demonstrate that sensitivity.
+sensitive to sub-percent errors in either; the suite runner demonstrates
+that sensitivity by scaling the closed-form entry points named in
+PERTURBABLE for the length of a run.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .states import (
     jsa_amplitude,
     schmidt_number,
 )
+
+# closed-form entry points that run_suites may scale to show that the
+# cross-engine comparisons detect a wrong closed form
+PERTURBABLE = ("output_sigma3", "output_correlation")
 
 
 @dataclass(frozen=True)
@@ -523,12 +528,25 @@ SUITES = {
 }
 
 
+def _scaled(fn, factor: float):
+    def scaled(*args, **kwargs):
+        return fn(*args, **kwargs) * factor
+
+    return scaled
+
+
 def run_suites(
     params: SuiteParams | None = None,
     names=None,
     perturbations: dict[str, float] | None = None,
 ):
-    """Run the requested suites, returning (report dict, all_ok)."""
+    """Run the requested suites, returning (report dict, all_ok).
+
+    perturbations maps names in PERTURBABLE to factors: for the length of
+    the run each named ``lens`` attribute is replaced by a wrapper that
+    scales its result, and the originals are restored afterwards.
+    Unknown names raise ValueError.
+    """
     params = params or SuiteParams()
     selected = list(SUITES) if names is None else list(names)
     unknown = [n for n in selected if n not in SUITES]
@@ -536,13 +554,12 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
 
     report = {}
-    saved = dict(lens._VALIDATION_PERTURBATIONS)
+    saved = {name: getattr(lens, name) for name in PERTURBABLE}
     try:
-        if perturbations:
-            for key, factor in perturbations.items():
-                if key not in lens._VALIDATION_PERTURBATIONS:
-                    raise ValueError(f"unknown perturbation hook {key!r}")
-                lens._VALIDATION_PERTURBATIONS[key] = factor
+        for key, factor in (perturbations or {}).items():
+            if key not in saved:
+                raise ValueError(f"unknown perturbation hook {key!r}")
+            setattr(lens, key, _scaled(saved[key], factor))
         for name in selected:
             try:
                 ok, detail = SUITES[name](params)
@@ -550,7 +567,7 @@ def run_suites(
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
             report[name] = {"ok": bool(ok), "detail": detail}
     finally:
-        lens._VALIDATION_PERTURBATIONS.clear()
-        lens._VALIDATION_PERTURBATIONS.update(saved)
+        for name, fn in saved.items():
+            setattr(lens, name, fn)
     all_ok = all(entry["ok"] for entry in report.values())
     return report, all_ok

@@ -2,7 +2,8 @@
 
 These implementations deliberately avoid the package's code paths: the
 output moments come from assembling the complex Gaussian quadratic form
-of the upconverted amplitude and inverting a 2x2 matrix, the
+of the upconverted amplitude and inverting a 2x2 matrix, and again from
+the paper's hand-expanded width and correlation formulas, the
 normalization checks from composite Simpson quadrature, and expected
 deconvolutions from direct quadrature subtraction.  Tests compare the
 package against numbers produced here, and the two engines against each
@@ -55,6 +56,29 @@ def output_moments(
     slope3 = (qhh * l3 - q3h * lh) / (2.0 * det)
     slopeh = (q33 * lh - q3h * l3) / (2.0 * det)
     return sigma3, sigmah_f, rho_f, slope3, slopeh
+
+
+def expanded_output_moments(
+    sigma1: float, sigmah: float, rho: float, a1: float, sigmae: float, ae: float
+):
+    """Paper's hand-expanded output width and correlation (unrestricted acceptance).
+
+    Returns (sigma3, rho_f) written in the width ratio s = sigmae / sigma1
+    and the chirps scaled by 4 sigma1^2; a second derivation next to the
+    quadratic form of output_moments.
+    """
+    s = sigmae / sigma1
+    u1 = 4.0 * a1 * sigma1**2
+    ue = 4.0 * ae * sigma1**2
+    uo = u1 + ue
+    m = 1.0 - rho**2
+    num3 = (2.0 - rho**2) * s**2 + s**4 + m * (1.0 + uo**2 * s**4)
+    den3 = s**2 + m * (1.0 + u1**2 * s**2 + ue**2 * s**4)
+    sigma3 = sigma1 * math.sqrt(num3 / den3)
+    num_r = rho * (s**2 + m * (1.0 + ue * uo * s**4))
+    den_r = s**2 + m * (1.0 + u1**2 * m * s**2 + ue**2 * s**4)
+    rho_f = num_r / math.sqrt(den_r * num3)
+    return sigma3, rho_f
 
 
 def simpson_norm(state_amplitude, center1, centerh, sigma1, sigmah, n=801, span=6.0):

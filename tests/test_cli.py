@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timelens.cli import main
+from timelens import cli
+from timelens.analysis import FitConvergenceError
+from timelens.cli import build_parser, main
 from timelens import gridio, units
 from timelens.analysis import write_spectrum_csv
 
@@ -111,6 +113,24 @@ class TestSimulate:
         main(["simulate", "--config", str(fast_cfg), "--out", str(out), "--format", "bin"])
         field = gridio.read_field_binary(out / "jsi_output.bin")
         assert field.norm() == pytest.approx(1.0, abs=1e-9)
+
+    def test_contour_fit_failure_drops_ellipse(self, fast_cfg, tmp_path, monkeypatch, capsys):
+        def fail(spec):
+            raise FitConvergenceError("no convergence")
+
+        monkeypatch.setattr(cli, "fit_gaussian_2d", fail)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 0
+        assert "<ellipse" not in (out / "jsi_output.svg").read_text()
+        assert "no contour" in capsys.readouterr().err
+
+    def test_contour_fit_bug_is_runtime_error(self, fast_cfg, tmp_path, monkeypatch):
+        def crash(spec):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "fit_gaussian_2d", crash)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 3
 
     def test_grid_convergence_smoke(self, fast_cfg, tmp_path):
         outs = {}
@@ -314,8 +334,20 @@ class TestValidateCommand:
     def test_mutation_hook_restored(self):
         from timelens import lens
 
+        original = lens.output_correlation
         main(["validate", "--quick", "--mutate", "output_correlation=1.5"])
-        assert lens._VALIDATION_PERTURBATIONS["output_correlation"] == 1.0
+        assert lens.output_correlation is original
 
     def test_bad_mutation_spec(self):
         assert main(["validate", "--quick", "--mutate", "nonsense"]) == 2
+
+    def test_unknown_mutation_key_exit_2(self, capsys):
+        assert main(["validate", "--quick", "--mutate", "bogus=2"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_sweep_has_no_format(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--config", "ideal.cfg", "--format", "bin"])
+        assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from timelens.grid import (
     suggested_input_samples,
 )
 from timelens import units
+from timelens.config import parse_config
 
 import oracles
 
@@ -354,3 +356,21 @@ class TestDelaySweep:
     def test_prepare_sweep_fft_step_match(self, exp_state, exp_lens):
         field, out_grid = prepare_sweep(exp_lens, exp_state, [0.0, 1e-12], n=512)
         assert out_grid.step == pytest.approx(field.axis1.step, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, n_out", [("ideal.cfg", 4737), ("filterlimit.cfg", 512), ("longcrystal.cfg", 835)]
+    )
+    def test_prepare_sweep_bundled_sizes(self, name, n_out):
+        cfg = parse_config(resources.files("timelens") / "configs" / name)
+        start, stop, npts = cfg.sweep
+        field, out_grid = prepare_sweep(
+            cfg.lens,
+            cfg.state,
+            np.linspace(start, stop, npts),
+            n=cfg.grid.n,
+            nh=cfg.grid.herald_n,
+            n_out=cfg.grid.output_n,
+            span_sigmas=cfg.grid.span,
+        )
+        assert field.values.shape == (4096, 512)
+        assert out_grid.n == n_out

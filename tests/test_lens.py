@@ -126,8 +126,38 @@ class TestOutputClosedForms:
                 signal_chirp=a1, escort=EscortPulse(center=2.4e15, sigma=sigmae, chirp=ae)
             )
             ref = oracles.output_moments(sigma1, sigmah, rho, a1, sigmae, ae)
+            sigma3_exp, rho_exp = oracles.expanded_output_moments(
+                sigma1, sigmah, rho, a1, sigmae, ae
+            )
             assert output_sigma3(cfg, state) == pytest.approx(ref[0], rel=1e-10)
+            assert output_sigma3(cfg, state) == pytest.approx(sigma3_exp, rel=1e-10)
             assert output_correlation(cfg, state) == pytest.approx(ref[2], abs=1e-10)
+            assert output_correlation(cfg, state) == pytest.approx(rho_exp, abs=1e-10)
+
+    def test_core_finite_phasematching(self, exp_state, exp_escort):
+        # the closed forms refuse a finite acceptance, but the core carries
+        # it for the grid sizing hints
+        for pm_sigma in (1e12, 3.3e12, 2e13):
+            cfg = LensConfig(
+                signal_chirp=oracles.A1,
+                escort=exp_escort,
+                phasematching=PhasematchingModel(sigma=pm_sigma),
+            )
+            got = lens.gaussian_output(cfg, exp_state)
+            ref = oracles.output_moments(
+                oracles.SIGMA1, oracles.SIGMAH, oracles.RHO_IN, oracles.A1,
+                oracles.SIGMAE, oracles.AE, pm_sigma=pm_sigma,
+            )
+            assert got.sigma3 == pytest.approx(ref[0], rel=1e-10)
+            assert got.sigmah == pytest.approx(ref[1], rel=1e-10)
+            assert got.rho_f == pytest.approx(ref[2], abs=1e-10)
+            assert got.slope3 == pytest.approx(ref[3], rel=1e-10)
+            assert got.slopeh == pytest.approx(ref[4], rel=1e-10)
+            # the acceptance multiplies the signal marginal
+            open_sigma3 = output_sigma3(replace(cfg, phasematching=PhasematchingModel()), exp_state)
+            assert got.sigma3 == pytest.approx(
+                1.0 / math.hypot(1.0 / open_sigma3, 1.0 / pm_sigma), rel=1e-12
+            )
 
     def test_uncorrelated_input_stays_uncorrelated(self, exp_escort):
         state = GaussianJSA(

@@ -14,14 +14,15 @@ def test_all_suites_green_quick():
 
 
 def test_mutation_breaks_cross_engine():
+    original = lens.output_correlation
     report, all_ok = run_suites(
         SuiteParams(quick=True),
         names=["cross-engine"],
         perturbations={"output_correlation": 1.01},
     )
     assert not all_ok
-    # hooks restored afterwards
-    assert lens._VALIDATION_PERTURBATIONS["output_correlation"] == 1.0
+    # entry points restored afterwards
+    assert lens.output_correlation is original
 
 
 def test_unknown_suite_rejected():
@@ -30,8 +31,12 @@ def test_unknown_suite_rejected():
 
 
 def test_unknown_perturbation_rejected():
+    original = lens.output_sigma3
     with pytest.raises(ValueError):
-        run_suites(names=["units-roundtrip"], perturbations={"bogus": 2.0})
+        run_suites(
+            names=["units-roundtrip"], perturbations={"output_sigma3": 2.0, "bogus": 2.0}
+        )
+    assert lens.output_sigma3 is original
 
 
 def test_png_encoder_deterministic():
