@@ -28,11 +28,13 @@ from .grid import (
     CoverageError,
     Grid1D,
     GridField2D,
+    IntensityMoments,
     StatsReport,
     SweepResult,
     compute_stats,
     delay_sweep,
     grids_for_state,
+    intensity_moments,
     sample_jsa,
     sfg_convolve,
     to_time_domain,
@@ -77,6 +79,7 @@ __all__ = [
     "GaussianJSA",
     "Grid1D",
     "GridField2D",
+    "IntensityMoments",
     "LensConfig",
     "MonteCarloResult",
     "OutputStatePrediction",
@@ -95,6 +98,7 @@ __all__ = [
     "fit_gaussian_2d",
     "g2_cross_correlation",
     "grids_for_state",
+    "intensity_moments",
     "jsa_amplitude",
     "joint_energy_uncertainty",
     "limit_infinite_escort",

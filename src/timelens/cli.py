@@ -37,6 +37,7 @@ from .config import ConfigError, parse_config
 from .grid import (
     compute_stats,
     grids_for_state,
+    intensity_moments,
     prepare_sweep,
     sample_jsa,
     sfg_convolve,
@@ -48,6 +49,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# simulate convolves by direct summation, whose dense n_out x n_in complex
+# kernel dominates its memory; larger grids are refused before sampling
+DIRECT_KERNEL_BYTES_LIMIT = 512 * 2**20
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -151,8 +156,6 @@ _STATS_COLUMNS = [
 def cmd_simulate(args) -> int:
     config_path = _resolve_config(args.config)
     cfg = parse_config(config_path)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     state, lens_cfg = cfg.state, cfg.lens
     n = args.grid or cfg.grid.n
     if n is None:
@@ -162,6 +165,16 @@ def cmd_simulate(args) -> int:
             span_sigmas=cfg.grid.span,
             max_tau=abs(cfg.tau),
         )
+    # the default output grid of sfg_convolve has n_out = n_in = n
+    kernel_bytes = n * n * 16
+    if kernel_bytes > DIRECT_KERNEL_BYTES_LIMIT:
+        raise ConfigError(
+            f"a {n}-sample grid needs a {n} x {n} direct convolution kernel of "
+            f"{kernel_bytes / 2**30:.2f} GiB, above the {DIRECT_KERNEL_BYTES_LIMIT / 2**30:.2f} GiB "
+            "limit; set a smaller [grid] n or --grid"
+        )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     g1, gh = grids_for_state(state, n=n, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
     input_field = sample_jsa(state, g1, gh)
@@ -274,8 +287,7 @@ def cmd_sweep(args) -> int:
             field, lens_cfg.escort, lens_cfg.phasematching, tau=float(tau),
             out_grid=out_grid, method="fft",
         )
-        st = compute_stats(out)
-        stats_list.append((float(tau), st, weight))
+        stats_list.append((float(tau), intensity_moments(out), weight))
         if len(panel_fields) < 9:
             panel_fields.append((float(tau), out))
     max_weight = max(w for _, _, w in stats_list)

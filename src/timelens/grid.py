@@ -15,10 +15,10 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 from scipy.special import erfc
 
 from .lens import LensConfig, gaussian_output
@@ -106,6 +106,18 @@ class GridField2D:
         if n <= 0.0:
             raise NormalizationError("field has zero norm")
         return GridField2D(self.axis1, self.axis_h, self.values / math.sqrt(n))
+
+
+@dataclass(frozen=True)
+class IntensityMoments:
+    """First and second moments of a sampled joint intensity."""
+
+    mean1: float
+    meanh: float
+    sigma1: float
+    sigmah: float
+    rho: float
+    norm: float
 
 
 @dataclass(frozen=True)
@@ -243,8 +255,10 @@ def sfg_convolve(
 
     method="direct" evaluates the kernel sum exactly per output sample;
     method="fft" is a fast path requiring equal steps on the input and
-    output axes (ResamplingRequiredError otherwise).  Both agree to
-    better than 1e-9.
+    output axes (ResamplingRequiredError otherwise).  It takes a circular
+    convolution of length next_fast_len(n_in + n_out - 1) along the
+    input axis; the n_out rows it keeps never wrap at that length, so
+    the result is the linear one.  Both agree to better than 1e-9.
     """
     if out_grid is None:
         # default coverage: the input half span widened by the escort,
@@ -271,8 +285,14 @@ def sfg_convolve(
         n1, n3 = field.axis1.n, out_grid.n
         offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * field.axis1.step
         kvec = escort_amplitude(escort, offsets)
-        full = fftconvolve(kvec[:, None], values, axes=0)
-        out_values = full[n1 - 1 : n1 - 1 + n3, :] * field.axis1.step
+        # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
+        # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact;
+        # transform the herald-major copy along its contiguous last axis
+        size = scipy.fft.next_fast_len(n1 + n3 - 1)
+        spectrum = scipy.fft.fft(np.ascontiguousarray(values.T), n=size, axis=-1)
+        spectrum *= scipy.fft.fft(kvec, n=size)
+        circular = scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)
+        out_values = np.ascontiguousarray(circular[:, n1 - 1 : n1 - 1 + n3].T) * field.axis1.step
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
@@ -289,12 +309,10 @@ def sfg_convolve(
     return out, weight
 
 
-def compute_stats(field: GridField2D) -> StatsReport:
-    """Moments of the sampled intensity plus the singular-value mode count.
+def intensity_moments(field: GridField2D) -> IntensityMoments:
+    """Centers, widths and correlation of the sampled intensity.
 
-    The field must be normalized to within 1e-6.  The Schmidt number is
-    1 over the sum of squared normalized Schmidt coefficients, obtained
-    from the singular values of the amplitude matrix.
+    The field must be normalized to within 1e-6.
     """
     norm = field.norm()
     if abs(norm - 1.0) > NORM_TOLERANCE:
@@ -315,21 +333,27 @@ def compute_stats(field: GridField2D) -> StatsReport:
     if var1 <= 0.0 or varh <= 0.0:
         raise ValueError("zero marginal variance; correlation undefined")
     cov = float((x1 - mean1) @ intensity @ (xh - meanh)) / total
-    rho = cov / math.sqrt(var1 * varh)
-
-    s = np.linalg.svd(field.values, compute_uv=False)
-    lam = s**2 / np.sum(s**2)
-    schmidt_k = float(1.0 / np.sum(lam**2))
-
-    return StatsReport(
+    return IntensityMoments(
         mean1=mean1,
         meanh=meanh,
         sigma1=math.sqrt(var1),
         sigmah=math.sqrt(varh),
-        rho=rho,
-        schmidt_k=schmidt_k,
+        rho=cov / math.sqrt(var1 * varh),
         norm=norm,
     )
+
+
+def compute_stats(field: GridField2D) -> StatsReport:
+    """Intensity moments plus the singular-value mode count.
+
+    The field must be normalized to within 1e-6.  The Schmidt number is
+    1 over the sum of squared normalized Schmidt coefficients, obtained
+    from the singular values of the amplitude matrix.
+    """
+    moments = intensity_moments(field)
+    s = np.linalg.svd(field.values, compute_uv=False)
+    lam = s**2 / np.sum(s**2)
+    return StatsReport(**asdict(moments), schmidt_k=float(1.0 / np.sum(lam**2)))
 
 
 def _axis_to_time(grid: Grid1D, values: np.ndarray, axis: int) -> tuple[Grid1D, np.ndarray]:
@@ -483,8 +507,7 @@ def delay_sweep(
         out, weight = sfg_convolve(
             field, cfg.escort, cfg.phasematching, tau=float(tau), out_grid=out_grid, method=method
         )
-        st = compute_stats(out)
-        points.append((float(tau), st, weight))
+        points.append((float(tau), intensity_moments(out), weight))
 
     max_weight = max(w for _, _, w in points)
     rows = tuple(

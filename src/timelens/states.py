@@ -140,9 +140,9 @@ def statistical_correlation(obj) -> float:
     """
     if isinstance(obj, GaussianJSA):
         return obj.rho
-    from .grid import compute_stats  # deferred: grid depends on this module
+    from .grid import intensity_moments  # deferred: grid depends on this module
 
-    return compute_stats(obj).rho
+    return intensity_moments(obj).rho
 
 
 def schmidt_number(rho: float) -> float:

@@ -40,13 +40,18 @@ _MARGIN_B = 70
 
 def colormap(values: np.ndarray) -> np.ndarray:
     """Map values in [0, 1] to RGB bytes via the fixed ramp."""
-    v = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
+    # a contiguous copy and one gather per channel are several times
+    # faster than fancy-indexing (n, 3) rows out of a strided view
+    v = np.clip(np.asarray(values, dtype=float, order="C"), 0.0, 1.0)
     pos = v * (_RAMP.shape[0] - 1)
-    lo = np.floor(pos).astype(int)
+    lo = np.floor(pos).astype(np.intp)
     hi = np.minimum(lo + 1, _RAMP.shape[0] - 1)
-    frac = (pos - lo)[..., None]
-    rgb = _RAMP[lo] * (1.0 - frac) + _RAMP[hi] * frac
-    return np.round(rgb).astype(np.uint8)
+    frac = pos - lo
+    rest = 1.0 - frac
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for channel, ramp in enumerate(_RAMP.T):
+        rgb[..., channel] = np.round(ramp.take(lo) * rest + ramp.take(hi) * frac)
+    return rgb
 
 
 def _png_encode(rgb: np.ndarray) -> bytes:

@@ -4,8 +4,9 @@ These implementations deliberately avoid the package's code paths: the
 output moments come from assembling the complex Gaussian quadratic form
 of the upconverted amplitude and inverting a 2x2 matrix, and again from
 the paper's hand-expanded width and correlation formulas, the
-normalization checks from composite Simpson quadrature, and expected
-deconvolutions from direct quadrature subtraction.  Tests compare the
+normalization checks from composite Simpson quadrature, expected
+deconvolutions from direct quadrature subtraction, and heatmap colors
+from fancy-indexing whole rows of the color ramp.  Tests compare the
 package against numbers produced here, and the two engines against each
 other.
 """
@@ -103,6 +104,17 @@ def minor_axis_fwhm(sigma1: float, sigmah: float, rho: float) -> float:
 def quadrature_deconvolve(fwhm_raw: float, resolution_sigma: float) -> float:
     """Quadrature subtraction of a Gaussian response from a FWHM."""
     return math.sqrt(fwhm_raw**2 - (FWHM * resolution_sigma) ** 2)
+
+
+def ramp_colors(values, ramp: np.ndarray) -> np.ndarray:
+    """RGB bytes of values in [0, 1], linear between the rows of an (m, 3) ramp."""
+    v = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
+    pos = v * (ramp.shape[0] - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, ramp.shape[0] - 1)
+    frac = (pos - lo)[..., None]
+    rgb = ramp[lo] * (1.0 - frac) + ramp[hi] * frac
+    return np.round(rgb).astype(np.uint8)
 
 
 def thz_per_ps(slope_rad_per_s2: float) -> float:

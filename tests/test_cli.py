@@ -1,15 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timelens import cli
+from timelens import cli, grid
 from timelens.analysis import FitConvergenceError
 from timelens.cli import build_parser, main
 from timelens import gridio, units
 from timelens.analysis import write_spectrum_csv
+from timelens.config import parse_config
 
 # mild chirps so a 256-point grid is fully converged; the measured
 # operating point (bundled experimental.cfg) is exercised separately
@@ -74,6 +78,19 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"]
         assert "stats.csv" in manifest["outputs"]
+
+    def test_oversized_direct_kernel_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # ideal.cfg sizes its grid automatically to 16384 samples, whose
+        # 16384 x 16384 direct kernel would take 4 GiB
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the memory check")
+
+        monkeypatch.setattr(cli, "sample_jsa", no_sampling)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", "ideal.cfg", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "16384 x 16384" in err and "4.00 GiB" in err
+        assert not out.exists()
 
     def test_experimental_correlation_reversal(self, tmp_path):
         out = tmp_path / "sim"
@@ -228,6 +245,21 @@ class TestSweep:
         assert float(slopes["signal_slope_thz_per_ps"]) == pytest.approx(0.14, abs=0.005)
         assert float(slopes["herald_slope_thz_per_ps"]) == pytest.approx(-0.099, abs=0.010)
 
+    def test_sweep_computes_no_svd(self, fast_cfg, tmp_path, monkeypatch):
+        # the sweep reports no Schmidt number, so it must not pay for one
+        def no_svd(*args, **kwargs):
+            raise AssertionError("singular value decomposition in a sweep")
+
+        monkeypatch.setattr(grid.np.linalg, "svd", no_svd)
+        cfg = parse_config(fast_cfg)
+        start, stop, npts = cfg.sweep
+        sw = grid.delay_sweep(
+            cfg.lens, cfg.state, np.linspace(start, stop, npts), n=cfg.grid.n,
+            nh=cfg.grid.herald_n, n_out=cfg.grid.output_n,
+        )
+        assert len(sw.points) == npts
+        assert main(["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "sweep")]) == 0
+
     def test_sweep_requires_range(self, tmp_path):
         cfg = tmp_path / "norange.cfg"
         cfg.write_text(
@@ -344,6 +376,20 @@ class TestValidateCommand:
     def test_unknown_mutation_key_exit_2(self, capsys):
         assert main(["validate", "--quick", "--mutate", "bogus=2"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone took about half a second to import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, timelens.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -4,6 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from timelens import (
     CoverageError,
@@ -16,6 +17,7 @@ from timelens import (
     compute_stats,
     delay_sweep,
     grids_for_state,
+    intensity_moments,
     sample_jsa,
     schmidt_number,
     sfg_convolve,
@@ -122,6 +124,16 @@ class TestComputeStats:
         bad = type(field)(field.axis1, field.axis_h, field.values * 2.0)
         with pytest.raises(NormalizationError):
             compute_stats(bad)
+        with pytest.raises(NormalizationError):
+            intensity_moments(bad)
+
+    def test_moments_bits_match_compute_stats(self):
+        state = mild_state(rho=-0.8, chirp=2e-25)
+        field = sample_jsa(state, *grids_for_state(state, n=256, nh=96))
+        st = compute_stats(field)
+        mo = intensity_moments(field)
+        for name in ("mean1", "meanh", "sigma1", "sigmah", "rho", "norm"):
+            assert getattr(mo, name) == getattr(st, name), name
 
 
 class TestSfgConvolve:
@@ -198,6 +210,37 @@ class TestSfgConvolve:
         )
         a, wa = sfg_convolve(field, escort, tau=0.4e-12, out_grid=out_grid, method="direct")
         b, wb = sfg_convolve(field, escort, tau=0.4e-12, out_grid=out_grid, method="fft")
+        assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)) < 1e-9
+        assert wa == pytest.approx(wb, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n_in, n_out, padded",
+        [
+            (64, 70, True),  # output longer than input: 133 -> 135
+            (96, 64, True),  # output shorter than input: 159 -> 160
+            (64, 37, False),  # 100 is already fast, and so is 99
+        ],
+    )
+    def test_fft_exact_length_does_not_wrap(self, n_in, n_out, padded):
+        # a wrap reaches the kept rows only at the last one, through the
+        # two ends of the kernel; moving the output grid half a step off
+        # center makes those ends differ, so a circular transform one row
+        # too short moves that row by 2e-7 to 9e-6 of the peak here
+        assert (scipy.fft.next_fast_len(n_in + n_out - 1) > n_in + n_out - 1) == padded
+        sigma1 = 1.1e12
+        chirp = 1.0 / sigma1**2
+        state = mild_state(sigma1=sigma1, chirp=chirp)
+        g1 = Grid1D.centered(state.omega1, 4.2 * sigma1, n_in)
+        gh = Grid1D.centered(state.omegah, 6.0 * state.sigmah, 32)
+        field = sample_jsa(state, g1, gh)
+        escort = EscortPulse(center=2.43e15, sigma=1.5 * sigma1, chirp=-chirp)
+        out_grid = Grid1D(
+            start=state.omega1 + escort.center - g1.step * (n_out - 2) / 2,
+            step=g1.step,
+            n=n_out,
+        )
+        a, wa = sfg_convolve(field, escort, tau=0.3e-12, out_grid=out_grid, method="direct")
+        b, wb = sfg_convolve(field, escort, tau=0.3e-12, out_grid=out_grid, method="fft")
         assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)) < 1e-9
         assert wa == pytest.approx(wb, rel=1e-9)
 
