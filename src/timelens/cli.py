@@ -41,6 +41,7 @@ from .grid import (
     prepare_sweep,
     sample_jsa,
     sfg_convolve,
+    sfg_output_grid,
     suggested_input_samples,
 )
 from .states import PhasematchingModel
@@ -93,8 +94,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _heatmap_from_field(field, path: Path, title: str, contour_fit=None):
-    spec = spectrum_from_field(field)
+def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
     contour = None
     if contour_fit is not None:
         s1 = units.fwhm_to_sigma(contour_fit.fwhm1_nm)
@@ -157,33 +157,40 @@ def cmd_simulate(args) -> int:
     config_path = _resolve_config(args.config)
     cfg = parse_config(config_path)
     state, lens_cfg = cfg.state, cfg.lens
+    effective = replace(state, chirp=state.chirp + lens_cfg.signal_chirp)
     n = args.grid or cfg.grid.n
     if n is None:
         n = suggested_input_samples(
-            replace(state, chirp=state.chirp + lens_cfg.signal_chirp),
+            effective,
             lens_cfg.escort,
             span_sigmas=cfg.grid.span,
             max_tau=abs(cfg.tau),
         )
-    # the default output grid of sfg_convolve has n_out = n_in = n
-    kernel_bytes = n * n * 16
+    g1, gh = grids_for_state(state, n=n, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
+    out_grid = sfg_output_grid(g1, lens_cfg.escort)
+    kernel_bytes = out_grid.n * g1.n * 16
     if kernel_bytes > DIRECT_KERNEL_BYTES_LIMIT:
         raise ConfigError(
-            f"a {n}-sample grid needs a {n} x {n} direct convolution kernel of "
+            f"a {n}-sample grid needs a {out_grid.n} x {g1.n} direct convolution kernel of "
             f"{kernel_bytes / 2**30:.2f} GiB, above the {DIRECT_KERNEL_BYTES_LIMIT / 2**30:.2f} GiB "
             "limit; set a smaller [grid] n or --grid"
+        )
+    if out_grid.start <= 0.0:
+        raise ConfigError(
+            f"the output grid starts at {out_grid.start:.3e} rad/s, at or below zero "
+            f"frequency: its half span, the input half span widened by six escort widths "
+            f"(sigma {lens_cfg.escort.sigma:.3e} rad/s), exceeds its center "
+            f"{out_grid.center:.3e} rad/s"
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    g1, gh = grids_for_state(state, n=n, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
     input_field = sample_jsa(state, g1, gh)
     input_stats = compute_stats(input_field)
 
-    effective = replace(state, chirp=state.chirp + lens_cfg.signal_chirp)
     eff_field = sample_jsa(effective, g1, gh)
     out_field, weight = sfg_convolve(
-        eff_field, lens_cfg.escort, lens_cfg.phasematching, tau=cfg.tau
+        eff_field, lens_cfg.escort, lens_cfg.phasematching, tau=cfg.tau, out_grid=out_grid
     )
     output_stats = compute_stats(out_field)
 
@@ -232,12 +239,13 @@ def cmd_simulate(args) -> int:
         (input_field, "jsi_input.svg", "input joint spectral intensity"),
         (out_field, "jsi_output.svg", "upconverted joint spectral intensity"),
     ):
+        spec = spectrum_from_field(field)
         try:
-            fit = fit_gaussian_2d(spectrum_from_field(field)).raw
+            fit = fit_gaussian_2d(spec).raw
         except (DegenerateDataError, FitConvergenceError) as exc:
             print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
-        _heatmap_from_field(field, out_dir / name, title, contour_fit=fit)
+        _heatmap_from_spectrum(spec, out_dir / name, title, contour_fit=fit)
         outputs.append(name)
 
     _write_manifest(out_dir, config_path, outputs)
@@ -329,7 +337,9 @@ def cmd_sweep(args) -> int:
 
     for idx, (tau, fld) in enumerate(panel_fields):
         name = f"sweep_panel_{idx}.svg"
-        _heatmap_from_field(fld, out_dir / name, f"delay {tau * 1e12:+.3f} ps")
+        _heatmap_from_spectrum(
+            spectrum_from_field(fld), out_dir / name, f"delay {tau * 1e12:+.3f} ps"
+        )
         outputs.append(name)
 
     _write_manifest(out_dir, config_path, outputs)

@@ -217,6 +217,19 @@ def default_output_grid(
     )
 
 
+def sfg_output_grid(axis1: Grid1D, escort: EscortPulse) -> Grid1D:
+    """Default output grid of :func:`sfg_convolve` for an input axis.
+
+    The input half span widened by six escort widths, an upper bound on
+    the output width for any chirp combination, centered on the sum of
+    the input center and the escort center, with as many samples as the
+    input axis.  A broad escort can push its start below zero frequency.
+    """
+    half_in = 0.5 * (axis1.stop - axis1.start)
+    half = math.hypot(half_in, 6.0 * escort.sigma)
+    return Grid1D.centered(axis1.center + escort.center, half, axis1.n)
+
+
 def _check_edge_mass(field: GridField2D, band: int = 2):
     intensity = field.intensity()
     total = intensity.sum()
@@ -261,11 +274,7 @@ def sfg_convolve(
     the result is the linear one.  Both agree to better than 1e-9.
     """
     if out_grid is None:
-        # default coverage: the input half span widened by the escort,
-        # an upper bound on the output width for any chirp combination
-        half_in = 0.5 * (field.axis1.stop - field.axis1.start)
-        half = math.hypot(half_in, 6.0 * escort.sigma)
-        out_grid = Grid1D.centered(field.axis1.center + escort.center, half, field.axis1.n)
+        out_grid = sfg_output_grid(field.axis1, escort)
 
     w1 = field.axis1.points
     values = field.values
@@ -348,12 +357,17 @@ def compute_stats(field: GridField2D) -> StatsReport:
 
     The field must be normalized to within 1e-6.  The Schmidt number is
     1 over the sum of squared normalized Schmidt coefficients, obtained
-    from the singular values of the amplitude matrix.
+    from the singular values of the amplitude matrix A.  The squared
+    singular values are the eigenvalues of the Gram matrix G, so
+    K = tr(G)^2 / ||G||_F^2 with no decomposition; G is taken on the
+    smaller side, A^H A for a tall or square A and A A^H for a wide one.
     """
     moments = intensity_moments(field)
-    s = np.linalg.svd(field.values, compute_uv=False)
-    lam = s**2 / np.sum(s**2)
-    return StatsReport(**asdict(moments), schmidt_k=float(1.0 / np.sum(lam**2)))
+    a = field.values
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    trace = float(np.trace(gram).real)
+    frobenius_sq = float(np.vdot(gram, gram).real)
+    return StatsReport(**asdict(moments), schmidt_k=trace**2 / frobenius_sq)
 
 
 def _axis_to_time(grid: Grid1D, values: np.ndarray, axis: int) -> tuple[Grid1D, np.ndarray]:

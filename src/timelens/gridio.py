@@ -26,15 +26,27 @@ CSV_HEADER = "omega1_rad_s,omegah_rad_s,intensity_per_rad_s_sq,phase_rad"
 
 
 def write_field_csv(field: GridField2D, path) -> None:
-    """Write the field as CSV with intensity and phase columns."""
-    w1 = np.repeat(field.axis1.points, field.axis_h.n)
-    wh = np.tile(field.axis_h.points, field.axis1.n)
-    intensity = field.intensity().ravel()
-    phase = np.angle(field.values).ravel()
+    """Write the field as CSV with intensity and phase columns.
+
+    Every value is written with %.17g, so it reads back exactly.  Each
+    axis value is formatted once, and each signal row of nh lines is
+    formatted by one % call and written before the next is built.
+    """
+    nh = field.axis_h.n
+    w1 = ["%.17g," % w for w in field.axis1.points.tolist()]
+    wh = ["%.17g," % w for w in field.axis_h.points.tolist()]
+    intensity = field.intensity()
+    phase = np.angle(field.values)
+    row_format = "%s%s%.17g,%.17g\n" * nh
+    cells = [None] * (4 * nh)
+    cells[1::4] = wh
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in zip(w1, wh, intensity, phase):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
+        for i, w in enumerate(w1):
+            cells[0::4] = [w] * nh
+            cells[2::4] = intensity[i].tolist()
+            cells[3::4] = phase[i].tolist()
+            fh.write(row_format % tuple(cells))
 
 
 def write_field_binary(field: GridField2D, path) -> None:

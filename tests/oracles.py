@@ -5,8 +5,10 @@ output moments come from assembling the complex Gaussian quadratic form
 of the upconverted amplitude and inverting a 2x2 matrix, and again from
 the paper's hand-expanded width and correlation formulas, the
 normalization checks from composite Simpson quadrature, expected
-deconvolutions from direct quadrature subtraction, and heatmap colors
-from fancy-indexing whole rows of the color ramp.  Tests compare the
+deconvolutions from direct quadrature subtraction, heatmap colors
+from fancy-indexing whole rows of the color ramp, Schmidt numbers from
+a full singular value decomposition, and field CSV files from one
+formatted tuple per grid point.  Tests compare the
 package against numbers produced here, and the two engines against each
 other.
 """
@@ -115,6 +117,25 @@ def ramp_colors(values, ramp: np.ndarray) -> np.ndarray:
     frac = (pos - lo)[..., None]
     rgb = ramp[lo] * (1.0 - frac) + ramp[hi] * frac
     return np.round(rgb).astype(np.uint8)
+
+
+def svd_schmidt_number(values: np.ndarray) -> float:
+    """1 over the sum of squared normalized Schmidt coefficients, from the SVD."""
+    s = np.linalg.svd(values, compute_uv=False)
+    lam = s**2 / np.sum(s**2)
+    return float(1.0 / np.sum(lam**2))
+
+
+def write_field_csv_rows(field, path, header: str) -> None:
+    """Field CSV written one grid point at a time, each value as %.17g."""
+    w1 = np.repeat(field.axis1.points, field.axis_h.n)
+    wh = np.tile(field.axis_h.points, field.axis1.n)
+    intensity = field.intensity().ravel()
+    phase = np.angle(field.values).ravel()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(w1, wh, intensity, phase):
+            fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
 def thz_per_ps(slope_rad_per_s2: float) -> float:

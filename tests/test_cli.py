@@ -92,6 +92,49 @@ class TestSimulate:
         assert "16384 x 16384" in err and "4.00 GiB" in err
         assert not out.exists()
 
+    def test_output_grid_below_zero_frequency_rejected_before_sampling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the broad ideal escort widens the output grid of a 2048-sample
+        # input axis past zero frequency
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the output grid check")
+
+        monkeypatch.setattr(cli, "sample_jsa", no_sampling)
+        cfg = parse_config(cli._resolve_config("ideal.cfg"))
+        g1, _ = grid.grids_for_state(cfg.state, n=2048, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
+        start = grid.sfg_output_grid(g1, cfg.lens.escort).start
+        assert start < 0.0
+        out = tmp_path / "sim"
+        argv = ["simulate", "--config", "ideal.cfg", "--grid", "2048", "--format", "bin"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{start:.3e} rad/s" in err
+        assert not out.exists()
+
+    def test_schmidt_number_computes_no_svd(self, fast_cfg, tmp_path, monkeypatch):
+        # the Gram-trace Schmidt number needs no decomposition
+        def no_svd(*args, **kwargs):
+            raise AssertionError("singular value decomposition in simulate")
+
+        monkeypatch.setattr(grid.np.linalg, "svd", no_svd)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 0
+        assert float(read_stats(out / "stats.csv")["grid-output"]["schmidt_k"]) > 1.0
+
+    def test_one_spectrum_per_panel(self, fast_cfg, tmp_path, monkeypatch):
+        # the contour fit and the heatmap of a panel share one spectrum
+        calls = []
+        original = cli.spectrum_from_field
+
+        def counting(field, *args, **kwargs):
+            calls.append(field)
+            return original(field, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "spectrum_from_field", counting)
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(tmp_path / "sim")]) == 0
+        assert len(calls) == 2
+
     def test_experimental_correlation_reversal(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--config", "experimental.cfg", "--out", str(out)]) == 0

@@ -127,6 +127,15 @@ class TestComputeStats:
         with pytest.raises(NormalizationError):
             intensity_moments(bad)
 
+    @pytest.mark.parametrize("n1, nh", [(96, 64), (64, 96), (80, 80)])
+    def test_gram_schmidt_number_matches_svd(self, n1, nh):
+        # tall, wide and square amplitude matrices take both Gram sides
+        state = mild_state(rho=-0.8, chirp=2e-25)
+        field = sample_jsa(state, *grids_for_state(state, n=n1, nh=nh))
+        expected = oracles.svd_schmidt_number(field.values)
+        assert expected > 1.5
+        assert compute_stats(field).schmidt_k == pytest.approx(expected, rel=1e-12)
+
     def test_moments_bits_match_compute_stats(self):
         state = mild_state(rho=-0.8, chirp=2e-25)
         field = sample_jsa(state, *grids_for_state(state, n=256, nh=96))

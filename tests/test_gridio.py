@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from timelens import GaussianJSA, grids_for_state, sample_jsa
+import oracles
+from timelens import GaussianJSA, Grid1D, GridField2D, grids_for_state, sample_jsa
 from timelens import gridio
 
 
@@ -64,3 +65,35 @@ def test_csv_layout(small_field, tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(small_field.axis1.stop)
     assert last[1] == pytest.approx(small_field.axis_h.stop)
+
+
+def _edge_case_field() -> GridField2D:
+    # 23 x 17 (n1 != nh) on axes whose centers sit off any state center,
+    # one of them crossing zero; phases of both signs, -0.0 and pi among
+    # them, exact zeros and intensities below 1e-300
+    rng = np.random.default_rng(17)
+    axis1 = Grid1D(start=2.3187e15 + 3.3e11, step=1.7e11 / 3.0, n=23)
+    axis_h = Grid1D(start=-4.1e12 / 3.0, step=2.2e12 / 3.0, n=17)
+    values = rng.normal(size=(23, 17)) + 1j * rng.normal(size=(23, 17))
+    values[0, 0] = 0.0
+    values[3, :] = 0.0
+    values[5, 2] = complex(-1.0, -0.0)
+    values[5, 3] = complex(-1.0, 0.0)
+    values[6, 4] = 1e-155
+    values[6, 5] = -1e-160j
+    values[7, 6] = complex(3e-170, -4e-170)
+    values[8, 7] = complex(2.0, -0.0)
+    values[20, 12] = complex(-2.5, -1e-300)
+    return GridField2D(axis1, axis_h, values)
+
+
+def test_csv_bytes_match_per_row_writer(small_field, tmp_path):
+    edge = _edge_case_field()
+    intensity, phase = edge.intensity(), np.angle(edge.values)
+    assert np.any(intensity == 0.0) and np.any((intensity > 0.0) & (intensity < 1e-300))
+    assert np.any(phase < 0.0) and np.any(np.signbit(phase) & (phase == 0.0))
+    for field in (edge, small_field):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        gridio.write_field_csv(field, new)
+        oracles.write_field_csv_rows(field, ref, gridio.CSV_HEADER)
+        assert new.read_bytes() == ref.read_bytes()
