@@ -13,6 +13,7 @@ also provided, driven by the grid engine.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -129,12 +130,17 @@ class CountRates:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-parameter standard deviations from Poissonian resampling."""
+    """Per-parameter standard deviations from Poissonian resampling.
+
+    failures counts the failed trials by exception type name; it is empty
+    when every trial converged.
+    """
 
     errors: dict
     n_trials: int
     failure_rate: float
     unreliable: bool
+    failures: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,31 @@ def fit_gaussian_2d(spec: Spectrum2D) -> FitReport:
     return FitReport(raw=raw)
 
 
+# bins kept per axis by contour_subsample, and bins it keeps across a peak
+CONTOUR_MAX_BINS = 128
+CONTOUR_MIN_BINS_PER_FWHM = 8
+
+
+def contour_subsample(spec: Spectrum2D) -> Spectrum2D:
+    """Strided copy of a spectrum, small enough for a cheap contour fit.
+
+    Each axis keeps every s-th bin, s = max(1, min(ceil(n / 128),
+    floor(fwhm_bins / 8))), where fwhm_bins is that axis's moment FWHM
+    in bins on the full spectrum: at most about 128 bins per axis, and
+    never fewer than 8 across the peak, so a narrow peak on a wide grid
+    does not fall between samples.  Raises DegenerateDataError where the
+    moments do.
+    """
+    init = _moment_initialization(spec)
+    strides = []
+    for axis, fwhm in ((spec.lambda1_nm, init.fwhm1_nm), (spec.lambdah_nm, init.fwhmh_nm)):
+        fwhm_bins = fwhm / (axis[1] - axis[0])
+        cap = math.ceil(axis.size / CONTOUR_MAX_BINS)
+        strides.append(max(1, min(cap, math.floor(fwhm_bins / CONTOUR_MIN_BINS_PER_FWHM))))
+    s1, sh = strides
+    return Spectrum2D(spec.lambda1_nm[::s1], spec.lambdah_nm[::sh], spec.counts[::s1, ::sh])
+
+
 def deconvolve_resolution(report: FitReport, res: ResolutionModel) -> FitReport:
     """Correct the fitted widths for the spectrometer response.
 
@@ -386,7 +417,7 @@ def montecarlo_errorbars(
         raise ValueError("need at least 2 trials")
     children = np.random.SeedSequence(seed).spawn(n_trials)
     samples: dict[str, list] = {}
-    failures = 0
+    failures: Counter[str] = Counter()
     for child in children:
         rng = np.random.default_rng(child)
         resampled = Spectrum2D(
@@ -400,24 +431,26 @@ def montecarlo_errorbars(
                 values.update(
                     {f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()}
                 )
-        except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError):
-            failures += 1
+        except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError) as exc:
+            failures[type(exc).__name__] += 1
             continue
         for k, v in values.items():
             samples.setdefault(k, []).append(v)
 
-    n_ok = n_trials - failures
+    n_failed = failures.total()
+    n_ok = n_trials - n_failed
     if n_ok < 2:
         raise FitConvergenceError(
             f"only {n_ok} of {n_trials} Monte Carlo trials converged"
         )
     errors = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
-    failure_rate = failures / n_trials
+    failure_rate = n_failed / n_trials
     return MonteCarloResult(
         errors=errors,
         n_trials=n_trials,
         failure_rate=failure_rate,
         unreliable=failure_rate > 0.05,
+        failures=dict(failures),
     )
 
 

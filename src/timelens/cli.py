@@ -26,6 +26,7 @@ from .analysis import (
     DegenerateDataError,
     FitConvergenceError,
     ResolutionModel,
+    contour_subsample,
     deconvolve_resolution,
     fit_gaussian_2d,
     fit_values,
@@ -33,7 +34,7 @@ from .analysis import (
     read_spectrum_csv,
     spectrum_from_field,
 )
-from .config import ConfigError, parse_config
+from .config import AnalysisSettings, ConfigError, parse_config
 from .grid import (
     compute_stats,
     grids_for_state,
@@ -241,7 +242,9 @@ def cmd_simulate(args) -> int:
     ):
         spec = spectrum_from_field(field)
         try:
-            fit = fit_gaussian_2d(spec).raw
+            # the ellipse is drawn to a thousandth of a pixel; a subsample
+            # places it as the full fit does at a fraction of the cost
+            fit = fit_gaussian_2d(contour_subsample(spec)).raw
         except (DegenerateDataError, FitConvergenceError) as exc:
             print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
@@ -372,24 +375,27 @@ def cmd_fit(args) -> int:
     else:
         spec = read_spectrum_csv(path)
 
+    # a command-line flag wins over its config key, which wins over the default
+    config_path = _resolve_config(args.config) if args.config else None
+    settings = parse_config(config_path).analysis if config_path else AnalysisSettings()
     res = None
     if args.res_signal is not None or args.res_herald is not None:
         if args.res_signal is None or args.res_herald is None:
             raise ConfigError("give both --res-signal and --res-herald or neither")
         res = ResolutionModel(r1_nm=args.res_signal, rh_nm=args.res_herald)
-    elif args.config:
-        cfg = parse_config(_resolve_config(args.config))
-        if cfg.analysis.resolution_signal_nm is not None:
-            res = ResolutionModel(
-                r1_nm=cfg.analysis.resolution_signal_nm,
-                rh_nm=cfg.analysis.resolution_herald_nm or 0.0,
-            )
+    elif settings.resolution_signal_nm is not None:
+        res = ResolutionModel(
+            r1_nm=settings.resolution_signal_nm,
+            rh_nm=settings.resolution_herald_nm or 0.0,
+        )
+    trials = settings.trials if args.trials is None else args.trials
+    seed = settings.seed if args.seed is None else args.seed
 
     report = fit_gaussian_2d(spec)
     if res is not None:
         # zero resolutions give the identity deconvolution
         report = deconvolve_resolution(report, res)
-    mc = montecarlo_errorbars(spec, res, n_trials=args.trials, seed=args.seed)
+    mc = montecarlo_errorbars(spec, res, n_trials=trials, seed=seed)
 
     raw_vals = fit_values(report.raw)
     dec_vals = fit_values(report.deconvolved) if report.deconvolved else {}
@@ -413,13 +419,16 @@ def cmd_fit(args) -> int:
         rows,
     )
     outputs = ["fitreport.csv"]
-    _write_manifest(out_dir, path if path.suffix == ".cfg" else None, outputs)
+    _write_manifest(out_dir, config_path, outputs)
     flag = " (UNRELIABLE: fit failures above 5%)" if mc.unreliable else ""
     print(
         f"fit: rho_raw={report.raw.rho:+.5f}"
         + (f" rho_dec={report.deconvolved.rho:+.5f}" if report.deconvolved else "")
         + f", {mc.n_trials} Monte Carlo trials{flag}"
     )
+    if mc.failures:
+        reasons = ", ".join(f"{name} {count}" for name, count in sorted(mc.failures.items()))
+        print(f"fit: {sum(mc.failures.values())} Monte Carlo trials failed: {reasons}")
     print(f"fit: wrote fitreport.csv to {out_dir}")
     return EXIT_OK
 
@@ -482,8 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--res-signal", type=float, default=None, help="signal response sigma, nm")
     p_fit.add_argument("--res-herald", type=float, default=None, help="herald response sigma, nm")
     p_fit.add_argument("--out", default="out")
-    p_fit.add_argument("--trials", type=int, default=500, help="Monte Carlo trials")
-    p_fit.add_argument("--seed", type=int, default=1)
+    p_fit.add_argument(
+        "--trials", type=int, default=None,
+        help="Monte Carlo trials (default: [analysis] trials, else 500)",
+    )
+    p_fit.add_argument(
+        "--seed", type=int, default=None,
+        help="Monte Carlo seed (default: [analysis] seed, else 1)",
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_val = sub.add_parser("validate", help="run the invariant suites")

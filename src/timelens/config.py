@@ -114,6 +114,14 @@ def _dimensional(section: str, key: str, raw: str, table: dict, quantity: str) -
     return value * table[unit]
 
 
+def _checked(where: str, build, *args, **kwargs):
+    """Call a constructor or unit conversion, reporting its ValueError as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _unitless(section: str, key: str, raw: str) -> float:
     value, unit = _parse_quantity(section, key, raw)
     if unit is not None:
@@ -123,7 +131,7 @@ def _unitless(section: str, key: str, raw: str) -> float:
 
 def _integer(section: str, key: str, raw: str) -> int:
     value = _unitless(section, key, raw)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
     return int(value)
 
@@ -135,7 +143,9 @@ def _center_rad(section: str, key: str, raw: str) -> float:
     if unit == "rad/s":
         return value
     if unit in LENGTH_UNITS:
-        return units.wavelength_to_angular(value * LENGTH_UNITS[unit])
+        return _checked(
+            f"[{section}] {key}", units.wavelength_to_angular, value * LENGTH_UNITS[unit]
+        )
     raise ConfigError(f"[{section}] {key}: unknown center unit {unit!r}")
 
 
@@ -159,11 +169,14 @@ def _width_rad(section: str, parser, prefix: str, center_rad: float) -> float:
     value, unit = _parse_quantity(section, name_bw, raw)
     if unit is None:
         raise ConfigError(f"[{section}] {name_bw}: missing unit suffix (nm or THz)")
+    where = f"[{section}] {name_bw}"
     if unit == "THz":
-        return units.fwhm_thz_to_sigma_rad(value)
+        return _checked(where, units.fwhm_thz_to_sigma_rad, value)
     if unit in LENGTH_UNITS:
-        center_nm = units.angular_to_wavelength(center_rad) * 1e9
-        return units.fwhm_nm_to_sigma_rad(value * LENGTH_UNITS[unit] * 1e9, center_nm)
+        center_nm = _checked(where, units.angular_to_wavelength, center_rad) * 1e9
+        return _checked(
+            where, units.fwhm_nm_to_sigma_rad, value * LENGTH_UNITS[unit] * 1e9, center_nm
+        )
     raise ConfigError(f"[{section}] {name_bw}: unknown bandwidth unit {unit!r}")
 
 
@@ -198,17 +211,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
     sig_sigma = _width_rad("input", parser, "signal", sig_center)
     her_sigma = _width_rad("input", parser, "herald", her_center)
     rho = _unitless("input", "correlation", need("input", "correlation"))
-    try:
-        state = GaussianJSA(
-            omega1=sig_center, omegah=her_center, sigma1=sig_sigma, sigmah=her_sigma, rho=rho
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[input]: {exc}") from None
+    state = _checked(
+        "[input]",
+        GaussianJSA,
+        omega1=sig_center,
+        omegah=her_center,
+        sigma1=sig_sigma,
+        sigmah=her_sigma,
+        rho=rho,
+    )
 
     esc_center = _center_rad("escort", "center", need("escort", "center"))
     esc_sigma = _width_rad("escort", parser, "", esc_center)
     esc_chirp = _dimensional("escort", "chirp", need("escort", "chirp"), CHIRP_UNITS, "chirp")
-    escort = EscortPulse(center=esc_center, sigma=esc_sigma, chirp=esc_chirp)
+    escort = _checked("[escort]", EscortPulse, center=esc_center, sigma=esc_sigma, chirp=esc_chirp)
 
     signal_chirp = _dimensional(
         "lens", "signal_chirp", need("lens", "signal_chirp"), CHIRP_UNITS, "chirp"
@@ -217,7 +233,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if parser.has_option("lens", "output_chirp"):
         raw = parser.get("lens", "output_chirp")
         if raw.strip() == "solve":
-            output_chirp = solve_imaging(signal_chirp=signal_chirp, escort_chirp=esc_chirp)
+            output_chirp = _checked(
+                "[lens] output_chirp",
+                solve_imaging,
+                signal_chirp=signal_chirp,
+                escort_chirp=esc_chirp,
+            )
         else:
             output_chirp = _dimensional("lens", "output_chirp", raw, CHIRP_UNITS, "chirp")
 
@@ -231,7 +252,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 if unit == "rad/s":
                     sigma_phi = value
                 elif unit == "THz":
-                    sigma_phi = units.fwhm_thz_to_sigma_rad(value)
+                    sigma_phi = _checked(
+                        "[phasematching] sigma", units.fwhm_thz_to_sigma_rad, value
+                    )
                 else:
                     raise ConfigError(
                         "[phasematching] sigma: expected rad/s, THz, or 'infinite'"
@@ -241,7 +264,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             pm_center = _center_rad(
                 "phasematching", "center", parser.get("phasematching", "center")
             )
-        pm = PhasematchingModel(sigma=sigma_phi, center=pm_center)
+        pm = _checked("[phasematching]", PhasematchingModel, sigma=sigma_phi, center=pm_center)
 
     lens = LensConfig(
         signal_chirp=signal_chirp, escort=escort, phasematching=pm, output_chirp=output_chirp
@@ -310,6 +333,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             )
         if parser.has_option("analysis", "trials"):
             kw["trials"] = _integer("analysis", "trials", parser.get("analysis", "trials"))
+            if kw["trials"] < 2:
+                raise ConfigError("[analysis] trials: need at least 2 Monte Carlo trials")
         if parser.has_option("analysis", "seed"):
             kw["seed"] = _integer("analysis", "seed", parser.get("analysis", "seed"))
         analysis = AnalysisSettings(**kw)

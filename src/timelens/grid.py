@@ -7,9 +7,10 @@ path, and every statistic is computed from the sampled intensity with no
 reference to the closed forms.  This module is the independent numerical
 cross-check for the analytic lens formulas.
 
-All functions are pure and operate on immutable inputs; sampled field
-arrays are marked read-only so fields can be shared freely across
-threads.
+All functions are pure and operate on immutable inputs.  A field holds
+a read-only view of the array it is given, not a copy, so fields can be
+shared freely across threads; the caller's own array stays writeable,
+and writing to it changes the field.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class GridField2D:
                 f"values shape {self.values.shape} does not match grids "
                 f"({self.axis1.n}, {self.axis_h.n})"
             )
-        self.values.setflags(write=False)
+        view = self.values.view()
+        view.setflags(write=False)
+        object.__setattr__(self, "values", view)
 
     @property
     def cell(self) -> float:

@@ -21,11 +21,14 @@ from timelens import (
     montecarlo_errorbars,
     sample_jsa,
 )
+from timelens import analysis
 from timelens.analysis import (
     DegenerateDataError,
+    FitConvergenceError,
     FitReport,
     GaussianFitParams,
     UnphysicalDeconvolutionError,
+    contour_subsample,
     derived_quantities,
     gaussian2d_model,
     read_spectrum_csv,
@@ -277,11 +280,65 @@ class TestMonteCarlo:
         mc = montecarlo_errorbars(spec, RES_INPUT, n_trials=150, seed=5)
         assert 1e-4 <= mc.errors["raw_rho"] <= 1.5e-3
         assert not mc.unreliable
+        assert mc.failures == {}
+
+    def test_failures_counted_by_type(self, monkeypatch):
+        fail_every_third_refit(monkeypatch)
+        spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        mc = montecarlo_errorbars(spec, n_trials=30, seed=3)
+        assert mc.failures == {"FitConvergenceError": 10}
+        assert mc.failure_rate == pytest.approx(1.0 / 3.0)
+        assert mc.unreliable
 
     def test_needs_trials(self):
         spec = synth_spectrum(RAW_INPUT, n1=12, nh=12)
         with pytest.raises(ValueError):
             montecarlo_errorbars(spec, n_trials=1)
+
+
+def fail_every_third_refit(monkeypatch):
+    """Make every third fit looked up in analysis (the Monte Carlo refits) fail."""
+    calls = []
+    original = analysis.fit_gaussian_2d
+
+    def flaky(spec):
+        calls.append(spec)
+        if len(calls) % 3 == 0:
+            raise FitConvergenceError("no convergence")
+        return original(spec)
+
+    monkeypatch.setattr(analysis, "fit_gaussian_2d", flaky)
+
+
+class TestContourSubsample:
+    def test_narrow_peak_keeps_eight_bins_per_fwhm(self):
+        # a FWHM of about 20 bins on a 4096-bin axis: a stride of
+        # ceil(4096 / 128) = 32 alone would leave less than one bin across it
+        lam1 = np.linspace(800.0, 800.0 + 4095 * 0.01, 4096)
+        lamh = np.linspace(735.0, 745.0, 64)
+        params = replace(RAW_INPUT, center1_nm=820.0, fwhm1_nm=0.2, centerh_nm=740.0, fwhmh_nm=3.0)
+        spec = Spectrum2D(lam1, lamh, gaussian2d_model(params, lam1, lamh))
+        sub = contour_subsample(spec)
+        stride = round((sub.lambda1_nm[1] - sub.lambda1_nm[0]) / 0.01)
+        assert params.fwhm1_nm / (math.ceil(lam1.size / 128) * 0.01) < 1
+        assert params.fwhm1_nm / (stride * 0.01) >= 8
+        assert sub.counts.shape[1] == lamh.size
+        np.testing.assert_array_equal(sub.counts, spec.counts[::stride])
+        assert_same_fit(fit_gaussian_2d(sub).raw, fit_gaussian_2d(spec).raw)
+
+    def test_degenerate_spectrum_raises(self):
+        spec = Spectrum2D(np.arange(8.0), np.arange(8.0), np.ones((8, 8)))
+        with pytest.raises(DegenerateDataError):
+            contour_subsample(spec)
+
+
+def assert_same_fit(sub, full):
+    """A subsample fit agrees with the full-resolution fit, its oracle."""
+    assert sub.fwhm1_nm == pytest.approx(full.fwhm1_nm, rel=1e-6)
+    assert sub.fwhmh_nm == pytest.approx(full.fwhmh_nm, rel=1e-6)
+    assert sub.rho == pytest.approx(full.rho, abs=1e-6)
+    assert sub.center1_nm == pytest.approx(full.center1_nm, abs=1e-6 * full.fwhm1_nm)
+    assert sub.centerh_nm == pytest.approx(full.centerh_nm, abs=1e-6 * full.fwhmh_nm)
 
 
 class TestG2:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from timelens import cli, grid
-from timelens.analysis import FitConvergenceError
+from timelens.analysis import FitConvergenceError, fit_gaussian_2d
 from timelens.cli import build_parser, main
 from timelens import gridio, units
 from timelens.analysis import write_spectrum_csv
 from timelens.config import parse_config
+from test_analysis import assert_same_fit
 
 # mild chirps so a 256-point grid is fully converged; the measured
 # operating point (bundled experimental.cfg) is exercised separately
@@ -134,6 +136,39 @@ class TestSimulate:
         monkeypatch.setattr(cli, "spectrum_from_field", counting)
         assert main(["simulate", "--config", str(fast_cfg), "--out", str(tmp_path / "sim")]) == 0
         assert len(calls) == 2
+
+    def test_contour_fit_on_subsample(self, tmp_path, monkeypatch):
+        # the 512 x 512 panels of the measured operating point are fitted on
+        # at most 128 bins per axis, as a full-resolution fit places them
+        full_spectra, fits = [], []
+        subsample, fit = cli.contour_subsample, cli.fit_gaussian_2d
+
+        def recording_subsample(spec):
+            full_spectra.append(spec)
+            return subsample(spec)
+
+        def recording_fit(spec):
+            report = fit(spec)
+            fits.append((spec.counts.shape, report.raw))
+            return report
+
+        monkeypatch.setattr(cli, "contour_subsample", recording_subsample)
+        monkeypatch.setattr(cli, "fit_gaussian_2d", recording_fit)
+        assert main(["simulate", "--config", "experimental.cfg", "--out", str(tmp_path / "sim")]) == 0
+        assert [spec.counts.shape for spec in full_spectra] == [(512, 512)] * 2
+        assert len(fits) == 2
+        for spec, (shape, raw) in zip(full_spectra, fits):
+            assert max(shape) <= 128
+            assert_same_fit(raw, fit_gaussian_2d(spec).raw)
+
+    def test_subsample_contour_svgs_match_full_fit(self, fast_cfg, tmp_path, monkeypatch):
+        sub, full = tmp_path / "sub", tmp_path / "full"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(sub)]) == 0
+        monkeypatch.setattr(cli, "contour_subsample", lambda spec: spec)
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(full)]) == 0
+        for name in ("jsi_input.svg", "jsi_output.svg"):
+            assert "<ellipse" in (sub / name).read_text()
+            assert (sub / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_experimental_correlation_reversal(self, tmp_path):
         out = tmp_path / "sim"
@@ -369,6 +404,38 @@ class TestFit:
         rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
         # deconvolution happened: corrected width below the raw one
         assert float(rows["signal_fwhm_nm"][3]) < float(rows["signal_fwhm_nm"][1])
+
+    def test_fit_trials_and_seed_from_config(self, tmp_path, capsys):
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(FAST_SIM + "\n[analysis]\ntrials = 7\nseed = 5\n")
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["fit", str(hist), "--out", str(out), *flags]) == 0
+            return (out / "fitreport.csv").read_bytes(), capsys.readouterr().out
+
+        from_config, stdout = run("config", "--config", str(cfg))
+        assert "7 Monte Carlo trials" in stdout
+        assert "failed" not in stdout
+        manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert run("flags", "--trials", "7", "--seed", "5")[0] == from_config
+        assert run("other-seed", "--config", str(cfg), "--seed", "6")[0] != from_config
+        assert "5 Monte Carlo trials" in run("override", "--config", str(cfg), "--trials", "5")[1]
+
+    def test_fit_reports_monte_carlo_failures(self, tmp_path, monkeypatch, capsys):
+        from test_analysis import RAW_INPUT, fail_every_third_refit, synth_spectrum
+
+        fail_every_third_refit(monkeypatch)
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+        argv = ["fit", str(hist), "--trials", "30", "--out", str(tmp_path / "fit")]
+        assert main(argv) == 0
+        assert "fit: 10 Monte Carlo trials failed: FitConvergenceError 10" in capsys.readouterr().out
 
     def test_fit_zero_resolution_identity(self, tmp_path):
         from test_analysis import RAW_INPUT, synth_spectrum

@@ -1,4 +1,8 @@
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timelens.config import ConfigError, parse_config_text
 
@@ -128,6 +132,11 @@ def test_incomplete_sweep_rejected():
         parse_config_text(text)
 
 
+def test_too_few_trials_rejected():
+    with pytest.raises(ConfigError, match="trials"):
+        parse_config_text(GOOD.replace("trials = 100", "trials = 1"))
+
+
 def test_auto_grid():
     text = GOOD.replace("n = 256", "n = auto")
     assert parse_config_text(text).grid.n is None
@@ -140,9 +149,73 @@ def test_phasematching_finite():
 
 
 def test_bundled_configs_parse():
-    from importlib import resources
-
     for name in ("experimental.cfg", "ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"):
         text = (resources.files("timelens") / "configs" / name).read_text()
         cfg = parse_config_text(text)
         assert cfg.state.sigma1 > 0
+
+
+_BUNDLED = tuple(
+    (resources.files("timelens") / "configs" / name).read_text()
+    for name in ("experimental.cfg", "ideal.cfg", "filterlimit.cfg", "longcrystal.cfg")
+)
+
+# numbers that get past the number parser but not the physics
+_EDGE_NUMBERS = ["0", "-0.0", "-1", "1e-300", "1e300", "nan", "inf", "-inf"]
+_NUMBER = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS), st.floats(allow_nan=True, allow_infinity=True).map(repr)
+)
+_UNIT = st.sampled_from(
+    ["", "nm", "um", "m", "THz", "rad/s", "fs", "ps", "s", "fs^2", "ps^2", "s^2", "Hz"]
+)
+
+
+def _keyed_lines(text):
+    """(line index, key, unit of the bundled value) of every key line."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if " = " in line and not line.startswith("#"):
+            key, value = line.split(" = ", 1)
+            yield i, key, " ".join(value.split("#")[0].split()[1:])
+
+
+def _with_value(text, i, key, value):
+    lines = text.splitlines()
+    lines[i] = f"{key} = {value}"
+    return "\n".join(lines)
+
+
+def _parses_or_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text())
+def test_arbitrary_text_parses_or_config_error(text):
+    _parses_or_config_error(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_bundled_config_with_one_value_replaced(data):
+    text = data.draw(st.sampled_from(_BUNDLED))
+    i, key, unit = data.draw(st.sampled_from(list(_keyed_lines(text))))
+    value = data.draw(
+        st.one_of(
+            st.text(),
+            st.builds("{} {}".format, _NUMBER, _UNIT),
+            _NUMBER.map(lambda number: f"{number} {unit}"),
+        )
+    )
+    _parses_or_config_error(_with_value(text, i, key, value))
+
+
+@pytest.mark.parametrize("number", _EDGE_NUMBERS)
+def test_edge_number_in_every_bundled_key(number):
+    # each key keeps its unit, so the number reaches the physics checks
+    for text in _BUNDLED:
+        for i, key, unit in _keyed_lines(text):
+            _parses_or_config_error(_with_value(text, i, key, f"{number} {unit}"))

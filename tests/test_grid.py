@@ -96,6 +96,14 @@ class TestSampleJSA:
         with pytest.raises(ValueError):
             field.values[0, 0] = 0.0
 
+    def test_callers_array_stays_writeable(self):
+        axis = Grid1D(start=1.0, step=1.0, n=16)
+        values = np.ones((16, 16), dtype=complex)
+        field = GridField2D(axis, axis, values)
+        assert values.flags.writeable
+        assert not field.values.flags.writeable
+        assert np.shares_memory(values, field.values)
+
 
 class TestComputeStats:
     def test_moments_match_parameters(self):
