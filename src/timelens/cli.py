@@ -37,15 +37,13 @@ from .analysis import (
 from .config import AnalysisSettings, ConfigError, parse_config
 from .grid import (
     compute_stats,
+    delay_sweep,
     grids_for_state,
-    intensity_moments,
-    prepare_sweep,
     sample_jsa,
     sfg_convolve,
     sfg_output_grid,
     suggested_input_samples,
 )
-from .states import PhasematchingModel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,6 +53,9 @@ EXIT_RUNTIME = 3
 # simulate convolves by direct summation, whose dense n_out x n_in complex
 # kernel dominates its memory; larger grids are refused before sampling
 DIRECT_KERNEL_BYTES_LIMIT = 512 * 2**20
+
+# sweep renders a heatmap panel for each of the first delays, up to this many
+SWEEP_PANELS = 9
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -199,28 +200,21 @@ def cmd_simulate(args) -> int:
         _stats_row("grid-input", input_stats),
         _stats_row("grid-output", output_stats, {"conversion_weight": weight}),
     ]
-    if lens_cfg.phasematching.is_infinite:
-        pred = lens.predict_output(lens_cfg, state)
-        rows.append(
-            {
-                "engine": "closed-form-output",
-                "center_signal_rad_s": pred.omega3_center,
-                "center_herald_rad_s": pred.omegah_center,
-                "sigma_signal_rad_s": pred.sigma3,
-                "sigma_herald_rad_s": pred.sigmah_f,
-                "rho": pred.rho_f,
-                "signal_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigma3),
-                "herald_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigmah_f),
-                "lcl_parameter": pred.lcl_parameter,
-                "flags": ";".join(sorted(pred.flags)),
-            }
-        )
-    else:
-        sigma3_open = lens.output_sigma3(
-            replace(lens_cfg, phasematching=PhasematchingModel.infinite()), state
-        )
-        if lens.phasematch_restrictive(lens_cfg.phasematching, sigma3_open):
-            rows[1]["flags"] = "phasematch_limited"
+    pred = lens.predict_output(lens_cfg, state)
+    rows.append(
+        {
+            "engine": "closed-form-output",
+            "center_signal_rad_s": pred.omega3_center,
+            "center_herald_rad_s": pred.omegah_center,
+            "sigma_signal_rad_s": pred.sigma3,
+            "sigma_herald_rad_s": pred.sigmah_f,
+            "rho": pred.rho_f,
+            "signal_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigma3),
+            "herald_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigmah_f),
+            "lcl_parameter": pred.lcl_parameter,
+            "flags": ";".join(sorted(pred.flags)),
+        }
+    )
 
     outputs = []
     table = [[row.get(col, "") for col in _STATS_COLUMNS] for row in rows]
@@ -279,54 +273,38 @@ def cmd_sweep(args) -> int:
     taus = np.linspace(start, stop, npts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state, lens_cfg = cfg.state, cfg.lens
-
-    field, out_grid = prepare_sweep(
-        lens_cfg,
-        state,
+    sw = delay_sweep(
+        cfg.lens,
+        cfg.state,
         taus,
         n=args.grid or cfg.grid.n,
         nh=cfg.grid.herald_n,
         n_out=cfg.grid.output_n,
         span_sigmas=cfg.grid.span,
+        keep_fields=SWEEP_PANELS,
     )
-    rows = []
-    stats_list = []
-    panel_fields = []
-    for tau in taus:
-        out, weight = sfg_convolve(
-            field, lens_cfg.escort, lens_cfg.phasematching, tau=float(tau),
-            out_grid=out_grid, method="fft",
-        )
-        stats_list.append((float(tau), intensity_moments(out), weight))
-        if len(panel_fields) < 9:
-            panel_fields.append((float(tau), out))
-    max_weight = max(w for _, _, w in stats_list)
-    for tau, st, weight in stats_list:
-        rows.append(
-            [
-                tau * 1e12,
-                st.mean1,
-                st.meanh,
-                units.angular_to_wavelength(st.mean1) * 1e9,
-                units.angular_to_wavelength(st.meanh) * 1e9,
-                st.sigma1,
-                st.sigmah,
-                st.rho,
-                weight,
-                int(weight < 1e-3 * max_weight),
-            ]
-        )
+    rows = [
+        [
+            p.tau * 1e12,
+            p.omega3_center,
+            p.omegah_center,
+            units.angular_to_wavelength(p.omega3_center) * 1e9,
+            units.angular_to_wavelength(p.omegah_center) * 1e9,
+            p.sigma3,
+            p.sigmah,
+            p.rho_f,
+            p.weight,
+            int(p.aperture_warning),
+        ]
+        for p in sw.points
+    ]
     _csv_write(out_dir / "sweep.csv", _SWEEP_COLUMNS, rows)
     outputs = ["sweep.csv"]
 
-    tau_arr = np.array([r[0] for r in rows]) * 1e-12
-    sig_slope, sig_icpt = np.polyfit(tau_arr, [r[1] for r in rows], 1)
-    her_slope, her_icpt = np.polyfit(tau_arr, [r[2] for r in rows], 1)
-    sig_thzps = units.slope_rad_to_thz_per_ps(sig_slope)
-    her_thzps = units.slope_rad_to_thz_per_ps(her_slope)
-    sig_nm = units.angular_to_wavelength(sig_icpt) * 1e9
-    her_nm = units.angular_to_wavelength(her_icpt) * 1e9
+    sig_thzps = units.slope_rad_to_thz_per_ps(sw.signal_slope)
+    her_thzps = units.slope_rad_to_thz_per_ps(sw.herald_slope)
+    sig_nm = units.angular_to_wavelength(sw.signal_intercept) * 1e9
+    her_nm = units.angular_to_wavelength(sw.herald_intercept) * 1e9
     lines = [
         "signal_slope_thz_per_ps = %.9g" % sig_thzps,
         "signal_slope_nm_per_ps = %.9g" % units.slope_thz_to_nm_per_ps(sig_thzps, sig_nm),
@@ -334,14 +312,15 @@ def cmd_sweep(args) -> int:
         "herald_slope_thz_per_ps = %.9g" % her_thzps,
         "herald_slope_nm_per_ps = %.9g" % units.slope_thz_to_nm_per_ps(her_thzps, her_nm),
         "herald_center_nm = %.9g" % her_nm,
+        "slope_rows = %d" % sw.slope_rows,
     ]
     (out_dir / "slopes.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append("slopes.txt")
 
-    for idx, (tau, fld) in enumerate(panel_fields):
+    for idx, (point, fld) in enumerate(zip(sw.points, sw.fields)):
         name = f"sweep_panel_{idx}.svg"
         _heatmap_from_spectrum(
-            spectrum_from_field(fld), out_dir / name, f"delay {tau * 1e12:+.3f} ps"
+            spectrum_from_field(fld), out_dir / name, f"delay {point.tau * 1e12:+.3f} ps"
         )
         outputs.append(name)
 
@@ -389,6 +368,8 @@ def cmd_fit(args) -> int:
             rh_nm=settings.resolution_herald_nm or 0.0,
         )
     trials = settings.trials if args.trials is None else args.trials
+    if trials < 2:
+        raise ConfigError(f"--trials: need at least 2 Monte Carlo trials, got {trials}")
     seed = settings.seed if args.seed is None else args.seed
 
     report = fit_gaussian_2d(spec)

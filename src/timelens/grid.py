@@ -150,11 +150,20 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Per-delay rows, the center lines fitted through the valid ones, and kept fields.
+
+    slope_rows counts the rows not flagged outside the aperture, the
+    only rows the slopes and intercepts are fitted on; fields holds the
+    output fields of the first keep_fields delays.
+    """
+
     points: tuple[SweepPoint, ...]
     signal_slope: float
     herald_slope: float
     signal_intercept: float
     herald_intercept: float
+    slope_rows: int
+    fields: tuple[GridField2D, ...] = ()
 
 
 def _gaussian_tail_mass(center: float, sigma: float, lo: float, hi: float) -> float:
@@ -448,8 +457,9 @@ def prepare_sweep(
     The input state is augmented with the lens signal chirp and sampled
     once; the output grid is centered on the nominal sum frequency with
     a half span following the output-width hint plus a margin for the
-    center drift across the requested delays.  With the fft method the
-    output grid is rebuilt on the input step.
+    center drift across the requested delays and for the center shift
+    of an off-nominal acceptance.  With the fft method the output grid
+    is rebuilt on the input step.
     """
     taus = np.asarray(list(taus), dtype=float)
     effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
@@ -457,7 +467,7 @@ def prepare_sweep(
     # sizing hints only (coverage is enforced by the edge-mass check);
     # the core adds the lens chirp to the state itself
     moments = gaussian_output(cfg, state)
-    margin = 1.5 * max_tau * abs(moments.slope3)
+    margin = 1.5 * max_tau * abs(moments.slope3) + abs(moments.shift3)
     hint = moments.sigma3
     if not cfg.phasematching.is_infinite:
         open_cfg = replace(cfg, phasematching=PhasematchingModel.infinite())
@@ -501,14 +511,18 @@ def delay_sweep(
     span_sigmas: float = 6.0,
     method: str = "fft",
     out_grid: Grid1D | None = None,
+    keep_fields: int = 0,
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
     The input state is augmented with the lens signal chirp, sampled
-    once, and convolved per delay; centers are intensity-weighted means
-    and the reported slopes come from an unweighted least-squares line
-    through them.  Rows whose conversion weight falls below 1e-3 of the
-    sweep maximum are flagged as outside the temporal aperture.
+    once, and convolved per delay; centers are intensity-weighted means.
+    Rows whose conversion weight falls below 1e-3 of the sweep maximum
+    are flagged as outside the temporal aperture, and the reported
+    slopes and intercepts come from unweighted least-squares lines
+    through the unflagged rows only; fewer than two of them raise
+    ValueError.  The output fields of the first keep_fields delays are
+    kept in the result, for plotting.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 2:
@@ -520,11 +534,14 @@ def delay_sweep(
         out_grid = sized_grid
 
     points = []
+    fields = []
     for tau in taus:
         out, weight = sfg_convolve(
             field, cfg.escort, cfg.phasematching, tau=float(tau), out_grid=out_grid, method=method
         )
         points.append((float(tau), intensity_moments(out), weight))
+        if len(fields) < keep_fields:
+            fields.append(out)
 
     max_weight = max(w for _, _, w in points)
     rows = tuple(
@@ -540,12 +557,22 @@ def delay_sweep(
         )
         for tau, st, weight in points
     )
-    sig_slope, sig_icpt = np.polyfit(taus, [r.omega3_center for r in rows], 1)
-    her_slope, her_icpt = np.polyfit(taus, [r.omegah_center for r in rows], 1)
+    valid = np.array([not r.aperture_warning for r in rows])
+    n_valid = int(valid.sum())
+    if n_valid < 2:
+        raise ValueError(
+            f"only {n_valid} of {len(rows)} sweep rows lie inside the temporal "
+            "aperture; a slope needs at least two"
+        )
+    centers = np.array([(r.omega3_center, r.omegah_center) for r in rows])
+    sig_slope, sig_icpt = np.polyfit(taus[valid], centers[valid, 0], 1)
+    her_slope, her_icpt = np.polyfit(taus[valid], centers[valid, 1], 1)
     return SweepResult(
         points=rows,
         signal_slope=float(sig_slope),
         herald_slope=float(her_slope),
         signal_intercept=float(sig_icpt),
         herald_intercept=float(her_icpt),
+        slope_rows=n_valid,
+        fields=tuple(fields),
     )

@@ -1,19 +1,19 @@
 """Closed-form physics of the upconversion time lens.
 
 Covers the imaging relation between the three chirps, the spectral and
-temporal magnifications, the output bandwidth and correlation of a
-Gaussian two-photon state sent through the lens with unrestricted
-phasematching, the analytic limits (broad escort, unit-negative
+temporal magnifications, the output bandwidth, correlation and centers
+of a Gaussian two-photon state sent through the lens with any Gaussian
+phasematching acceptance (unrestricted, finite, or centered off the
+nominal sum frequency), the analytic limits (broad escort, unit-negative
 magnification), and the delay-tunability slopes in the three tractable
 regimes.  Every output moment is read from one Gaussian quadratic-form
-core, gaussian_output.  The public closed forms refuse restrictive
-phasematching, which is handled by the grid engine instead.
+core, gaussian_output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .states import EscortPulse, GaussianJSA, PhasematchingModel
 
@@ -33,14 +33,6 @@ class TimeToFrequencyError(SingularConfigurationError):
 
     The device then maps time to frequency instead of imaging; that
     regime is outside this model.
-    """
-
-
-class FinitePhasematchingError(ValueError):
-    """Closed form requested with restrictive phasematching.
-
-    The closed forms here assume an unrestricted acceptance; use the
-    grid engine for finite phasematching.
     """
 
 
@@ -89,6 +81,8 @@ class GaussianOutput:
     sigma3, sigmah: marginal widths of the output signal and herald, rad/s
     rho_f:          statistical correlation of the output joint intensity
     slope3, slopeh: center shifts per unit signal delay, rad/s per second
+    shift3, shifth: center shifts at zero delay caused by an acceptance
+                    centered off the nominal sum frequency, rad/s
     """
 
     sigma3: float
@@ -96,6 +90,8 @@ class GaussianOutput:
     rho_f: float
     slope3: float
     slopeh: float
+    shift3: float
+    shifth: float
 
 
 def solve_imaging(
@@ -171,14 +167,6 @@ def lcl_regime(parameter: float, threshold: float = LCL_THRESHOLD) -> str:
     return "violated"
 
 
-def _require_unrestricted(cfg: LensConfig):
-    if not cfg.phasematching.is_infinite:
-        raise FinitePhasematchingError(
-            "closed forms assume unrestricted phasematching; "
-            "use the grid engine for a finite acceptance width"
-        )
-
-
 def gaussian_output(cfg: LensConfig, state: GaussianJSA) -> GaussianOutput:
     """Solve the Gaussian quadratic form of the upconverted joint intensity.
 
@@ -189,7 +177,10 @@ def gaussian_output(cfg: LensConfig, state: GaussianJSA) -> GaussianOutput:
     exp(-(q33 d3^2 + 2 q3h d3 dh + qhh dh^2)) in the output detunings, and
     a signal delay tau adds the linear term (l3 d3 + lh dh) tau, which
     moves the centers along the inverse of the form.  A finite Gaussian
-    acceptance multiplies the intensity by exp(-d3^2 / (2 sigma_phi^2)).
+    acceptance multiplies the intensity by exp(-(d3 - delta)^2 /
+    (2 sigma_phi^2)), delta being its center's offset from the nominal sum
+    frequency; the linear term d3 delta / sigma_phi^2 moves the centers
+    along the inverse of the form in the same way.
     """
     m = 1.0 - state.rho**2
     a = 1.0 / (4.0 * state.sigma1**2 * m)
@@ -199,8 +190,12 @@ def gaussian_output(cfg: LensConfig, state: GaussianJSA) -> GaussianOutput:
     gamma_e = 1.0 / (4.0 * cfg.escort.sigma**2) - 1j * cfg.escort_chirp
     p = alpha + gamma_e
     q33 = 2.0 * (alpha * gamma_e / p).real
-    if not cfg.phasematching.is_infinite:
-        q33 += 0.5 / cfg.phasematching.sigma**2
+    pm = cfg.phasematching
+    k = 0.0
+    if not pm.is_infinite:
+        q33 += 0.5 / pm.sigma**2
+        if pm.center is not None:
+            k = (pm.center - state.omega1 - cfg.escort.center) / pm.sigma**2
     qhh = 2.0 * b - 0.5 * c**2 * (1.0 / p).real
     q3h = -c * (gamma_e / p).real
     det = q33 * qhh - q3h**2
@@ -212,23 +207,23 @@ def gaussian_output(cfg: LensConfig, state: GaussianJSA) -> GaussianOutput:
         rho_f=-q3h / math.sqrt(q33 * qhh),
         slope3=(qhh * l3 - q3h * lh) / (2.0 * det),
         slopeh=(q33 * lh - q3h * l3) / (2.0 * det),
+        shift3=qhh * k / (2.0 * det),
+        shifth=-q3h * k / (2.0 * det),
     )
 
 
 def output_sigma3(cfg: LensConfig, state: GaussianJSA) -> float:
-    """Spectral width of the upconverted signal, rad/s (unrestricted acceptance)."""
-    _require_unrestricted(cfg)
+    """Spectral width of the upconverted signal, rad/s."""
     return gaussian_output(cfg, state).sigma3
 
 
 def output_correlation(cfg: LensConfig, state: GaussianJSA) -> float:
-    """Statistical correlation of the upconverted joint spectrum (unrestricted acceptance).
+    """Statistical correlation of the upconverted joint spectrum.
 
     The sign reverses relative to the input when the escort anti-chirp
     overcompensates the signal chirp, the regime of a negative-
     magnification lens.
     """
-    _require_unrestricted(cfg)
     return gaussian_output(cfg, state).rho_f
 
 
@@ -308,14 +303,15 @@ def tunability(
 def predict_output(
     cfg: LensConfig, state: GaussianJSA, lcl_threshold: float = LCL_THRESHOLD
 ) -> OutputStatePrediction:
-    """Full closed-form output prediction for an unrestricted lens.
+    """Full closed-form output prediction for any Gaussian acceptance.
 
-    Center positions account for any delay carried by the input state;
-    the regime flags report whether the large-chirp limit holds and
-    whether the chirped escort is temporally shorter than the chirped
-    signal (escort-aperture limiting).
+    Each center sits at its nominal frequency plus the shift of an
+    off-nominal acceptance plus the tuning slope times any delay carried
+    by the input state.  The regime flags report whether the large-chirp
+    limit holds, whether the chirped escort is temporally shorter than
+    the chirped signal (escort-aperture limiting), and whether the
+    acceptance narrows the output signal (phasematch limiting).
     """
-    _require_unrestricted(cfg)
     out = gaussian_output(cfg, state)
 
     a1 = cfg.total_signal_chirp(state)
@@ -333,28 +329,29 @@ def predict_output(
     )
     if escort_duration < signal_duration:
         flags.add("escort_aperture_limited")
+    if phasematch_restrictive(cfg, state):
+        flags.add("phasematch_limited")
 
     return OutputStatePrediction(
         sigma3=out.sigma3,
         rho_f=out.rho_f,
-        omega3_center=state.omega1 + cfg.escort.center + out.slope3 * state.delay,
+        omega3_center=state.omega1 + cfg.escort.center + out.shift3 + out.slope3 * state.delay,
         sigmah_f=out.sigmah,
-        omegah_center=state.omegah + out.slopeh * state.delay,
+        omegah_center=state.omegah + out.shifth + out.slopeh * state.delay,
         lcl_parameter=lcl,
         flags=frozenset(flags),
     )
 
 
-def phasematch_restrictive(
-    pm: PhasematchingModel, sigma3_unrestricted: float, tolerance: float = 0.01
-) -> bool:
-    """Whether a finite acceptance narrows the output beyond the tolerance.
+def phasematch_restrictive(cfg: LensConfig, state: GaussianJSA, tolerance: float = 0.01) -> bool:
+    """Whether the acceptance narrows the output signal beyond the tolerance.
 
-    Uses the marginal product estimate 1/sigma^2 -> 1/sigma3^2 + 1/sigmaPhi^2;
-    a fractional narrowing above the tolerance flags the configuration as
+    Compares the core's signal width with and without the acceptance; a
+    fractional narrowing above the tolerance flags the configuration as
     phasematch limited.
     """
-    if pm.is_infinite:
+    if cfg.phasematching.is_infinite:
         return False
-    narrowed = 1.0 / math.sqrt(1.0 / sigma3_unrestricted**2 + 1.0 / pm.sigma**2)
-    return narrowed < (1.0 - tolerance) * sigma3_unrestricted
+    open_cfg = replace(cfg, phasematching=PhasematchingModel.infinite())
+    open_sigma3 = gaussian_output(open_cfg, state).sigma3
+    return gaussian_output(cfg, state).sigma3 < (1.0 - tolerance) * open_sigma3

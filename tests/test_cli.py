@@ -81,6 +81,21 @@ class TestSimulate:
         assert manifest["config_sha256"]
         assert "stats.csv" in manifest["outputs"]
 
+    def test_finite_acceptance_closed_form_row(self, tmp_path):
+        # a finite acceptance gets a closed-form row like any other
+        # config, and the phasematch flag sits on that row
+        cfg = tmp_path / "pm.cfg"
+        cfg.write_text(FAST_SIM.replace("[grid]", "[phasematching]\nsigma = 1.0e12 rad/s\n\n[grid]"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_stats(out / "stats.csv")
+        grid_row, cf_row = rows["grid-output"], rows["closed-form-output"]
+        for col in ("sigma_signal_rad_s", "sigma_herald_rad_s"):
+            assert float(cf_row[col]) == pytest.approx(float(grid_row[col]), rel=1e-3)
+        assert float(cf_row["rho"]) == pytest.approx(float(grid_row["rho"]), abs=1e-3)
+        assert "phasematch_limited" in cf_row["flags"].split(";")
+        assert grid_row["flags"] == ""
+
     def test_oversized_direct_kernel_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
         # ideal.cfg sizes its grid automatically to 16384 samples, whose
         # 16384 x 16384 direct kernel would take 4 GiB
@@ -338,6 +353,25 @@ class TestSweep:
         assert len(sw.points) == npts
         assert main(["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "sweep")]) == 0
 
+    def test_slopes_report_rows_used(self, fast_cfg, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(fast_cfg), "--out", str(out)]) == 0
+        assert (out / "slopes.txt").read_text().splitlines()[-1] == "slope_rows = 3"
+
+    def test_too_few_rows_inside_aperture_exit_3(self, tmp_path, capsys):
+        # +-40 ps lie far outside the chirped escort: one valid row is left
+        text = (
+            FAST_SIM.replace("chirp = -25e3 fs^2", "chirp = -344e3 fs^2")
+            .replace("signal_chirp = 50e3 fs^2", "signal_chirp = 696e3 fs^2")
+            .replace("sweep_start = -1 ps", "sweep_start = -40 ps")
+            .replace("sweep_stop = 1 ps", "sweep_stop = 40 ps")
+            .replace("n = 256\nherald_n = 128", "n = 1024\nherald_n = 64\nspan = 8")
+        )
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "only 1 of 3 sweep rows" in capsys.readouterr().err
+
     def test_sweep_requires_range(self, tmp_path):
         cfg = tmp_path / "norange.cfg"
         cfg.write_text(
@@ -426,6 +460,18 @@ class TestFit:
         assert run("flags", "--trials", "7", "--seed", "5")[0] == from_config
         assert run("other-seed", "--config", str(cfg), "--seed", "6")[0] != from_config
         assert "5 Monte Carlo trials" in run("override", "--config", str(cfg), "--trials", "5")[1]
+
+    @pytest.mark.parametrize("trials", ["1", "0", "-3"])
+    def test_fit_trials_flag_below_two_exit_2(self, tmp_path, capsys, trials):
+        # the flag is checked as the [analysis] trials key is, before fitting
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+        out = tmp_path / "fit"
+        assert main(["fit", str(hist), "--trials", trials, "--out", str(out)]) == 2
+        assert "at least 2 Monte Carlo trials" in capsys.readouterr().err
+        assert not (out / "fitreport.csv").exists()
 
     def test_fit_reports_monte_carlo_failures(self, tmp_path, monkeypatch, capsys):
         from test_analysis import RAW_INPUT, fail_every_third_refit, synth_spectrum

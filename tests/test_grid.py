@@ -5,6 +5,8 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timelens import (
     CoverageError,
@@ -18,6 +20,10 @@ from timelens import (
     delay_sweep,
     grids_for_state,
     intensity_moments,
+    jsa_amplitude,
+    output_correlation,
+    output_sigma3,
+    predict_output,
     sample_jsa,
     schmidt_number,
     sfg_convolve,
@@ -31,6 +37,7 @@ from timelens.grid import (
 )
 from timelens import units
 from timelens.config import parse_config
+from timelens.lens import gaussian_output
 
 import oracles
 
@@ -261,6 +268,41 @@ class TestSfgConvolve:
         assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)) < 1e-9
         assert wa == pytest.approx(wb, rel=1e-9)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_in=st.integers(48, 160),
+        span_in=st.floats(6.0, 14.0),
+        extra_out=st.integers(0, 40),
+        offset=st.floats(0.0, 1.0, exclude_max=True),
+        sigmae_ratio=st.floats(0.3, 2.5),
+        u1=st.floats(-4.0, 4.0),
+        ue=st.floats(-4.0, 4.0),
+        tau=st.floats(-1e-12, 1e-12),
+    )
+    def test_direct_and_fft_agree_property(
+        self, n_in, span_in, extra_out, offset, sigmae_ratio, u1, ue, tau
+    ):
+        # both paths evaluate the same discrete sum, so they agree on any
+        # input length, output length (shorter or longer than the input)
+        # and fractional grid offset
+        sigma1 = 1.1e12
+        state = mild_state(sigma1=sigma1, chirp=u1 / (4 * sigma1**2))
+        g1 = Grid1D.centered(state.omega1, span_in * sigma1, n_in)
+        gh = Grid1D.centered(state.omegah, 6.0 * state.sigmah, 24)
+        field = sample_jsa(state, g1, gh)
+        escort = EscortPulse(
+            center=2.43e15, sigma=sigmae_ratio * sigma1, chirp=ue / (4 * sigma1**2)
+        )
+        half = 7.0 * math.hypot(sigma1, escort.sigma)
+        n_out = 2 * math.ceil(half / g1.step) + 1 + extra_out
+        out_grid = Grid1D(
+            start=state.omega1 + escort.center - half + offset * g1.step, step=g1.step, n=n_out
+        )
+        a, wa = sfg_convolve(field, escort, tau=tau, out_grid=out_grid, method="direct")
+        b, wb = sfg_convolve(field, escort, tau=tau, out_grid=out_grid, method="fft")
+        assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)) < 1e-9
+        assert wa == pytest.approx(wb, rel=1e-9)
+
     def test_fft_requires_matching_step(self):
         state = mild_state()
         escort = EscortPulse(center=2.43e15, sigma=1.2e12)
@@ -332,6 +374,49 @@ class TestCrossEngineRandom:
         assert worst_r < 1e-3
 
 
+    def test_random_finite_acceptance(self):
+        # finite, and sometimes off-nominal, acceptances: the closed forms
+        # against the grid's statistics and the centers at two delays
+        rng = np.random.default_rng(3141)
+        worst = 0.0
+        for i in range(20):
+            sigma1 = rng.uniform(0.7, 1.5) * 1e12
+            sigmah = rng.uniform(0.7, 1.5) * 1e12
+            sigmae = rng.uniform(0.5, 2.5) * 1e12
+            rho = rng.uniform(-0.95, 0.95)
+            a1 = rng.uniform(-4, 4) / (4 * sigma1**2)
+            ae = rng.uniform(-3, 3) / (4 * sigma1**2)
+            state = GaussianJSA(
+                omega1=2.32e15, omegah=2.54e15, sigma1=sigma1, sigmah=sigmah, rho=rho
+            )
+            escort = EscortPulse(center=2.43e15, sigma=sigmae, chirp=ae)
+            sigma_phi = rng.uniform(0.3, 3.0) * 1e12
+            center = None
+            if i % 2:
+                center = state.omega1 + escort.center + rng.uniform(-1.0, 1.0) * sigma_phi
+            cfg = LensConfig(
+                signal_chirp=a1,
+                escort=escort,
+                phasematching=PhasematchingModel(sigma=sigma_phi, center=center),
+            )
+            tau = 0.3e-12
+            sw = delay_sweep(cfg, state, [0.0, tau], n=512, nh=128, keep_fields=1)
+            st0 = compute_stats(sw.fields[0])
+            s3 = output_sigma3(cfg, state)
+            pred0 = predict_output(cfg, state)
+            pred1 = predict_output(cfg, replace(state, delay=tau))
+            errors = [
+                abs(st0.sigma1 - s3) / s3,
+                abs(st0.rho - output_correlation(cfg, state)),
+                abs(st0.sigmah - pred0.sigmah_f) / pred0.sigmah_f,
+            ]
+            for pred, point in zip((pred0, pred1), sw.points):
+                errors.append(abs(point.omega3_center - pred.omega3_center) / pred.sigma3)
+                errors.append(abs(point.omegah_center - pred.omegah_center) / pred.sigmah_f)
+            worst = max(worst, *errors)
+        assert worst < 1e-3
+
+
 class TestTimeDomain:
     def test_transform_limited_width(self):
         state = mild_state(rho=0.0)
@@ -345,6 +430,23 @@ class TestTimeDomain:
         state = mild_state(chirp=2e-25)
         field = sample_jsa(state, *grids_for_state(state, n=256))
         assert to_time_domain(field).norm() == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n1=st.integers(16, 300),
+        nh=st.integers(16, 120),
+        rho=st.floats(-0.95, 0.95),
+        u=st.floats(-8.0, 8.0),
+        delay=st.floats(-2e-12, 2e-12),
+        span=st.floats(3.0, 8.0),
+    )
+    def test_parseval_property(self, n1, nh, rho, u, delay, span):
+        # the transform is unitary on any grid, resolved or not, so the
+        # norm is kept whatever the sampling
+        state = mild_state(rho=rho, chirp=u / (4 * 1.1e12**2), delay=delay)
+        g1, gh = grids_for_state(state, n=n1, nh=nh, span_sigmas=span)
+        field = GridField2D(g1, gh, jsa_amplitude(state, g1.points[:, None], gh.points[None, :]))
+        assert to_time_domain(field).norm() == pytest.approx(field.norm(), rel=1e-12)
 
     def test_chirped_width_matches_formula(self, exp_state, exp_lens):
         from timelens import chirped_temporal_width
@@ -408,6 +510,64 @@ class TestDelaySweep:
         assert not sw.points[0].aperture_warning
         assert not sw.points[1].aperture_warning
         assert sw.points[2].aperture_warning
+
+    def test_slopes_from_unflagged_rows_only(self, exp_state, exp_lens):
+        # at n = 1024 the far delays' phases are not resolved, so those rows
+        # carry garbage centers; their weight is below 1e-3 of the peak,
+        # they are flagged, and the lines are fitted through the rest
+        taus = np.array([-32e-12, -1e-12, 0.0, 1e-12, 2e-12, 40e-12])
+        sw = delay_sweep(exp_lens, exp_state, taus, n=1024, nh=64, span_sigmas=8.0)
+        flagged = [p.aperture_warning for p in sw.points]
+        assert flagged == [True, False, False, False, False, True]
+        assert sw.slope_rows == 4
+        valid = ~np.array(flagged)
+        centers = np.array([(p.omega3_center, p.omegah_center) for p in sw.points])
+        sig_slope, sig_icpt = np.polyfit(taus[valid], centers[valid, 0], 1)
+        her_slope, _ = np.polyfit(taus[valid], centers[valid, 1], 1)
+        assert sw.signal_slope == pytest.approx(sig_slope, rel=1e-12)
+        assert sw.signal_intercept == pytest.approx(sig_icpt, rel=1e-15)
+        assert sw.herald_slope == pytest.approx(her_slope, rel=1e-12)
+        ref = oracles.output_moments(
+            oracles.SIGMA1, oracles.SIGMAH, oracles.RHO_IN, oracles.A1,
+            oracles.SIGMAE, oracles.AE,
+        )
+        assert sw.signal_slope == pytest.approx(ref[3], rel=1e-6)
+        assert sw.herald_slope == pytest.approx(ref[4], rel=1e-6)
+
+    def test_needs_two_unflagged_rows(self, exp_state, exp_lens):
+        with pytest.raises(ValueError, match="aperture"):
+            delay_sweep(exp_lens, exp_state, [-40e-12, 0.0, 40e-12], n=1024, nh=64, span_sigmas=8.0)
+
+    def test_keep_fields(self, exp_state, exp_lens):
+        taus = np.linspace(-1e-12, 1e-12, 3)
+        assert delay_sweep(exp_lens, exp_state, taus, n=512, nh=64).fields == ()
+        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, keep_fields=2)
+        assert len(sw.fields) == 2
+        for point, field in zip(sw.points, sw.fields):
+            mo = intensity_moments(field)
+            assert (mo.mean1, mo.sigma1, mo.rho) == (point.omega3_center, point.sigma3, point.rho_f)
+
+    @pytest.mark.parametrize("offset", [-1.0e12, 3.0e12])
+    def test_off_nominal_acceptance_intercepts(self, offset):
+        # an acceptance centered off the nominal sum frequency moves the
+        # intercepts by the core's shifts and leaves the slopes; the output
+        # grid widens by the shift, or 3 sigma_phi off would clip it
+        cfg = parse_config(resources.files("timelens") / "configs" / "longcrystal.cfg")
+        state, lens_cfg = cfg.state, cfg.lens
+        taus = np.linspace(*cfg.sweep)
+        nominal = state.omega1 + lens_cfg.escort.center
+        pm = lens_cfg.phasematching
+        shifted = replace(
+            lens_cfg, phasematching=PhasematchingModel(sigma=pm.sigma, center=nominal + offset)
+        )
+        core = gaussian_output(shifted, state)
+        assert core.shift3 != 0.0
+        sw = delay_sweep(shifted, state, taus)
+        assert sw.signal_intercept - nominal == pytest.approx(core.shift3, rel=1e-6)
+        assert sw.herald_intercept - state.omegah == pytest.approx(core.shifth, rel=1e-6)
+        centered = delay_sweep(lens_cfg, state, taus)
+        assert sw.signal_slope == pytest.approx(centered.signal_slope, rel=1e-6)
+        assert sw.herald_slope == pytest.approx(centered.herald_slope, rel=1e-6)
 
     def test_needs_two_points(self, exp_state, exp_lens):
         with pytest.raises(ValueError):

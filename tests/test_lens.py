@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timelens import (
     EscortPulse,
-    FinitePhasematchingError,
     GaussianJSA,
     LensConfig,
     PhasematchingModel,
@@ -22,6 +24,7 @@ from timelens import (
     tunability,
 )
 from timelens import lens, units
+from timelens.config import parse_config
 
 import oracles
 
@@ -135,8 +138,6 @@ class TestOutputClosedForms:
             assert output_correlation(cfg, state) == pytest.approx(rho_exp, abs=1e-10)
 
     def test_core_finite_phasematching(self, exp_state, exp_escort):
-        # the closed forms refuse a finite acceptance, but the core carries
-        # it for the grid sizing hints
         for pm_sigma in (1e12, 3.3e12, 2e13):
             cfg = LensConfig(
                 signal_chirp=oracles.A1,
@@ -189,18 +190,46 @@ class TestOutputClosedForms:
             output_sigma3(cfg_all_on_lens, exp_state), rel=1e-14
         )
 
-    def test_finite_phasematching_rejected(self, exp_state, exp_escort):
-        cfg = LensConfig(
+    def test_finite_phasematching_closed_forms(self, exp_state, exp_escort):
+        # the public closed forms read the core for a finite acceptance too
+        pm = PhasematchingModel(sigma=1e12)
+        cfg = LensConfig(signal_chirp=oracles.A1, escort=exp_escort, phasematching=pm)
+        core = lens.gaussian_output(cfg, exp_state)
+        assert output_sigma3(cfg, exp_state) == core.sigma3
+        assert output_correlation(cfg, exp_state) == core.rho_f
+        pred = predict_output(cfg, exp_state)
+        assert (pred.sigma3, pred.sigmah_f, pred.rho_f) == (core.sigma3, core.sigmah, core.rho_f)
+        assert core.shift3 == core.shifth == 0.0
+        open_sigma3 = output_sigma3(replace(cfg, phasematching=PhasematchingModel()), exp_state)
+        assert output_sigma3(cfg, exp_state) < open_sigma3
+
+    def test_off_nominal_acceptance_shifts_centers(self, exp_state, exp_escort):
+        # an acceptance centered delta off the nominal sum frequency pulls
+        # the intensity by exp(d3 delta / sigma_phi^2): the centers move
+        # along the inverse of the form, the widths and slopes stay
+        sigma_phi, delta = 2e12, 0.7e12
+        nominal = exp_state.omega1 + exp_escort.center
+        centered = LensConfig(
             signal_chirp=oracles.A1,
             escort=exp_escort,
-            phasematching=PhasematchingModel(sigma=1e12),
+            phasematching=PhasematchingModel(sigma=sigma_phi),
         )
-        with pytest.raises(FinitePhasematchingError):
-            output_sigma3(cfg, exp_state)
-        with pytest.raises(FinitePhasematchingError):
-            output_correlation(cfg, exp_state)
-        with pytest.raises(FinitePhasematchingError):
-            predict_output(cfg, exp_state)
+        shifted = replace(
+            centered, phasematching=PhasematchingModel(sigma=sigma_phi, center=nominal + delta)
+        )
+        a = lens.gaussian_output(centered, exp_state)
+        b = lens.gaussian_output(shifted, exp_state)
+        assert (b.sigma3, b.sigmah, b.rho_f) == (a.sigma3, a.sigmah, a.rho_f)
+        assert b.slope3 == a.slope3 and b.slopeh == a.slopeh
+        # marginal of a correlated Gaussian times the acceptance: the
+        # signal center is sigma3^2 delta / sigma_phi^2 and the herald
+        # follows through the output correlation
+        assert b.shift3 == pytest.approx(b.sigma3**2 * delta / sigma_phi**2, rel=1e-12)
+        assert b.shifth == pytest.approx(b.rho_f * b.sigmah / b.sigma3 * b.shift3, rel=1e-12)
+        tau = 0.8e-12
+        pred = predict_output(shifted, replace(exp_state, delay=tau))
+        assert pred.omega3_center == nominal + b.shift3 + b.slope3 * tau
+        assert pred.omegah_center == exp_state.omegah + b.shifth + b.slopeh * tau
 
     def test_rho_symmetry(self, exp_state, exp_lens):
         flipped = replace(exp_state, rho=-exp_state.rho)
@@ -208,6 +237,35 @@ class TestOutputClosedForms:
         assert abs(output_correlation(exp_lens, flipped)) == pytest.approx(
             abs(output_correlation(exp_lens, exp_state)), rel=1e-14
         )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(-0.97, 0.97),
+    u1=st.floats(-6.0, 6.0),
+    ue=st.floats(-4.0, 4.0),
+    sigmae_ratio=st.floats(0.3, 3.0),
+    pm_ratio=st.one_of(st.just(math.inf), st.floats(0.2, 5.0)),
+    offset_ratio=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+)
+def test_core_rho_sign_symmetry(rho, u1, ue, sigmae_ratio, pm_ratio, offset_ratio):
+    # flipping the input correlation flips every herald-odd quantity of
+    # the core and leaves the rest bit for bit, for any acceptance
+    sigma1 = 1.1e12
+    state = GaussianJSA(omega1=2.3e15, omegah=2.5e15, sigma1=sigma1, sigmah=0.9e12, rho=rho)
+    escort = EscortPulse(center=2.4e15, sigma=sigmae_ratio * sigma1, chirp=ue / (4 * sigma1**2))
+    center = None
+    if offset_ratio is not None and math.isfinite(pm_ratio):
+        center = state.omega1 + escort.center + offset_ratio * pm_ratio * sigma1
+    cfg = LensConfig(
+        signal_chirp=u1 / (4 * sigma1**2),
+        escort=escort,
+        phasematching=PhasematchingModel(sigma=pm_ratio * sigma1, center=center),
+    )
+    a = lens.gaussian_output(cfg, state)
+    b = lens.gaussian_output(cfg, replace(state, rho=-rho))
+    assert (b.sigma3, b.sigmah, b.slope3, b.shift3) == (a.sigma3, a.sigmah, a.slope3, a.shift3)
+    assert (b.rho_f, b.slopeh, b.shifth) == (-a.rho_f, -a.slopeh, -a.shifth)
 
 
 class TestLimits:
@@ -332,7 +390,10 @@ class TestPredictOutput:
         pred = predict_output(cfg, exp_state)
         assert "lcl_satisfied" in pred.flags
 
-    def test_phasematch_restrictive_heuristic(self):
-        assert not lens.phasematch_restrictive(PhasematchingModel.infinite(), 3e12)
-        assert lens.phasematch_restrictive(PhasematchingModel(sigma=3e12), 3e12)
-        assert not lens.phasematch_restrictive(PhasematchingModel(sigma=3e14), 3e12)
+    @pytest.mark.parametrize(
+        "name, limited", [("longcrystal.cfg", True), ("experimental.cfg", False)]
+    )
+    def test_phasematch_limited_flag(self, name, limited):
+        cfg = parse_config(resources.files("timelens") / "configs" / name)
+        pred = predict_output(cfg.lens, cfg.state)
+        assert ("phasematch_limited" in pred.flags) == limited
