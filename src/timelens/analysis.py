@@ -24,7 +24,7 @@ from scipy.optimize import brentq, least_squares
 from . import units
 # sfg_convolve is unused here but stays bound: perfbench/selftest.py
 # checks that its traced wrapper reaches this module
-from .grid import GridField2D, delay_sweep, sfg_convolve  # noqa: F401
+from .grid import GridField2D, delay_sweep, sfg_convolve, weighted_moments  # noqa: F401
 from .lens import LensConfig, gaussian_output
 from .states import (
     GaussianJSA,
@@ -174,20 +174,11 @@ def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
     )
     offset0 = float(np.median(border))
     w = np.clip(counts - offset0, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
+    if not w.any():
         raise DegenerateDataError("no counts above the background level")
-    l1 = spec.lambda1_nm
-    lh = spec.lambdah_nm
-    p1 = w.sum(axis=1) / total
-    ph = w.sum(axis=0) / total
-    c1 = float(p1 @ l1)
-    ch = float(ph @ lh)
-    v1 = float(p1 @ (l1 - c1) ** 2)
-    vh = float(ph @ (lh - ch) ** 2)
+    c1, ch, v1, vh, cov = weighted_moments(w, spec.lambda1_nm, spec.lambdah_nm)
     if v1 <= 0.0 or vh <= 0.0:
         raise DegenerateDataError("histogram has zero spread above background")
-    cov = float((l1 - c1) @ w @ (lh - ch)) / total
     rho0 = float(np.clip(cov / math.sqrt(v1 * vh), -0.98, 0.98))
     amp0 = float(counts.max() - offset0)
     if amp0 <= 0.0:

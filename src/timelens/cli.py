@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -35,24 +34,12 @@ from .analysis import (
     spectrum_from_field,
 )
 from .config import AnalysisSettings, ConfigError, parse_config
-from .grid import (
-    compute_stats,
-    delay_sweep,
-    grids_for_state,
-    sample_jsa,
-    sfg_convolve,
-    sfg_output_grid,
-    suggested_input_samples,
-)
+from .grid import compute_stats, delay_sweep, prepare_sweep, sample_jsa, sfg_convolve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-# simulate convolves by direct summation, whose dense n_out x n_in complex
-# kernel dominates its memory; larger grids are refused before sampling
-DIRECT_KERNEL_BYTES_LIMIT = 512 * 2**20
 
 # sweep renders a heatmap panel for each of the first delays, up to this many
 SWEEP_PANELS = 9
@@ -159,40 +146,19 @@ def cmd_simulate(args) -> int:
     config_path = _resolve_config(args.config)
     cfg = parse_config(config_path)
     state, lens_cfg = cfg.state, cfg.lens
-    effective = replace(state, chirp=state.chirp + lens_cfg.signal_chirp)
-    n = args.grid or cfg.grid.n
-    if n is None:
-        n = suggested_input_samples(
-            effective,
-            lens_cfg.escort,
-            span_sigmas=cfg.grid.span,
-            max_tau=abs(cfg.tau),
-        )
-    g1, gh = grids_for_state(state, n=n, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
-    out_grid = sfg_output_grid(g1, lens_cfg.escort)
-    kernel_bytes = out_grid.n * g1.n * 16
-    if kernel_bytes > DIRECT_KERNEL_BYTES_LIMIT:
-        raise ConfigError(
-            f"a {n}-sample grid needs a {out_grid.n} x {g1.n} direct convolution kernel of "
-            f"{kernel_bytes / 2**30:.2f} GiB, above the {DIRECT_KERNEL_BYTES_LIMIT / 2**30:.2f} GiB "
-            "limit; set a smaller [grid] n or --grid"
-        )
-    if out_grid.start <= 0.0:
-        raise ConfigError(
-            f"the output grid starts at {out_grid.start:.3e} rad/s, at or below zero "
-            f"frequency: its half span, the input half span widened by six escort widths "
-            f"(sigma {lens_cfg.escort.sigma:.3e} rad/s), exceeds its center "
-            f"{out_grid.center:.3e} rad/s"
-        )
+    # the sweep's planner sizes the grids and refuses oversized ones
+    # before sampling; simulate convolves once, at its one delay
+    eff_field, out_grid = prepare_sweep(
+        lens_cfg, state, [cfg.tau], n=args.grid or cfg.grid.n, nh=cfg.grid.herald_n,
+        n_out=cfg.grid.output_n, span_sigmas=cfg.grid.span,
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    input_field = sample_jsa(state, g1, gh)
+    input_field = sample_jsa(state, eff_field.axis1, eff_field.axis_h)
     input_stats = compute_stats(input_field)
-
-    eff_field = sample_jsa(effective, g1, gh)
     out_field, weight = sfg_convolve(
-        eff_field, lens_cfg.escort, lens_cfg.phasematching, tau=cfg.tau, out_grid=out_grid
+        eff_field, lens_cfg.escort, lens_cfg.phasematching, cfg.tau, out_grid, method="fft"
     )
     output_stats = compute_stats(out_field)
 
@@ -271,8 +237,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("configuration has no [delay] sweep_start/sweep_stop/sweep_points")
     start, stop, npts = cfg.sweep
     taus = np.linspace(start, stop, npts)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sw = delay_sweep(
         cfg.lens,
         cfg.state,
@@ -283,6 +247,8 @@ def cmd_sweep(args) -> int:
         span_sigmas=cfg.grid.span,
         keep_fields=SWEEP_PANELS,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         [
             p.tau * 1e12,

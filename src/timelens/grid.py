@@ -22,12 +22,15 @@ import numpy as np
 import scipy.fft
 from scipy.special import erfc
 
+from .config import ConfigError
 from .lens import LensConfig, gaussian_output
 from .states import EscortPulse, GaussianJSA, PhasematchingModel, escort_amplitude, jsa_amplitude
 
 NORM_TOLERANCE = 1e-6
 EDGE_MASS_LIMIT = 1e-5
 APERTURE_WEIGHT_RATIO = 1e-3
+# the grid planner refuses a run whose grid_bytes estimate exceeds this
+GRID_BYTES_LIMIT = 2**30
 
 
 class CoverageError(ValueError):
@@ -207,25 +210,17 @@ def sample_jsa(
 
 
 def default_output_grid(
-    state: GaussianJSA,
-    escort: EscortPulse,
-    n: int = 512,
-    span_sigmas: float = 6.0,
-    extra_half_span: float = 0.0,
-    sigma3_hint: float | None = None,
+    state: GaussianJSA, escort: EscortPulse, sigma3_hint: float, n: int = 512,
+    span_sigmas: float = 6.0, extra_half_span: float = 0.0,
 ) -> Grid1D:
     """Output-frequency grid centered on the nominal sum frequency.
 
-    By default the half span is span_sigmas times the unchirped
-    convolution width sqrt(sigma1^2 + sigma_e^2), an upper bound on the
-    output width for any chirp combination.  A sigma3_hint narrows the
-    span for strongly chirped configurations where the default would
-    waste resolution; actual coverage is always enforced numerically by
+    The half span is span_sigmas times the output-width hint plus the
+    extra half span; actual coverage is always enforced numerically by
     the convolution's edge-mass check.
     """
-    width = sigma3_hint if sigma3_hint is not None else math.hypot(state.sigma1, escort.sigma)
     return Grid1D.centered(
-        state.omega1 + escort.center, span_sigmas * width + extra_half_span, n
+        state.omega1 + escort.center, span_sigmas * sigma3_hint + extra_half_span, n
     )
 
 
@@ -330,6 +325,19 @@ def sfg_convolve(
     return out, weight
 
 
+def weighted_moments(weights: np.ndarray, x1: np.ndarray, xh: np.ndarray) -> tuple:
+    """(mean1, meanh, var1, varh, cov) of a nonnegative, unnormalized 2D weight."""
+    total = weights.sum()
+    p1 = weights.sum(axis=1) / total
+    ph = weights.sum(axis=0) / total
+    mean1 = float(p1 @ x1)
+    meanh = float(ph @ xh)
+    var1 = float(p1 @ (x1 - mean1) ** 2)
+    varh = float(ph @ (xh - meanh) ** 2)
+    cov = float((x1 - mean1) @ weights @ (xh - meanh)) / total
+    return mean1, meanh, var1, varh, cov
+
+
 def intensity_moments(field: GridField2D) -> IntensityMoments:
     """Centers, widths and correlation of the sampled intensity.
 
@@ -341,19 +349,11 @@ def intensity_moments(field: GridField2D) -> IntensityMoments:
             f"field norm {norm} differs from 1 beyond {NORM_TOLERANCE:.0e}; "
             "normalize before computing statistics"
         )
-    intensity = field.intensity() * field.cell
-    total = intensity.sum()
-    p1 = intensity.sum(axis=1) / total
-    ph = intensity.sum(axis=0) / total
-    x1 = field.axis1.points
-    xh = field.axis_h.points
-    mean1 = float(p1 @ x1)
-    meanh = float(ph @ xh)
-    var1 = float(p1 @ (x1 - mean1) ** 2)
-    varh = float(ph @ (xh - meanh) ** 2)
+    mean1, meanh, var1, varh, cov = weighted_moments(
+        field.intensity() * field.cell, field.axis1.points, field.axis_h.points
+    )
     if var1 <= 0.0 or varh <= 0.0:
         raise ValueError("zero marginal variance; correlation undefined")
-    cov = float((x1 - mean1) @ intensity @ (xh - meanh)) / total
     return IntensityMoments(
         mean1=mean1,
         meanh=meanh,
@@ -442,28 +442,19 @@ def suggested_input_samples(
     return min(n, n_max)
 
 
-def prepare_sweep(
-    cfg: LensConfig,
-    state: GaussianJSA,
-    taus,
-    n: int | None = None,
-    nh: int = 512,
-    n_out: int = 512,
-    span_sigmas: float = 6.0,
-    method: str = "fft",
-) -> tuple[GridField2D, Grid1D]:
-    """Sample the chirped input and size an output grid for a delay sweep.
+def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
+    """Estimated peak bytes of an FFT convolution run.
 
-    The input state is augmented with the lens signal chirp and sampled
-    once; the output grid is centered on the nominal sum frequency with
-    a half span following the output-width hint plus a margin for the
-    center drift across the requested delays and for the center shift
-    of an off-nominal acceptance.  With the fft method the output grid
-    is rebuilt on the input step.
+    Two complex n x nh input fields (the sampled one plus simulate's
+    unchirped field or the FFT path's transposed copy), the FFT workspace
+    of next_fast_len(n + n_out - 1) x nh, and out_fields n_out x nh outputs.
     """
-    taus = np.asarray(list(taus), dtype=float)
-    effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
-    max_tau = float(np.max(np.abs(taus)))
+    size = scipy.fft.next_fast_len(n + n_out - 1)
+    return 16 * nh * (2 * n + size + out_fields * n_out)
+
+
+def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
+    """Chirped input state, output-width hint, center-drift margin, automatic n."""
     # sizing hints only (coverage is enforced by the edge-mass check);
     # the core adds the lens chirp to the state itself
     moments = gaussian_output(cfg, state)
@@ -472,23 +463,42 @@ def prepare_sweep(
     if not cfg.phasematching.is_infinite:
         open_cfg = replace(cfg, phasematching=PhasematchingModel.infinite())
         hint = max(hint, 0.05 * gaussian_output(open_cfg, state).sigma3)
+    effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
     out_half = span_sigmas * hint + margin
-    if n is None:
-        n = suggested_input_samples(
-            effective, cfg.escort, span_sigmas, max_tau, out_half_span=out_half
-        )
+    auto = suggested_input_samples(effective, cfg.escort, span_sigmas, max_tau, out_half)
+    return effective, hint, margin, auto
+
+
+def prepare_sweep(
+    cfg: LensConfig,
+    state: GaussianJSA,
+    taus,
+    n: int | None = None,
+    nh: int = 512,
+    n_out: int = 512,
+    span_sigmas: float = 6.0,
+    keep_fields: int = 0,
+) -> tuple[GridField2D, Grid1D]:
+    """Plan the grids of an FFT convolution run and sample the chirped input.
+
+    The one grid planner of simulate and sweep.  The input state gets the
+    lens signal chirp; the output grid, centered on the nominal sum
+    frequency, spans the output-width hint plus a margin for the center
+    drift over the delays and the shift of an off-nominal acceptance,
+    rebuilt on the input step.  Before sampling, ConfigError is raised if
+    grid_bytes, with the fields the caller keeps (one to one per delay),
+    exceeds GRID_BYTES_LIMIT or the output grid reaches zero frequency.
+    """
+    taus = np.asarray(list(taus), dtype=float)
+    max_tau = float(np.max(np.abs(taus)))
+    effective, hint, margin, auto = _planning_hints(cfg, state, max_tau, span_sigmas)
+    n = auto if n is None else n
     g1, gh = grids_for_state(effective, n=n, nh=nh, span_sigmas=span_sigmas)
-    field = sample_jsa(effective, g1, gh)
 
     out_grid = default_output_grid(
-        effective,
-        cfg.escort,
-        n=n_out,
-        span_sigmas=span_sigmas,
-        extra_half_span=margin,
-        sigma3_hint=hint,
+        effective, cfg.escort, hint, n=n_out, span_sigmas=span_sigmas, extra_half_span=margin
     )
-    if method == "fft" and not math.isclose(out_grid.step, g1.step, rel_tol=1e-9):
+    if not math.isclose(out_grid.step, g1.step, rel_tol=1e-9):
         # the fft fast path needs commensurate steps; rebuild the output
         # grid on the input step around the same span
         half = 0.5 * (out_grid.stop - out_grid.start)
@@ -498,7 +508,21 @@ def prepare_sweep(
             step=g1.step,
             n=n_match,
         )
-    return field, out_grid
+    out_fields = max(1, min(keep_fields, taus.size))
+    need = grid_bytes(g1.n, gh.n, out_grid.n, out_fields)
+    if need > GRID_BYTES_LIMIT:
+        raise ConfigError(
+            f"{g1.n} x {gh.n} input and {out_fields} x {out_grid.n} x {gh.n} output samples "
+            f"need about {need / 2**30:.2f} GiB, above the {GRID_BYTES_LIMIT / 2**30:.2f} GiB "
+            "limit; set a smaller [grid] n, herald_n or output_n, or a narrower delay range"
+        )
+    if out_grid.start <= 0.0:
+        raise ConfigError(
+            f"the {out_grid.n}-sample output grid starts at {out_grid.start:.3e} rad/s, at or "
+            f"below zero frequency (center {out_grid.center:.3e} rad/s, center-drift margin "
+            f"{margin:.3e} rad/s for delays up to {max_tau * 1e12:.3g} ps)"
+        )
+    return sample_jsa(effective, g1, gh), out_grid
 
 
 def delay_sweep(
@@ -509,14 +533,14 @@ def delay_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
-    method: str = "fft",
-    out_grid: Grid1D | None = None,
     keep_fields: int = 0,
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
     The input state is augmented with the lens signal chirp, sampled
-    once, and convolved per delay; centers are intensity-weighted means.
+    once on the grids of :func:`prepare_sweep`, and convolved per delay
+    on the FFT path; centers are intensity-weighted means.  A
+    CoverageError at one delay is raised again naming that delay.
     Rows whose conversion weight falls below 1e-3 of the sweep maximum
     are flagged as outside the temporal aperture, and the reported
     slopes and intercepts come from unweighted least-squares lines
@@ -527,18 +551,29 @@ def delay_sweep(
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 2:
         raise ValueError("a sweep needs at least two delay values")
-    field, sized_grid = prepare_sweep(
-        cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas, method=method
+    field, out_grid = prepare_sweep(
+        cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas,
+        keep_fields=keep_fields,
     )
-    if out_grid is None:
-        out_grid = sized_grid
 
     points = []
     fields = []
     for tau in taus:
-        out, weight = sfg_convolve(
-            field, cfg.escort, cfg.phasematching, tau=float(tau), out_grid=out_grid, method=method
-        )
+        try:
+            out, weight = sfg_convolve(
+                field, cfg.escort, cfg.phasematching, float(tau), out_grid, method="fft"
+            )
+        except CoverageError as exc:
+            note = ""
+            max_tau = float(np.max(np.abs(taus)))
+            auto = _planning_hints(cfg, state, max_tau, span_sigmas)[3]
+            if n is not None and auto > n:
+                # a given n is never checked against the delay phase exp(-i w1 tau)
+                note = (
+                    f"; the input axis has the given {n} samples, and n = auto would pick "
+                    f"{auto} to resolve the delay phase up to {max_tau * 1e12:.3g} ps"
+                )
+            raise CoverageError(f"at delay {tau * 1e12:+.3f} ps: {exc}{note}") from exc
         points.append((float(tau), intensity_moments(out), weight))
         if len(fields) < keep_fields:
             fields.append(out)

@@ -65,6 +65,26 @@ def read_stats(path: Path) -> dict:
     return rows
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the grid checks")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("key, value", [("n", 2**20), ("herald_n", 2**20), ("output_n", 2**24)])
+def test_oversized_grid_rejected_before_sampling(command, key, value, tmp_path, monkeypatch, capsys):
+    # both commands plan with prepare_sweep, whose estimate alone refuses
+    # the grid; nothing of that size is ever allocated
+    monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
+    monkeypatch.setattr(cli, "sample_jsa", _no_sampling)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(re.sub(rf"(?m)^{key} = \d+$", f"{key} = {value}", FAST_SIM))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "1.00 GiB limit" in err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_outputs_and_values(self, fast_cfg, tmp_path):
         out = tmp_path / "sim"
@@ -96,38 +116,17 @@ class TestSimulate:
         assert "phasematch_limited" in cf_row["flags"].split(";")
         assert grid_row["flags"] == ""
 
-    def test_oversized_direct_kernel_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
-        # ideal.cfg sizes its grid automatically to 16384 samples, whose
-        # 16384 x 16384 direct kernel would take 4 GiB
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the memory check")
-
-        monkeypatch.setattr(cli, "sample_jsa", no_sampling)
+    @pytest.mark.parametrize("name", ["ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"])
+    def test_bundled_grid_output_matches_closed_form(self, name, tmp_path):
+        # one planner for simulate and sweep: the output grid follows the
+        # closed-form width hint, so ideal.cfg's broad escort runs too
         out = tmp_path / "sim"
-        assert main(["simulate", "--config", "ideal.cfg", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "16384 x 16384" in err and "4.00 GiB" in err
-        assert not out.exists()
-
-    def test_output_grid_below_zero_frequency_rejected_before_sampling(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # the broad ideal escort widens the output grid of a 2048-sample
-        # input axis past zero frequency
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the output grid check")
-
-        monkeypatch.setattr(cli, "sample_jsa", no_sampling)
-        cfg = parse_config(cli._resolve_config("ideal.cfg"))
-        g1, _ = grid.grids_for_state(cfg.state, n=2048, nh=cfg.grid.herald_n, span_sigmas=cfg.grid.span)
-        start = grid.sfg_output_grid(g1, cfg.lens.escort).start
-        assert start < 0.0
-        out = tmp_path / "sim"
-        argv = ["simulate", "--config", "ideal.cfg", "--grid", "2048", "--format", "bin"]
-        assert main(argv + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and f"{start:.3e} rad/s" in err
-        assert not out.exists()
+        assert main(["simulate", "--config", name, "--format", "bin", "--out", str(out)]) == 0
+        rows = read_stats(out / "stats.csv")
+        grid_row, cf_row = rows["grid-output"], rows["closed-form-output"]
+        for col in ("sigma_signal_rad_s", "sigma_herald_rad_s"):
+            assert float(grid_row[col]) == pytest.approx(float(cf_row[col]), rel=1e-3)
+        assert float(grid_row["rho"]) == pytest.approx(float(cf_row["rho"]), abs=1e-3)
 
     def test_schmidt_number_computes_no_svd(self, fast_cfg, tmp_path, monkeypatch):
         # the Gram-trace Schmidt number needs no decomposition
@@ -371,6 +370,36 @@ class TestSweep:
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "only 1 of 3 sweep rows" in capsys.readouterr().err
+
+    def test_output_grid_below_zero_frequency_rejected_before_sampling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the margin for the center drift over +-400 ps widens the output
+        # grid past zero frequency
+        monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
+        text = FAST_SIM.replace("sweep_start = -1 ps", "sweep_start = -400 ps").replace(
+            "sweep_stop = 1 ps", "sweep_stop = 400 ps"
+        )
+        cfg = tmp_path / "drift.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at or below zero frequency" in err and "delays up to 400 ps" in err
+        assert not out.exists()
+
+    def test_coarse_given_n_names_the_delay(self, tmp_path, capsys):
+        # n = 256 does not resolve the delay phase at +-20 ps; the error
+        # names the delay and the count n = auto would pick
+        text = FAST_SIM.replace("sweep_start = -1 ps", "sweep_start = -20 ps").replace(
+            "sweep_stop = 1 ps", "sweep_stop = 20 ps"
+        )
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "CoverageError: at delay -20.000 ps" in err
+        assert re.search(r"given 256 samples, and n = auto would pick \d+", err)
 
     def test_sweep_requires_range(self, tmp_path):
         cfg = tmp_path / "norange.cfg"
