@@ -106,12 +106,10 @@ class GaussianFitParams:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Raw and resolution-corrected fit parameters with optional error bars."""
+    """Raw and, once the resolution is removed, deconvolved fit parameters."""
 
     raw: GaussianFitParams
     deconvolved: GaussianFitParams | None = None
-    errors_raw: dict | None = None
-    errors_deconvolved: dict | None = None
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,8 @@ def cmd_simulate(args) -> int:
     input_field = sample_jsa(state, eff_field.axis1, eff_field.axis_h)
     input_stats = compute_stats(input_field)
     out_field, weight = sfg_convolve(
-        eff_field, lens_cfg.escort, lens_cfg.phasematching, cfg.tau, out_grid, method="fft"
+        eff_field, lens_cfg.escort, lens_cfg.phasematching, cfg.tau, out_grid=out_grid,
+        method="fft",
     )
     output_stats = compute_stats(out_field)
 

@@ -210,31 +210,21 @@ def sample_jsa(
 
 
 def default_output_grid(
-    state: GaussianJSA, escort: EscortPulse, sigma3_hint: float, n: int = 512,
+    state: GaussianJSA, escort: EscortPulse, sigma3_hint: float, step: float, n: int = 512,
     span_sigmas: float = 6.0, extra_half_span: float = 0.0,
 ) -> Grid1D:
-    """Output-frequency grid centered on the nominal sum frequency.
+    """Output-frequency grid on the input step, centered on the nominal sum frequency.
 
     The half span is span_sigmas times the output-width hint plus the
-    extra half span; actual coverage is always enforced numerically by
-    the convolution's edge-mass check.
+    extra half span; n is the least sample count, raised to cover that
+    span on the given step, which the FFT path needs equal to the input
+    step.  Actual coverage is always enforced numerically by the
+    convolution's edge-mass check.
     """
-    return Grid1D.centered(
-        state.omega1 + escort.center, span_sigmas * sigma3_hint + extra_half_span, n
-    )
-
-
-def sfg_output_grid(axis1: Grid1D, escort: EscortPulse) -> Grid1D:
-    """Default output grid of :func:`sfg_convolve` for an input axis.
-
-    The input half span widened by six escort widths, an upper bound on
-    the output width for any chirp combination, centered on the sum of
-    the input center and the escort center, with as many samples as the
-    input axis.  A broad escort can push its start below zero frequency.
-    """
-    half_in = 0.5 * (axis1.stop - axis1.start)
-    half = math.hypot(half_in, 6.0 * escort.sigma)
-    return Grid1D.centered(axis1.center + escort.center, half, axis1.n)
+    half = span_sigmas * sigma3_hint + extra_half_span
+    n = max(n, 2 * math.ceil(half / step) + 1)
+    center = state.omega1 + escort.center
+    return Grid1D(start=center - step * (n - 1) / 2.0, step=step, n=n)
 
 
 def _check_edge_mass(field: GridField2D, band: int = 2):
@@ -261,7 +251,8 @@ def sfg_convolve(
     escort: EscortPulse,
     pm: PhasematchingModel = PhasematchingModel.infinite(),
     tau: float = 0.0,
-    out_grid: Grid1D | None = None,
+    *,
+    out_grid: Grid1D,
     method: str = "direct",
 ) -> tuple[GridField2D, float]:
     """Upconvert the sampled input field with a chirped escort.
@@ -280,9 +271,6 @@ def sfg_convolve(
     input axis; the n_out rows it keeps never wrap at that length, so
     the result is the linear one.  Both agree to better than 1e-9.
     """
-    if out_grid is None:
-        out_grid = sfg_output_grid(field.axis1, escort)
-
     w1 = field.axis1.points
     values = field.values
     if tau != 0.0:
@@ -443,14 +431,21 @@ def suggested_input_samples(
 
 
 def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
-    """Estimated peak bytes of an FFT convolution run.
+    """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
-    Two complex n x nh input fields (the sampled one plus simulate's
-    unchirped field or the FFT path's transposed copy), the FFT workspace
-    of next_fast_len(n + n_out - 1) x nh, and out_fields n_out x nh outputs.
+    Counted at the worst moment of a convolution, in complex n x nh
+    inputs, n_out x nh outputs and FFT workspace of
+    next_fast_len(n + n_out - 1) x nh, alive until sfg_convolve returns:
+    three inputs (the sampled field, simulate's unchirped field and the
+    delay-phased copy); the out_fields kept outputs plus the previous
+    delay's; and the larger of the transposed input copy taken for the
+    forward transform and the end of the call, where the kept-row slice
+    times the step, its normalized() copy and an intensity() array (half
+    an output) are alive together.  pocketfft's internal scratch is not
+    a numpy allocation and is not counted; tracemalloc does not see it.
     """
     size = scipy.fft.next_fast_len(n + n_out - 1)
-    return 16 * nh * (2 * n + size + out_fields * n_out)
+    return 16 * nh * (3 * n + size + (out_fields + 1) * n_out) + 8 * nh * max(2 * n, 5 * n_out)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
@@ -485,7 +480,7 @@ def prepare_sweep(
     lens signal chirp; the output grid, centered on the nominal sum
     frequency, spans the output-width hint plus a margin for the center
     drift over the delays and the shift of an off-nominal acceptance,
-    rebuilt on the input step.  Before sampling, ConfigError is raised if
+    on the input step.  Before sampling, ConfigError is raised if
     grid_bytes, with the fields the caller keeps (one to one per delay),
     exceeds GRID_BYTES_LIMIT or the output grid reaches zero frequency.
     """
@@ -496,18 +491,9 @@ def prepare_sweep(
     g1, gh = grids_for_state(effective, n=n, nh=nh, span_sigmas=span_sigmas)
 
     out_grid = default_output_grid(
-        effective, cfg.escort, hint, n=n_out, span_sigmas=span_sigmas, extra_half_span=margin
+        effective, cfg.escort, hint, g1.step, n=n_out, span_sigmas=span_sigmas,
+        extra_half_span=margin,
     )
-    if not math.isclose(out_grid.step, g1.step, rel_tol=1e-9):
-        # the fft fast path needs commensurate steps; rebuild the output
-        # grid on the input step around the same span
-        half = 0.5 * (out_grid.stop - out_grid.start)
-        n_match = max(n_out, 2 * int(math.ceil(half / g1.step)) + 1)
-        out_grid = Grid1D(
-            start=out_grid.center - g1.step * (n_match - 1) / 2.0,
-            step=g1.step,
-            n=n_match,
-        )
     out_fields = max(1, min(keep_fields, taus.size))
     need = grid_bytes(g1.n, gh.n, out_grid.n, out_fields)
     if need > GRID_BYTES_LIMIT:
@@ -561,7 +547,8 @@ def delay_sweep(
     for tau in taus:
         try:
             out, weight = sfg_convolve(
-                field, cfg.escort, cfg.phasematching, float(tau), out_grid, method="fft"
+                field, cfg.escort, cfg.phasematching, float(tau), out_grid=out_grid,
+                method="fft",
             )
         except CoverageError as exc:
             note = ""

@@ -19,6 +19,7 @@ from timelens.analysis import (
     deconvolve_resolution,
     montecarlo_errorbars,
 )
+from timelens.grid import prepare_sweep
 from timelens.states import schmidt_number
 
 import oracles
@@ -88,10 +89,8 @@ def test_criterion_02_cross_engine_100_configs():
         )
         escort = tl.EscortPulse(center=2.43e15, sigma=sigmae, chirp=ae)
         cfg = tl.LensConfig(signal_chirp=a1, escort=escort)
-        field = tl.sample_jsa(
-            replace(state, chirp=a1), *tl.grids_for_state(state, n=512)
-        )
-        out, _ = tl.sfg_convolve(field, escort, method="direct")
+        field, out_grid = prepare_sweep(cfg, state, [0.0], n=512)
+        out, _ = tl.sfg_convolve(field, escort, out_grid=out_grid, method="fft")
         st = tl.compute_stats(out)
         worst_sigma = max(
             worst_sigma, abs(st.sigma1 - tl.output_sigma3(cfg, state)) / st.sigma1
@@ -110,10 +109,8 @@ def test_criterion_02_cross_engine_100_configs():
 def test_criterion_03_correlation_reversal(exp, calibration):
     state, cfg = exp
     assert state.rho == -0.9776  # by construction
-    field = tl.sample_jsa(
-        replace(state, chirp=oracles.A1), *tl.grids_for_state(state, n=512)
-    )
-    out, _ = tl.sfg_convolve(field, cfg.escort)
+    field, out_grid = prepare_sweep(cfg, state, [0.0], n=512)
+    out, _ = tl.sfg_convolve(field, cfg.escort, out_grid=out_grid, method="fft")
     rho_grid = tl.compute_stats(out).rho
     assert rho_grid > 0.85
 
@@ -127,7 +124,11 @@ def test_criterion_03_correlation_reversal(exp, calibration):
 
     # with the calibrated acceptance the measured value is reproduced
     cal, _, _ = calibration
-    out_pm, _ = tl.sfg_convolve(field, cfg.escort, pm=cal.model)
+    cal_cfg = replace(cfg, phasematching=cal.model)
+    field_pm, out_grid_pm = prepare_sweep(cal_cfg, state, [0.0], n=512)
+    out_pm, _ = tl.sfg_convolve(
+        field_pm, cfg.escort, cal.model, out_grid=out_grid_pm, method="fft"
+    )
     rho_cal = tl.compute_stats(out_pm).rho
     assert rho_cal == pytest.approx(0.909, abs=0.03)
     print(

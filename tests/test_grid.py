@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -32,14 +33,20 @@ from timelens import (
 from timelens.grid import (
     NormalizationError,
     ResamplingRequiredError,
+    grid_bytes,
     prepare_sweep,
-    suggested_input_samples,
 )
 from timelens import units
 from timelens.config import parse_config
 from timelens.lens import gaussian_output
 
 import oracles
+
+
+def planned_output(cfg, state, **grid):
+    """sfg_convolve at zero delay on prepare_sweep's grids and the FFT path."""
+    field, out_grid = prepare_sweep(cfg, state, [0.0], **grid)
+    return sfg_convolve(field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft")
 
 
 def mild_state(**kw):
@@ -164,18 +171,15 @@ class TestSfgConvolve:
     def test_unchirped_gaussian_identity(self):
         state = mild_state(rho=0.0)
         escort = EscortPulse(center=2.43e15, sigma=1.3e12)
-        field = sample_jsa(state, *grids_for_state(state, n=512))
-        out, weight = sfg_convolve(field, escort)
+        out, weight = planned_output(LensConfig(signal_chirp=0.0, escort=escort), state, n=512)
         st = compute_stats(out)
         # 1e-4 allows the second-moment bias of the 6 sigma truncation
         assert st.sigma1 == pytest.approx(math.hypot(state.sigma1, escort.sigma), rel=1e-4)
         assert st.mean1 == pytest.approx(state.omega1 + escort.center, rel=1e-12)
         assert weight > 0
 
-    def test_cross_engine_experimental(self, exp_state, exp_escort, exp_lens):
-        eff = replace(exp_state, chirp=oracles.A1)
-        field = sample_jsa(eff, *grids_for_state(eff, n=512))
-        out, _ = sfg_convolve(field, exp_escort)
+    def test_cross_engine_experimental(self, exp_state, exp_lens):
+        out, _ = planned_output(exp_lens, exp_state, n=512)
         st = compute_stats(out)
         ref = oracles.output_moments(
             oracles.SIGMA1, oracles.SIGMAH, oracles.RHO_IN, oracles.A1,
@@ -190,14 +194,13 @@ class TestSfgConvolve:
         # spectrally narrow escort, which then gates it temporally: the
         # output collapses to the escort's instantaneous-frequency window
         sigma1 = 1.0e12
-        state = mild_state(sigma1=sigma1, rho=-0.9, chirp=100.0 / (4 * sigma1**2))
+        a1 = 100.0 / (4 * sigma1**2)
+        state = mild_state(sigma1=sigma1, rho=-0.9)
         escort = EscortPulse(center=2.43e15, sigma=sigma1 / 20.0, chirp=-50.0 / (4 * sigma1**2))
-        n = suggested_input_samples(state, escort)
-        field = sample_jsa(state, *grids_for_state(state, n=n, nh=128))
-        out, _ = sfg_convolve(field, escort)
+        out, _ = planned_output(LensConfig(signal_chirp=a1, escort=escort), state, nh=128)
         st = compute_stats(out)
         ref = oracles.output_moments(
-            sigma1, state.sigmah, state.rho, state.chirp, escort.sigma, escort.chirp
+            sigma1, state.sigmah, state.rho, a1, escort.sigma, escort.chirp
         )
         assert st.sigma1 == pytest.approx(ref[0], rel=1e-3)
         assert st.rho == pytest.approx(ref[2], abs=1e-3)
@@ -320,12 +323,10 @@ class TestSfgConvolve:
         with pytest.raises(CoverageError):
             sfg_convolve(field, escort, out_grid=clipped)
 
-    def test_phasematching_narrows(self, exp_state, exp_escort):
-        eff = replace(exp_state, chirp=oracles.A1)
-        field = sample_jsa(eff, *grids_for_state(eff, n=512))
-        open_out, w_open = sfg_convolve(field, exp_escort)
+    def test_phasematching_narrows(self, exp_state, exp_lens):
+        open_out, w_open = planned_output(exp_lens, exp_state, n=512)
         pm = PhasematchingModel(sigma=2e12)
-        tight_out, w_tight = sfg_convolve(field, exp_escort, pm=pm)
+        tight_out, w_tight = planned_output(replace(exp_lens, phasematching=pm), exp_state, n=512)
         assert compute_stats(tight_out).sigma1 < compute_stats(open_out).sigma1
         assert w_tight < w_open
         ref = oracles.output_moments(
@@ -361,11 +362,10 @@ class TestCrossEngineRandom:
             a1 = u1 / (4 * sigma1**2)
             ae = ue / (4 * sigma1**2)
             state = GaussianJSA(
-                omega1=2.32e15, omegah=2.54e15, sigma1=sigma1, sigmah=sigmah, rho=rho,
-                chirp=a1,
+                omega1=2.32e15, omegah=2.54e15, sigma1=sigma1, sigmah=sigmah, rho=rho
             )
-            field = sample_jsa(state, *grids_for_state(state, n=512))
-            out, _ = sfg_convolve(field, EscortPulse(center=2.43e15, sigma=sigmae, chirp=ae))
+            escort = EscortPulse(center=2.43e15, sigma=sigmae, chirp=ae)
+            out, _ = planned_output(LensConfig(signal_chirp=a1, escort=escort), state, n=512)
             st = compute_stats(out)
             ref = oracles.output_moments(sigma1, sigmah, rho, a1, sigmae, ae)
             worst_s = max(worst_s, abs(st.sigma1 - ref[0]) / ref[0])
@@ -594,3 +594,49 @@ class TestDelaySweep:
         )
         assert field.values.shape == (4096, 512)
         assert out_grid.n == n_out
+
+
+class TestGridBytes:
+    """grid_bytes bounds what numpy allocates; pocketfft's own scratch is untraced."""
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_bounds_one_simulate_convolution(self, exp_state, exp_lens):
+        tau = 0.3e-12
+        plans = []
+
+        def simulate():
+            # the grid work of cmd_simulate, delay phase included
+            field, out_grid = prepare_sweep(exp_lens, exp_state, [tau], n=512, nh=64)
+            compute_stats(sample_jsa(exp_state, field.axis1, field.axis_h))
+            out, _ = sfg_convolve(
+                field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
+                method="fft",
+            )
+            compute_stats(out)
+            plans.append((field.axis1.n, field.axis_h.n, out_grid.n))
+
+        peak = self.traced_peak(simulate)
+        bound = grid_bytes(*plans[0], 1)
+        assert 0.5 * bound < peak <= bound
+
+    @pytest.mark.parametrize("keep_fields", [0, 1, 3])
+    def test_bounds_one_sweep(self, exp_state, exp_lens, keep_fields):
+        taus = [-1e-12, 0.0, 1e-12]
+        sweeps = []
+        peak = self.traced_peak(
+            lambda: sweeps.append(
+                delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, keep_fields=keep_fields)
+            )
+        )
+        _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=64)
+        bound = grid_bytes(512, 64, out_grid.n, max(1, keep_fields))
+        assert len(sweeps[0].fields) == keep_fields
+        assert 0.5 * bound < peak <= bound

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from timelens import lens
-from timelens.validate import SUITES, SuiteParams, run_suites
+from timelens import grid, lens, validate
+from timelens.validate import PERTURBABLE, SUITES, SuiteParams, run_suites
 from timelens.svgplot import _png_encode, colormap
 
 
@@ -13,16 +15,52 @@ def test_all_suites_green_quick():
     assert set(report) == set(SUITES)
 
 
-def test_mutation_breaks_cross_engine():
-    original = lens.output_correlation
+# the cross-engine deviation that each perturbable entry point moves
+DEVIATION = {"output_sigma3": "width", "output_correlation": "correlation"}
+
+
+@pytest.mark.parametrize("key", PERTURBABLE)
+def test_mutation_breaks_cross_engine(key):
+    original = getattr(lens, key)
     report, all_ok = run_suites(
         SuiteParams(quick=True),
         names=["cross-engine"],
-        perturbations={"output_correlation": 1.01},
+        perturbations={key: 1.01},
     )
     assert not all_ok
+    # the suite fails on its comparison: the scaled quantity deviates by
+    # about 1e-2, above the 1e-3 limit
+    detail = report["cross-engine"]["detail"]
+    dev = re.search(rf"max {DEVIATION[key]} dev (\S+)", detail)
+    assert dev and float(dev.group(1)) > 1e-3, detail
     # entry points restored afterwards
-    assert lens.output_correlation is original
+    assert getattr(lens, key) is original
+
+
+ENGINE_SUITES = ("cross-engine", "grid-refinement", "schmidt-consistency", "center-conservation")
+
+
+def test_engine_suites_convolve_on_the_shipped_route(monkeypatch):
+    # every convolution runs the FFT path on a field and output grid
+    # planned by prepare_sweep, as simulate and sweep do
+    plans, calls = [], []
+
+    def planner(*args, **kwargs):
+        plans.append(grid.prepare_sweep(*args, **kwargs))
+        return plans[-1]
+
+    def convolve(field, *args, **kwargs):
+        calls.append((field, kwargs.get("out_grid"), kwargs.get("method")))
+        return grid.sfg_convolve(field, *args, **kwargs)
+
+    monkeypatch.setattr(validate, "prepare_sweep", planner)
+    monkeypatch.setattr(validate, "sfg_convolve", convolve)
+    report, all_ok = run_suites(SuiteParams(quick=True), names=ENGINE_SUITES)
+    assert all_ok, report
+    assert len(calls) >= len(ENGINE_SUITES)
+    for field, out_grid, method in calls:
+        assert method == "fft"
+        assert any(field is f and out_grid is g for f, g in plans)
 
 
 def test_unknown_suite_rejected():
