@@ -460,12 +460,12 @@ def g2_cross_correlation(rates: CountRates) -> float:
     return rates.coincidences * rates.rep_rate / (rates.singles_signal * rates.singles_herald)
 
 
-def spectrum_from_field(field: GridField2D, peak_counts: float = 1e4) -> Spectrum2D:
+def spectrum_from_field(field: GridField2D) -> Spectrum2D:
     """Resample a spectral grid field onto uniform wavelength axes.
 
     The intensity is interpolated bilinearly in angular frequency,
     multiplied by the frequency-to-wavelength Jacobian, and scaled so
-    the peak bin equals peak_counts.  Simulated spectra therefore carry
+    the peak bin holds 1e4 counts.  Simulated spectra therefore carry
     float 'counts' usable directly as Poisson means.
     """
     w1 = field.axis1.points
@@ -492,7 +492,7 @@ def spectrum_from_field(field: GridField2D, peak_counts: float = 1e4) -> Spectru
     peak = counts.max()
     if peak <= 0.0:
         raise DegenerateDataError("field intensity vanishes on the wavelength grid")
-    return Spectrum2D(lam1, lamh, counts / peak * peak_counts)
+    return Spectrum2D(lam1, lamh, counts / peak * 1e4)
 
 
 def read_spectrum_csv(path) -> Spectrum2D:
@@ -537,29 +537,20 @@ def write_spectrum_csv(spec: Spectrum2D, path) -> None:
             fh.write("%.17g," % lam + ",".join("%.17g" % v for v in row) + "\n")
 
 
-def calibrate_phasematching(
-    sweep_data,
-    cfg: LensConfig,
-    state: GaussianJSA,
-    n: int | None = None,
-    nh: int = 512,
-    n_out: int = 512,
-    span_sigmas: float = 6.0,
-    slope_match_rtol: float = 0.01,
-    bracket: tuple[float, float] | None = None,
-) -> CalibrationResult:
+def calibrate_phasematching(sweep_data, cfg: LensConfig, state: GaussianJSA) -> CalibrationResult:
     """Fit the acceptance width to a measured signal-tunability slope.
 
     sweep_data is a sequence of (delay s, signal center rad/s) pairs,
     at least three of them; their least-squares slope is the calibration
     target.  The acceptance width is solved on the closed-form core, by
     a root of its signal-center slope on a log bracket, and one grid
-    delay sweep at the same delays with that width supplies the achieved
-    slope and the residual.  A target within slope_match_rtol of the
-    core's unrestricted slope returns the infinite model, with its slope
-    from one sweep; a target above the unrestricted slope (restriction
-    can only slow the signal tuning) or below the bracket raises
-    CalibrationError with the bracket diagnostics.
+    delay sweep at the same delays with that width, on delay_sweep's
+    default grids, supplies the achieved slope and the residual.  A
+    target within 1 percent of the core's unrestricted slope returns the
+    infinite model, with its slope from one sweep; a target more than 1
+    percent above it (restriction can only slow the signal tuning) or
+    below the bracket, 1e-4 to 1e3 times hypot(sigma1, escort sigma),
+    raises CalibrationError with the bracket diagnostics.
 
     The herald-center slope simulated with the calibrated model is an
     independent prediction, not used in the fit.
@@ -577,10 +568,7 @@ def calibrate_phasematching(
         return gaussian_output(dc_replace(cfg, phasematching=model_for(sigma_phi)), state).slope3
 
     def result(model: PhasematchingModel) -> CalibrationResult:
-        sweep = delay_sweep(
-            dc_replace(cfg, phasematching=model), state, taus,
-            n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas,
-        )
+        sweep = delay_sweep(dc_replace(cfg, phasematching=model), state, taus)
         return CalibrationResult(
             model=model,
             target_slope=target,
@@ -589,17 +577,17 @@ def calibrate_phasematching(
         )
 
     slope_open = core_slope(math.inf)
-    if abs(target) > abs(slope_open) * (1.0 + slope_match_rtol) or target * slope_open < 0.0:
+    if abs(target) > abs(slope_open) * 1.01 or target * slope_open < 0.0:
         raise CalibrationError(
             f"target slope {target:.4e} is outside the reachable range "
             f"(unrestricted slope {slope_open:.4e}, shrinking toward 0 with "
             "tighter phasematching)"
         )
-    if abs(target - slope_open) <= slope_match_rtol * abs(slope_open):
+    if abs(target - slope_open) <= 0.01 * abs(slope_open):
         return result(PhasematchingModel.infinite())
 
     sigma3_scale = math.hypot(state.sigma1, cfg.escort.sigma)
-    lo, hi = bracket if bracket is not None else (1e-4 * sigma3_scale, 1e3 * sigma3_scale)
+    lo, hi = 1e-4 * sigma3_scale, 1e3 * sigma3_scale
     f_lo = core_slope(lo) - target
     f_hi = core_slope(hi) - target
     if f_lo * f_hi > 0.0:

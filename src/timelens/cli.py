@@ -33,7 +33,7 @@ from .analysis import (
     read_spectrum_csv,
     spectrum_from_field,
 )
-from .config import AnalysisSettings, ConfigError, parse_config
+from .config import MIN_GRID_SAMPLES, AnalysisSettings, ConfigError, parse_config
 from .grid import compute_stats, delay_sweep, prepare_sweep, sample_jsa, sfg_convolve
 
 EXIT_OK = 0
@@ -83,6 +83,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _input_samples(args, cfg) -> int | None:
+    """--grid, else [grid] n (None: automatic)."""
+    if args.grid is None:
+        return cfg.grid.n
+    if args.grid < MIN_GRID_SAMPLES:
+        raise ConfigError(f"--grid: need at least {MIN_GRID_SAMPLES} samples, got {args.grid}")
+    return args.grid
+
+
 def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
     contour = None
     if contour_fit is not None:
@@ -102,10 +111,7 @@ def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
         spec.lambdah_nm,
         path,
         title=title,
-        x_label="signal wavelength (nm)",
-        y_label="herald wavelength (nm)",
         contour=contour,
-        metadata={"axes_unit": "nm"},
     )
 
 
@@ -149,7 +155,7 @@ def cmd_simulate(args) -> int:
     # the sweep's planner sizes the grids and refuses oversized ones
     # before sampling; simulate convolves once, at its one delay
     eff_field, out_grid = prepare_sweep(
-        lens_cfg, state, [cfg.tau], n=args.grid or cfg.grid.n, nh=cfg.grid.herald_n,
+        lens_cfg, state, [cfg.tau], n=_input_samples(args, cfg), nh=cfg.grid.herald_n,
         n_out=cfg.grid.output_n, span_sigmas=cfg.grid.span,
     )
     out_dir = Path(args.out)
@@ -242,7 +248,7 @@ def cmd_sweep(args) -> int:
         cfg.lens,
         cfg.state,
         taus,
-        n=args.grid or cfg.grid.n,
+        n=_input_samples(args, cfg),
         nh=cfg.grid.herald_n,
         n_out=cfg.grid.output_n,
         span_sigmas=cfg.grid.span,
@@ -331,8 +337,7 @@ def cmd_fit(args) -> int:
         res = ResolutionModel(r1_nm=args.res_signal, rh_nm=args.res_herald)
     elif settings.resolution_signal_nm is not None:
         res = ResolutionModel(
-            r1_nm=settings.resolution_signal_nm,
-            rh_nm=settings.resolution_herald_nm or 0.0,
+            r1_nm=settings.resolution_signal_nm, rh_nm=settings.resolution_herald_nm
         )
     trials = settings.trials if args.trials is None else args.trials
     if trials < 2:

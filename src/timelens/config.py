@@ -41,6 +41,8 @@ class ConfigError(ValueError):
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
 TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0}
 CHIRP_UNITS = {"fs^2": 1e-30, "ps^2": 1e-24, "s^2": 1.0}
+# least sample count of a grid axis
+MIN_GRID_SAMPLES = 16
 
 _SCHEMA = {
     "input": {
@@ -293,13 +295,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     grid = GridSettings()
     if parser.has_section("grid"):
         kw = {}
-        if parser.has_option("grid", "n"):
-            raw = parser.get("grid", "n")
-            kw["n"] = None if raw.strip() == "auto" else _integer("grid", "n", raw)
-        if parser.has_option("grid", "herald_n"):
-            kw["herald_n"] = _integer("grid", "herald_n", parser.get("grid", "herald_n"))
-        if parser.has_option("grid", "output_n"):
-            kw["output_n"] = _integer("grid", "output_n", parser.get("grid", "output_n"))
+        for key in ("n", "herald_n", "output_n"):
+            raw = parser.get("grid", key, fallback=None)
+            if raw is None or (key == "n" and raw.strip() == "auto"):
+                continue  # the default; n's is None, chosen automatically
+            kw[key] = _integer("grid", key, raw)
+            if kw[key] < MIN_GRID_SAMPLES:
+                raise ConfigError(
+                    f"[grid] {key}: need at least {MIN_GRID_SAMPLES} samples, got {kw[key]}"
+                )
         if parser.has_option("grid", "span"):
             kw["span"] = _unitless("grid", "span", parser.get("grid", "span"))
             if kw["span"] < 4.0:
@@ -309,27 +313,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     analysis = AnalysisSettings()
     if parser.has_section("analysis"):
         kw = {}
-        if parser.has_option("analysis", "resolution_signal"):
-            kw["resolution_signal_nm"] = (
-                _dimensional(
-                    "analysis",
-                    "resolution_signal",
-                    parser.get("analysis", "resolution_signal"),
-                    LENGTH_UNITS,
-                    "length",
-                )
-                * 1e9
-            )
-        if parser.has_option("analysis", "resolution_herald"):
-            kw["resolution_herald_nm"] = (
-                _dimensional(
-                    "analysis",
-                    "resolution_herald",
-                    parser.get("analysis", "resolution_herald"),
-                    LENGTH_UNITS,
-                    "length",
-                )
-                * 1e9
+        for key in ("resolution_signal", "resolution_herald"):
+            if parser.has_option("analysis", key):
+                raw = parser.get("analysis", key)
+                kw[f"{key}_nm"] = _dimensional("analysis", key, raw, LENGTH_UNITS, "length") * 1e9
+        if ("resolution_signal_nm" in kw) != ("resolution_herald_nm" in kw):
+            raise ConfigError(
+                "[analysis]: give both resolution_signal and resolution_herald or neither"
             )
         if parser.has_option("analysis", "trials"):
             kw["trials"] = _integer("analysis", "trials", parser.get("analysis", "trials"))

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import erfc
 
-from .config import ConfigError
+from .config import MIN_GRID_SAMPLES, ConfigError
 from .lens import LensConfig, gaussian_output
 from .states import EscortPulse, GaussianJSA, PhasematchingModel, escort_amplitude, jsa_amplitude
 
@@ -56,8 +56,8 @@ class Grid1D:
     def __post_init__(self):
         if self.step <= 0.0:
             raise ValueError("grid step must be positive")
-        if self.n < 16:
-            raise ValueError("grid must have at least 16 samples")
+        if self.n < MIN_GRID_SAMPLES:
+            raise ValueError(f"grid must have at least {MIN_GRID_SAMPLES} samples")
 
     @property
     def points(self) -> np.ndarray:
@@ -184,16 +184,11 @@ def grids_for_state(
     return g1, gh
 
 
-def sample_jsa(
-    state: GaussianJSA, grid1: Grid1D, gridh: Grid1D, normalize: bool = True
-) -> GridField2D:
-    """Sample the joint amplitude on the grid pair.
+def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
+    """Sample the joint amplitude on the grid pair, with discrete norm exactly one.
 
     The marginal mass falling outside either grid must not exceed 1e-4,
-    otherwise a CoverageError is raised.  With normalize=True the
-    discrete norm is set exactly to one; without it the samples carry
-    the analytic normalization (discrete norm approaches one as the grid
-    is refined).
+    otherwise a CoverageError is raised.
     """
     outside = _gaussian_tail_mass(
         state.omega1, state.sigma1, grid1.start, grid1.stop
@@ -205,45 +200,22 @@ def sample_jsa(
     w1 = grid1.points[:, None]
     wh = gridh.points[None, :]
     values = jsa_amplitude(state, w1, wh)
-    field = GridField2D(grid1, gridh, values)
-    return field.normalized() if normalize else field
+    return GridField2D(grid1, gridh, values).normalized()
 
 
 def default_output_grid(
-    state: GaussianJSA, escort: EscortPulse, sigma3_hint: float, step: float, n: int = 512,
-    span_sigmas: float = 6.0, extra_half_span: float = 0.0,
+    state: GaussianJSA, escort: EscortPulse, half_span: float, step: float, n: int
 ) -> Grid1D:
     """Output-frequency grid on the input step, centered on the nominal sum frequency.
 
-    The half span is span_sigmas times the output-width hint plus the
-    extra half span; n is the least sample count, raised to cover that
-    span on the given step, which the FFT path needs equal to the input
-    step.  Actual coverage is always enforced numerically by the
-    convolution's edge-mass check.
+    n is the least sample count, raised to cover the half span on the
+    given step, which the FFT path needs equal to the input step.  Actual
+    coverage is always enforced numerically by the convolution's
+    edge-mass check.
     """
-    half = span_sigmas * sigma3_hint + extra_half_span
-    n = max(n, 2 * math.ceil(half / step) + 1)
+    n = max(n, 2 * math.ceil(half_span / step) + 1)
     center = state.omega1 + escort.center
     return Grid1D(start=center - step * (n - 1) / 2.0, step=step, n=n)
-
-
-def _check_edge_mass(field: GridField2D, band: int = 2):
-    intensity = field.intensity()
-    total = intensity.sum()
-    if total <= 0.0:
-        raise CoverageError("output field is identically zero on the grid")
-    edge = (
-        intensity[:band, :].sum()
-        + intensity[-band:, :].sum()
-        + intensity[:, :band].sum()
-        + intensity[:, -band:].sum()
-    )
-    frac = edge / total
-    if frac > EDGE_MASS_LIMIT:
-        raise CoverageError(
-            f"output grid clips the field: edge bands hold {frac:.2e} of the "
-            f"intensity (limit {EDGE_MASS_LIMIT:.0e}); widen or recenter the output grid"
-        )
 
 
 def sfg_convolve(
@@ -262,7 +234,9 @@ def sfg_convolve(
     multiplied by the phasematching acceptance in w3.  A relative delay
     tau applies the phase exp(-i w1 tau) to the input.  Returns the
     renormalized output field together with the pre-normalization norm
-    (the relative conversion weight).
+    (the relative conversion weight).  CoverageError is raised when that
+    weight is zero or when the two-sample bands along the output grid's
+    edges hold more than EDGE_MASS_LIMIT of the intensity.
 
     method="direct" evaluates the kernel sum exactly per output sample;
     method="fft" is a fast path requiring equal steps on the input and
@@ -297,6 +271,8 @@ def sfg_convolve(
         spectrum *= scipy.fft.fft(kvec, n=size)
         circular = scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)
         out_values = np.ascontiguousarray(circular[:, n1 - 1 : n1 - 1 + n3].T) * field.axis1.step
+        # the workspace is not needed once the kept rows are copied out
+        del spectrum, circular
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
@@ -304,13 +280,23 @@ def sfg_convolve(
     if not pm.is_infinite:
         out_values = out_values * pm.amplitude(w3, nominal)[:, None]
 
+    # one intensity pass: the weight as norm() computes it, and the edge fraction
     out = GridField2D(out_grid, field.axis_h, out_values)
-    weight = out.norm()
+    intensity = out.intensity()
+    total = np.sum(intensity)
+    weight = float(total * out.cell)
     if weight <= 0.0:
         raise CoverageError("conversion weight is zero; no overlap on the grid")
-    out = out.normalized()
-    _check_edge_mass(out)
-    return out, weight
+    edge = intensity[:2, :].sum() + intensity[-2:, :].sum()
+    edge += intensity[:, :2].sum() + intensity[:, -2:].sum()
+    frac = edge / total
+    if frac > EDGE_MASS_LIMIT:
+        raise CoverageError(
+            f"output grid clips the field: edge bands hold {frac:.2e} of the "
+            f"intensity (limit {EDGE_MASS_LIMIT:.0e}); widen or recenter the output grid"
+        )
+    del intensity  # not held next to the normalized copy: it would raise the peak
+    return GridField2D(out_grid, field.axis_h, out_values / math.sqrt(weight)), weight
 
 
 def weighted_moments(weights: np.ndarray, x1: np.ndarray, xh: np.ndarray) -> tuple:
@@ -397,27 +383,19 @@ def to_time_domain(field: GridField2D) -> GridField2D:
 
 
 def suggested_input_samples(
-    state: GaussianJSA,
-    escort: EscortPulse,
-    span_sigmas: float = 6.0,
-    max_tau: float = 0.0,
-    out_half_span: float | None = None,
-    n_min: int = 512,
-    n_max: int = 16384,
+    state: GaussianJSA, escort: EscortPulse, span_sigmas: float, max_tau: float,
+    out_half_span: float,
 ) -> int:
-    """Power-of-two sample count resolving all spectral phases on the input axis.
+    """Power-of-two sample count (512 to 16384) resolving the spectral phases on the input axis.
 
     The bound keeps the per-sample phase increment of the chirp, escort
     kernel, and delay phases below pi/2 inside the regions where the
     amplitudes are non-negligible, and keeps at least three samples per
     escort kernel width.  The escort kernel only matters where its
     envelope survives and where the output grid looks, whichever window
-    is smaller; pass out_half_span when the output grid is narrower than
-    the default coverage rule.
+    is smaller.
     """
     half1 = span_sigmas * state.sigma1
-    if out_half_span is None:
-        out_half_span = span_sigmas * math.hypot(state.sigma1, escort.sigma)
     kernel_window = min(span_sigmas * escort.sigma, half1 + out_half_span)
     slope = (
         2.0 * abs(state.chirp) * half1 + 2.0 * abs(escort.chirp) * kernel_window + abs(max_tau)
@@ -425,31 +403,33 @@ def suggested_input_samples(
     step_phase = math.pi / (2.0 * slope) if slope > 0.0 else math.inf
     step_kernel = escort.sigma / 3.0
     step = min(step_phase, step_kernel)
-    n = max(n_min, int(math.ceil(2.0 * half1 / step)))
+    n = max(512, int(math.ceil(2.0 * half1 / step)))
     n = 2 ** math.ceil(math.log2(n))
-    return min(n, n_max)
+    return min(n, 16384)
 
 
 def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
     """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
     Counted at the worst moment of a convolution, in complex n x nh
-    inputs, n_out x nh outputs and FFT workspace of
-    next_fast_len(n + n_out - 1) x nh, alive until sfg_convolve returns:
-    three inputs (the sampled field, simulate's unchirped field and the
-    delay-phased copy); the out_fields kept outputs plus the previous
-    delay's; and the larger of the transposed input copy taken for the
-    forward transform and the end of the call, where the kept-row slice
-    times the step, its normalized() copy and an intensity() array (half
-    an output) are alive together.  pocketfft's internal scratch is not
-    a numpy allocation and is not counted; tracemalloc does not see it.
+    inputs and n_out x nh outputs: three inputs (the sampled field,
+    simulate's unchirped field and the delay-phased copy); the
+    out_fields kept outputs plus the previous delay's; and the larger of
+    the forward transform, where the transposed input copy and the FFT
+    workspace of next_fast_len(n + n_out - 1) x nh are alive together,
+    and the end of the call, after sfg_convolve frees the workspace,
+    where the kept rows times the step are alive with their intensity
+    (half an output) and then with their normalized copy.  pocketfft's
+    internal scratch is not a numpy allocation and is not counted;
+    tracemalloc does not see it.
     """
     size = scipy.fft.next_fast_len(n + n_out - 1)
-    return 16 * nh * (3 * n + size + (out_fields + 1) * n_out) + 8 * nh * max(2 * n, 5 * n_out)
+    inputs_outputs = 16 * nh * (3 * n + (out_fields + 1) * n_out)
+    return inputs_outputs + max(16 * nh * (size + n), 32 * nh * n_out)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
-    """Chirped input state, output-width hint, center-drift margin, automatic n."""
+    """Chirped input state, output half span, center-drift margin, automatic n."""
     # sizing hints only (coverage is enforced by the edge-mass check);
     # the core adds the lens chirp to the state itself
     moments = gaussian_output(cfg, state)
@@ -461,7 +441,7 @@ def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_si
     effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
     out_half = span_sigmas * hint + margin
     auto = suggested_input_samples(effective, cfg.escort, span_sigmas, max_tau, out_half)
-    return effective, hint, margin, auto
+    return effective, out_half, margin, auto
 
 
 def prepare_sweep(
@@ -486,14 +466,10 @@ def prepare_sweep(
     """
     taus = np.asarray(list(taus), dtype=float)
     max_tau = float(np.max(np.abs(taus)))
-    effective, hint, margin, auto = _planning_hints(cfg, state, max_tau, span_sigmas)
+    effective, out_half, margin, auto = _planning_hints(cfg, state, max_tau, span_sigmas)
     n = auto if n is None else n
     g1, gh = grids_for_state(effective, n=n, nh=nh, span_sigmas=span_sigmas)
-
-    out_grid = default_output_grid(
-        effective, cfg.escort, hint, g1.step, n=n_out, span_sigmas=span_sigmas,
-        extra_half_span=margin,
-    )
+    out_grid = default_output_grid(effective, cfg.escort, out_half, g1.step, n_out)
     out_fields = max(1, min(keep_fields, taus.size))
     need = grid_bytes(g1.n, gh.n, out_grid.n, out_fields)
     if need > GRID_BYTES_LIMIT:

@@ -152,15 +152,15 @@ def lcl_parameter(
     """Dimensionless large-chirp criterion 16 (A1+Ae)^2 (1-rho^2)^2 sigma1^4.
 
     The closed-form limits become exact when this is much greater than
-    one; LCL_THRESHOLD is the default flag threshold.
+    one; LCL_THRESHOLD is the flag threshold.
     """
     u = 4.0 * (signal_chirp + escort_chirp) * sigma1**2
     return u**2 * (1.0 - rho**2) ** 2
 
 
-def lcl_regime(parameter: float, threshold: float = LCL_THRESHOLD) -> str:
-    """Classify a large-chirp parameter as satisfied, marginal, or violated."""
-    if parameter > threshold:
+def lcl_regime(parameter: float) -> str:
+    """Classify a large-chirp parameter: satisfied above LCL_THRESHOLD, marginal above 1."""
+    if parameter > LCL_THRESHOLD:
         return "satisfied"
     if parameter > 1.0:
         return "marginal"
@@ -300,9 +300,7 @@ def tunability(
     raise ValueError(f"unknown tunability regime: {regime!r}")
 
 
-def predict_output(
-    cfg: LensConfig, state: GaussianJSA, lcl_threshold: float = LCL_THRESHOLD
-) -> OutputStatePrediction:
+def predict_output(cfg: LensConfig, state: GaussianJSA) -> OutputStatePrediction:
     """Full closed-form output prediction for any Gaussian acceptance.
 
     Each center sits at its nominal frequency plus the shift of an
@@ -317,7 +315,7 @@ def predict_output(
     a1 = cfg.total_signal_chirp(state)
     lcl = lcl_parameter(a1, cfg.escort_chirp, state.sigma1, state.rho)
     flags = set()
-    if lcl > lcl_threshold:
+    if lcl > LCL_THRESHOLD:
         flags.add("lcl_satisfied")
     escort_duration = (
         math.sqrt(1.0 + 16.0 * cfg.escort_chirp**2 * cfg.escort.sigma**4)
@@ -343,15 +341,15 @@ def predict_output(
     )
 
 
-def phasematch_restrictive(cfg: LensConfig, state: GaussianJSA, tolerance: float = 0.01) -> bool:
-    """Whether the acceptance narrows the output signal beyond the tolerance.
+def phasematch_restrictive(cfg: LensConfig, state: GaussianJSA) -> bool:
+    """Whether the acceptance narrows the output signal by more than 1 percent.
 
     Compares the core's signal width with and without the acceptance; a
-    fractional narrowing above the tolerance flags the configuration as
+    fractional narrowing above 1 percent flags the configuration as
     phasematch limited.
     """
     if cfg.phasematching.is_infinite:
         return False
     open_cfg = replace(cfg, phasematching=PhasematchingModel.infinite())
     open_sigma3 = gaussian_output(open_cfg, state).sigma3
-    return gaussian_output(cfg, state).sigma3 < (1.0 - tolerance) * open_sigma3
+    return gaussian_output(cfg, state).sigma3 < 0.99 * open_sigma3

@@ -1,11 +1,11 @@
-"""Self-contained SVG heatmaps with an optional Gaussian contour overlay.
+"""Self-contained SVG heatmaps of joint spectra with an optional Gaussian contour overlay.
 
-The intensity matrix is rendered as a base64-embedded PNG (written with
-the standard library, no filtering, maximum deflate level, so identical
-inputs give identical bytes) under a fixed five-anchor color ramp.  Axis
-extents are drawn as tick labels and also embedded at full precision in
-a metadata block so downstream checks can match the image against the
-exported grids exactly.
+The intensity over signal and herald wavelength (nm) is rendered as a
+base64-embedded PNG (written with the standard library, no filtering,
+maximum deflate level, so identical inputs give identical bytes) under a
+fixed five-anchor color ramp.  Axis extents are drawn as five tick labels
+and also embedded at full precision in a metadata block so downstream
+checks can match the image against the exported grids exactly.
 """
 
 from __future__ import annotations
@@ -73,26 +73,20 @@ def _png_encode(rgb: np.ndarray) -> bytes:
     )
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    return np.linspace(lo, hi, count)
-
-
 def render_heatmap(
     matrix: np.ndarray,
     x_axis: np.ndarray,
     y_axis: np.ndarray,
     path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
     contour=None,
-    metadata: dict | None = None,
 ) -> None:
-    """Write an SVG heatmap of matrix[i, j] over (x_axis[i], y_axis[j]).
+    """Write an SVG heatmap of matrix[i, j] over (x_axis[i], y_axis[j]) in nm.
 
     contour, when given, is (cx, cy, cov, level) describing the ellipse
     x^T cov^-1 x = level around (cx, cy) in data coordinates; it is drawn
-    in white on top of the image.  metadata is embedded as JSON.
+    in white on top of the image.  The axis extents and unit are embedded
+    as JSON metadata.
     """
     matrix = np.asarray(matrix, dtype=float)
     x_axis = np.asarray(x_axis, dtype=float)
@@ -128,16 +122,14 @@ def render_heatmap(
         "y_start": y_lo,
         "y_stop": y_hi,
         "y_n": int(y_axis.size),
+        "axes_unit": "nm",
     }
-    if metadata:
-        meta.update(metadata)
     parts.append("<metadata>" + json.dumps(meta, sort_keys=True) + "</metadata>")
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="30" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>'
+    )
     parts.append(
         f'<image x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'preserveAspectRatio="none" style="image-rendering:pixelated" '
@@ -147,7 +139,7 @@ def render_heatmap(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for xv in _ticks(x_lo, x_hi):
+    for xv in np.linspace(x_lo, x_hi, 5):
         xp = px(xv)
         parts.append(
             f'<line x1="{xp:.2f}" y1="{_MARGIN_T + plot_h}" x2="{xp:.2f}" '
@@ -157,7 +149,7 @@ def render_heatmap(
             f'<text x="{xp:.2f}" y="{_MARGIN_T + plot_h + 22}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{xv:.6g}</text>'
         )
-    for yv in _ticks(y_lo, y_hi):
+    for yv in np.linspace(y_lo, y_hi, 5):
         yp = py(yv)
         parts.append(
             f'<line x1="{_MARGIN_L - 6}" y1="{yp:.2f}" x2="{_MARGIN_L}" '
@@ -167,17 +159,16 @@ def render_heatmap(
             f'<text x="{_MARGIN_L - 10}" y="{yp + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12">{yv:.6g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="14">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="24" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" '
-            f'transform="rotate(-90 24 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
-        )
+    parts.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 18}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="14">signal wavelength (nm)</text>'
+    )
+    parts.append(
+        f'<text x="24" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14" '
+        f'transform="rotate(-90 24 {_MARGIN_T + plot_h / 2:.1f})">'
+        "herald wavelength (nm)</text>"
+    )
 
     if contour is not None:
         cx, cy, cov, level = contour

@@ -373,8 +373,8 @@ class TestG2:
 class TestSpectrumFromField:
     def test_axes_and_peak(self, exp_state):
         field = sample_jsa(exp_state, *grids_for_state(exp_state, n=128))
-        spec = spectrum_from_field(field, peak_counts=5000.0)
-        assert spec.counts.max() == pytest.approx(5000.0)
+        spec = spectrum_from_field(field)
+        assert spec.counts.max() == pytest.approx(1e4)
         lam_center = units.angular_to_wavelength(exp_state.omega1) * 1e9
         assert spec.lambda1_nm[0] < lam_center < spec.lambda1_nm[-1]
         fit = fit_gaussian_2d(spec).raw

@@ -85,6 +85,28 @@ def test_oversized_grid_rejected_before_sampling(command, key, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "flag, n, where",
+    [("15", "256", "--grid"), ("0", "256", "--grid"), ("-4", "256", "--grid"),
+     (None, "8", "[grid] n")],
+    ids=["flag-15", "flag-0", "flag-minus-4", "config-8"],
+)
+def test_grid_below_16_samples_rejected_before_sampling(
+    command, flag, n, where, tmp_path, monkeypatch, capsys
+):
+    # --grid 0 is refused, not read as "no flag"
+    monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
+    monkeypatch.setattr(cli, "sample_jsa", _no_sampling)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(FAST_SIM.replace("n = 256\nherald_n", f"n = {n}\nherald_n"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--grid", flag] if flag else [])) == 2
+    assert f"{where}: need at least 16 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_outputs_and_values(self, fast_cfg, tmp_path):
         out = tmp_path / "sim"
@@ -467,6 +489,21 @@ class TestFit:
         rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
         # deconvolution happened: corrected width below the raw one
         assert float(rows["signal_fwhm_nm"][3]) < float(rows["signal_fwhm_nm"][1])
+
+    @pytest.mark.parametrize("given", ["resolution_signal", "resolution_herald"])
+    def test_fit_one_sided_resolution_config_exit_2(self, tmp_path, capsys, given):
+        # one resolution alone is neither ignored nor paired with a zero
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        cfg = tmp_path / "oneres.cfg"
+        cfg.write_text(FAST_SIM + f"\n[analysis]\n{given} = 0.136 nm\n")
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+        out = tmp_path / "fit"
+        argv = ["fit", str(hist), "--config", str(cfg), "--trials", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "give both resolution_signal and resolution_herald" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_trials_and_seed_from_config(self, tmp_path, capsys):
         from test_analysis import RAW_INPUT, synth_spectrum

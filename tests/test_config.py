@@ -137,6 +137,22 @@ def test_too_few_trials_rejected():
         parse_config_text(GOOD.replace("trials = 100", "trials = 1"))
 
 
+@pytest.mark.parametrize("value", ["15", "8", "0", "-4"])
+@pytest.mark.parametrize("key", ["n", "herald_n", "output_n"])
+def test_grid_below_16_samples_rejected(key, value):
+    text = GOOD.replace("n = 256", f"{key} = {value}")
+    with pytest.raises(ConfigError, match=rf"\[grid\] {key}: need at least 16 samples"):
+        parse_config_text(text)
+    assert getattr(parse_config_text(GOOD.replace("n = 256", f"{key} = 16")).grid, key) == 16
+
+
+@pytest.mark.parametrize("dropped", ["resolution_signal", "resolution_herald"])
+def test_resolutions_come_in_pairs(dropped):
+    text = "\n".join(ln for ln in GOOD.splitlines() if not ln.startswith(dropped))
+    with pytest.raises(ConfigError, match="give both resolution_signal and resolution_herald"):
+        parse_config_text(text)
+
+
 def test_auto_grid():
     text = GOOD.replace("n = 256", "n = auto")
     assert parse_config_text(text).grid.n is None

@@ -1,0 +1,90 @@
+"""Every parameter with a default in the package has a caller that passes it.
+
+A default that no call site ever overrides is a setting nobody uses: it
+doubles the configurations the tests would have to cover and guards
+branches that never run.  This test parses the package's modules and every
+Python file under src/, tests/ and perfbench/ with ast, and fails on each
+defaulted parameter that no call passes, by keyword or by position.
+Calls are matched by the called name alone (a function, a method or an
+attribute of that name), and a call that unpacks *args or **kwargs counts
+as passing every positional or keyword parameter.
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "timelens"
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter, call position or None, line) of each defaulted parameter."""
+    methods = {
+        id(fn)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        # a bound method's first parameter is not written at the call
+        shift = 1 if id(fn) in methods else 0
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield fn.name, arg.arg, index - shift, fn.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None, fn.lineno
+
+
+def _call_sites():
+    """Called name -> list of (positional count, keyword names or None for **kwargs)."""
+    calls: dict[str, list] = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                n_positional = (
+                    math.inf
+                    if any(isinstance(a, ast.Starred) for a in node.args)
+                    else len(node.args)
+                )
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append(
+                    (n_positional, None if None in keywords else keywords)
+                )
+    return calls
+
+
+def _passed(sites, parameter: str, position: int | None) -> bool:
+    for n_positional, keywords in sites:
+        if keywords is None or parameter in keywords:
+            return True
+        if position is not None and n_positional > position:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = _call_sites()
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for fn, parameter, position, line in _defaulted_parameters(tree):
+            if not _passed(calls.get(fn, []), parameter, position):
+                unused.append(f"{module.name}:{line} {fn}({parameter})")
+    assert unused == [], "defaulted parameters no call passes: " + ", ".join(unused)
