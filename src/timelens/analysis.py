@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import brentq, least_squares
 
 from . import units
 # sfg_convolve is unused here but stays bound: perfbench/selftest.py
@@ -192,19 +190,24 @@ def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
     )
 
 
-def fit_gaussian_2d(spec: Spectrum2D) -> FitReport:
+def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) -> FitReport:
     """Least-squares elliptical-Gaussian fit with a constant offset.
 
     Initialization comes from intensity moments of the background-
-    subtracted histogram; the optimizer is a damped trust-region
-    least-squares scheme with relative parameter tolerance 1e-10 and an
-    iteration cap of 200.
+    subtracted histogram, or from start when it is given (the moments
+    are still taken, so a degenerate histogram raises either way); the
+    optimizer is a damped trust-region least-squares scheme with
+    relative parameter tolerance 1e-10 and a cap of 1000 evaluations.
     """
+    from scipy.optimize import least_squares
+
     if spec.counts.shape[0] < 6 or spec.counts.shape[1] < 6:
         raise ValueError("need at least 6x6 bins to fit")
     if spec.counts.sum() <= 0:
         raise DegenerateDataError("histogram holds no counts")
     init = _moment_initialization(spec)
+    if start is not None:
+        init = start
 
     l1 = spec.lambda1_nm
     lh = spec.lambdah_nm
@@ -398,8 +401,10 @@ def montecarlo_errorbars(
 ) -> MonteCarloResult:
     """Poissonian parameter error bars.
 
-    Each trial redraws every bin from a Poisson law whose mean is the
-    observed count, refits, and (when a resolution model is given)
+    The observed spectrum is fit once, and a failure of that fit is
+    raised before any trial runs.  Each trial redraws every bin from a
+    Poisson law whose mean is the observed count, refits starting from
+    the observed fit, and (when a resolution model is given)
     deconvolves; the reported error bars are the standard deviations of
     each parameter over the successful trials.  Per-trial generators are
     spawned from the seed, so results do not depend on execution order.
@@ -407,6 +412,7 @@ def montecarlo_errorbars(
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials")
+    observed = fit_gaussian_2d(spec).raw
     children = np.random.SeedSequence(seed).spawn(n_trials)
     samples: dict[str, list] = {}
     failures: Counter[str] = Counter()
@@ -416,7 +422,7 @@ def montecarlo_errorbars(
             spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
         )
         try:
-            report = fit_gaussian_2d(resampled)
+            report = fit_gaussian_2d(resampled, start=observed)
             values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
             if res is not None:
                 report = deconvolve_resolution(report, res)
@@ -468,6 +474,8 @@ def spectrum_from_field(field: GridField2D) -> Spectrum2D:
     the peak bin holds 1e4 counts.  Simulated spectra therefore carry
     float 'counts' usable directly as Poisson means.
     """
+    from scipy.interpolate import RegularGridInterpolator
+
     w1 = field.axis1.points
     wh = field.axis_h.points
     lam1 = np.linspace(
@@ -555,6 +563,8 @@ def calibrate_phasematching(sweep_data, cfg: LensConfig, state: GaussianJSA) -> 
     The herald-center slope simulated with the calibrated model is an
     independent prediction, not used in the fit.
     """
+    from scipy.optimize import brentq
+
     data = np.asarray(list(sweep_data), dtype=float)
     if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] != 2:
         raise ValueError("sweep data must be at least three (delay, center) pairs")

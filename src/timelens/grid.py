@@ -19,8 +19,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.fft
-from scipy.special import erfc
 
 from .config import MIN_GRID_SAMPLES, ConfigError
 from .lens import LensConfig, gaussian_output
@@ -171,7 +169,9 @@ class SweepResult:
 
 def _gaussian_tail_mass(center: float, sigma: float, lo: float, hi: float) -> float:
     sq2 = math.sqrt(2.0)
-    return 0.5 * (erfc((center - lo) / (sigma * sq2)) + erfc((hi - center) / (sigma * sq2)))
+    return 0.5 * (
+        math.erfc((center - lo) / (sigma * sq2)) + math.erfc((hi - center) / (sigma * sq2))
+    )
 
 
 def grids_for_state(
@@ -245,6 +245,8 @@ def sfg_convolve(
     input axis; the n_out rows it keeps never wrap at that length, so
     the result is the linear one.  Both agree to better than 1e-9.
     """
+    import scipy.fft
+
     w1 = field.axis1.points
     values = field.values
     if tau != 0.0:
@@ -414,17 +416,20 @@ def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
     Counted at the worst moment of a convolution, in complex n x nh
     inputs and n_out x nh outputs: three inputs (the sampled field,
     simulate's unchirped field and the delay-phased copy); the
-    out_fields kept outputs plus the previous delay's; and the larger of
-    the forward transform, where the transposed input copy and the FFT
-    workspace of next_fast_len(n + n_out - 1) x nh are alive together,
-    and the end of the call, after sfg_convolve frees the workspace,
+    out_fields kept outputs (a sweep frees each delay's output before
+    the next is convolved); and the larger of the forward transform,
+    where the transposed input copy and the FFT workspace of
+    next_fast_len(n + n_out - 1) x nh are alive together, and the end
+    of the call, after sfg_convolve frees the workspace,
     where the kept rows times the step are alive with their intensity
     (half an output) and then with their normalized copy.  pocketfft's
     internal scratch is not a numpy allocation and is not counted;
     tracemalloc does not see it.
     """
-    size = scipy.fft.next_fast_len(n + n_out - 1)
-    inputs_outputs = 16 * nh * (3 * n + (out_fields + 1) * n_out)
+    from scipy.fft import next_fast_len
+
+    size = next_fast_len(n + n_out - 1)
+    inputs_outputs = 16 * nh * (3 * n + out_fields * n_out)
     return inputs_outputs + max(16 * nh * (size + n), 32 * nh * n_out)
 
 
@@ -540,6 +545,8 @@ def delay_sweep(
         points.append((float(tau), intensity_moments(out), weight))
         if len(fields) < keep_fields:
             fields.append(out)
+        # free this delay's output before the next one is convolved
+        del out
 
     max_weight = max(w for _, _, w in points)
     rows = tuple(

@@ -7,8 +7,10 @@ the paper's hand-expanded width and correlation formulas, the
 normalization checks from composite Simpson quadrature, expected
 deconvolutions from direct quadrature subtraction, heatmap colors
 from fancy-indexing whole rows of the color ramp, Schmidt numbers from
-a full singular value decomposition, and field CSV files from one
-formatted tuple per grid point.  Tests compare the
+a full singular value decomposition, field CSV files from one
+formatted tuple per grid point, and Monte Carlo error bars from the
+linearized least-squares covariance and from a trial loop whose refits
+start from the intensity moments.  Tests compare the
 package against numbers produced here, and the two engines against each
 other.
 """
@@ -136,6 +138,102 @@ def write_field_csv_rows(field, path, header: str) -> None:
         fh.write(header + "\n")
         for row in zip(w1, wh, intensity, phase):
             fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
+
+
+FIT_KEYS = (
+    "amplitude",
+    "signal_center_nm",
+    "herald_center_nm",
+    "signal_fwhm_nm",
+    "herald_fwhm_nm",
+    "rho",
+    "offset",
+)
+
+
+def gaussian_jacobian(params, lambda1_nm, lambdah_nm) -> np.ndarray:
+    """Derivatives of the fit surface by the FIT_KEYS parameters, one row per bin.
+
+    Written from the precision-matrix form: with d = (l1 - c1, lh - ch)
+    and P the inverse of the covariance [[s1^2, rho s1 sh], [rho s1 sh,
+    sh^2]], the surface is offset + amplitude exp(-q / 2) with q = d^T P d,
+    and every shape derivative is -amplitude exp(-q / 2) / 2 times that
+    of q.  Widths enter as FWHM = FWHM-factor x sigma.
+    """
+    s1 = params.fwhm1_nm / FWHM
+    sh = params.fwhmh_nm / FWHM
+    rho = params.rho
+    m = 1.0 - rho**2
+    d1 = np.asarray(lambda1_nm, dtype=float)[:, None] - params.center1_nm
+    dh = np.asarray(lambdah_nm, dtype=float)[None, :] - params.centerh_nm
+    p11, p12, phh = 1.0 / (m * s1**2), -rho / (m * s1 * sh), 1.0 / (m * sh**2)
+    q = p11 * d1**2 + 2.0 * p12 * d1 * dh + phh * dh**2
+    e = np.exp(-0.5 * q)
+    dq = (
+        -2.0 * (p11 * d1 + p12 * dh),
+        -2.0 * (p12 * d1 + phh * dh),
+        (-2.0 * p11 * d1**2 - 2.0 * p12 * d1 * dh) / s1 / FWHM,
+        (-2.0 * phh * dh**2 - 2.0 * p12 * d1 * dh) / sh / FWHM,
+        (2.0 * rho * q - 2.0 * d1 * dh / (s1 * sh)) / m,
+    )
+    cols = [e] + [-0.5 * params.amplitude * e * g for g in dq] + [np.ones_like(e)]
+    return np.stack([c.ravel() for c in cols], axis=1)
+
+
+def linearized_errorbars(spec, params) -> dict:
+    """Poissonian error bars of the unweighted fit, linearized at params.
+
+    The sandwich (J^T J)^-1 J^T diag(counts) J (J^T J)^-1 with the
+    Jacobian of gaussian_jacobian: the covariance of a least-squares
+    estimate whose bins are independent with variance equal to their
+    observed counts, to first order in the fluctuations.
+    """
+    jac = gaussian_jacobian(params, spec.lambda1_nm, spec.lambdah_nm)
+    scale = np.linalg.norm(jac, axis=0)
+    js = jac / scale
+    bread = np.linalg.inv(js.T @ js)
+    meat = (js.T * spec.counts.ravel()) @ js
+    cov = bread @ meat @ bread / np.outer(scale, scale)
+    return dict(zip(FIT_KEYS, np.sqrt(np.diag(cov))))
+
+
+def moment_started_errorbars(spec, res, n_trials: int, seed: int):
+    """Monte Carlo error bars with every refit started from its intensity moments.
+
+    The trial loop of timelens.analysis.montecarlo_errorbars with the
+    same per-trial generators, but each refit begins at the moment
+    estimate of its own resampled histogram instead of at the observed
+    fit.  Returns (errors by key, failure counts by exception name).
+    """
+    from timelens import analysis
+
+    children = np.random.SeedSequence(seed).spawn(n_trials)
+    samples: dict = {}
+    failures: dict = {}
+    for child in children:
+        rng = np.random.default_rng(child)
+        resampled = analysis.Spectrum2D(
+            spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
+        )
+        try:
+            report = analysis.fit_gaussian_2d(resampled)
+            values = {f"raw_{k}": v for k, v in analysis.fit_values(report.raw).items()}
+            if res is not None:
+                report = analysis.deconvolve_resolution(report, res)
+                values.update(
+                    {f"dec_{k}": v for k, v in analysis.fit_values(report.deconvolved).items()}
+                )
+        except (
+            analysis.DegenerateDataError,
+            analysis.FitConvergenceError,
+            analysis.UnphysicalDeconvolutionError,
+        ) as exc:
+            failures[type(exc).__name__] = failures.get(type(exc).__name__, 0) + 1
+            continue
+        for k, v in values.items():
+            samples.setdefault(k, []).append(v)
+    errors = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
+    return errors, failures
 
 
 def thz_per_ps(slope_rad_per_s2: float) -> float:

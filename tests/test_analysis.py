@@ -295,17 +295,76 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             montecarlo_errorbars(spec, n_trials=1)
 
+    @pytest.mark.parametrize("res", [None, RES_INPUT], ids=["raw", "deconvolved"])
+    def test_warm_start_finds_moment_started_optima(self, res):
+        # starting each refit from the observed fit moves only the path
+        # of the optimizer, not the optimum it converges to
+        rng = np.random.default_rng(41)
+        model = synth_spectrum(replace(RAW_INPUT, amplitude=3000.0, offset=20.0), n1=28, nh=26)
+        spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
+        mc = montecarlo_errorbars(spec, res, n_trials=40, seed=9)
+        errors, failures = oracles.moment_started_errorbars(spec, res, n_trials=40, seed=9)
+        assert mc.failures == failures == {}
+        assert mc.errors.keys() == errors.keys()
+        for key, sigma in errors.items():
+            assert mc.errors[key] == pytest.approx(sigma, rel=1e-6, abs=0.0), key
+
+    def test_refits_start_from_observed_fit(self, monkeypatch):
+        starts = []
+        original = analysis.fit_gaussian_2d
+
+        def recording(spec, **kwargs):
+            starts.append(kwargs.get("start"))
+            return original(spec, **kwargs)
+
+        monkeypatch.setattr(analysis, "fit_gaussian_2d", recording)
+        spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        montecarlo_errorbars(spec, n_trials=10, seed=3)
+        assert starts == [None] + [original(spec).raw] * 10
+
+    def test_degenerate_observed_histogram_raises_before_trials(self, monkeypatch):
+        calls = []
+        original = analysis.fit_gaussian_2d
+
+        def counting(spec, **kwargs):
+            calls.append(spec)
+            return original(spec, **kwargs)
+
+        monkeypatch.setattr(analysis, "fit_gaussian_2d", counting)
+        lam = np.linspace(810.0, 812.0, 12)
+        flat = Spectrum2D(lam, lam, np.full((12, 12), 50.0))
+        with pytest.raises(DegenerateDataError):
+            montecarlo_errorbars(flat, n_trials=20, seed=1)
+        assert len(calls) == 1
+
+    def test_matches_linearized_oracle(self):
+        # at 2e4 peak counts the fit is close to linear in the bin
+        # fluctuations, so the sandwich covariance at the observed fit
+        # predicts every raw error bar; a Monte Carlo error bar is a
+        # standard deviation over N trials, with relative sampling error
+        # 1/sqrt(2(N-1)) = 0.050 at N = 200, and the bound is four of those
+        n_trials = 200
+        rng = np.random.default_rng(17)
+        model = synth_spectrum(replace(RAW_INPUT, amplitude=2e4, offset=100.0), n1=32, nh=30)
+        spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
+        mc = montecarlo_errorbars(spec, n_trials=n_trials, seed=5)
+        linear = oracles.linearized_errorbars(spec, fit_gaussian_2d(spec).raw)
+        bound = 4.0 / math.sqrt(2.0 * (n_trials - 1))
+        assert mc.failures == {}
+        for key, sigma in linear.items():
+            assert mc.errors[f"raw_{key}"] == pytest.approx(sigma, rel=bound), key
+
 
 def fail_every_third_refit(monkeypatch):
     """Make every third fit looked up in analysis (the Monte Carlo refits) fail."""
     calls = []
     original = analysis.fit_gaussian_2d
 
-    def flaky(spec):
+    def flaky(spec, **kwargs):
         calls.append(spec)
         if len(calls) % 3 == 0:
             raise FitConvergenceError("no convergence")
-        return original(spec)
+        return original(spec, **kwargs)
 
     monkeypatch.setattr(analysis, "fit_gaussian_2d", flaky)
 

@@ -601,12 +601,14 @@ class TestValidateCommand:
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal alone took about half a second to import
+    # importing scipy's submodules took most of a second; --version and a
+    # configuration error need none of them, so no scipy module loads
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, timelens.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+        "assert timelens.cli.main(['simulate', '--config', 'no-such.cfg']) == 2; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
