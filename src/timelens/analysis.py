@@ -132,7 +132,9 @@ class MonteCarloResult:
     """Per-parameter standard deviations from Poissonian resampling.
 
     failures counts the failed trials by exception type name; it is empty
-    when every trial converged.
+    when every trial converged.  observed is the fit of the observed
+    spectrum, whose raw parameters start every refit, deconvolved when a
+    resolution model was given.
     """
 
     errors: dict
@@ -140,6 +142,7 @@ class MonteCarloResult:
     failure_rate: float
     unreliable: bool
     failures: dict[str, int]
+    observed: FitReport
 
 
 @dataclass(frozen=True)
@@ -163,13 +166,18 @@ def gaussian2d_model(params: GaussianFitParams, lambda1_nm, lambdah_nm) -> np.nd
 
 def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
     counts = spec.counts
+    if counts.sum() <= 0:
+        raise DegenerateDataError("histogram holds no counts")
     if counts.max() <= counts.min():
         raise DegenerateDataError("histogram is constant; nothing to fit")
     border = np.concatenate(
         [counts[0, :], counts[-1, :], counts[1:-1, 0], counts[1:-1, -1]]
     )
     offset0 = float(np.median(border))
-    w = np.clip(counts - offset0, 0.0, None)
+    # only bins 3 Poisson sigma above the background weigh in: the
+    # shot noise of a large background would otherwise widen the moments
+    above = counts - offset0
+    w = np.where(above > 3.0 * math.sqrt(offset0), above, 0.0)
     if not w.any():
         raise DegenerateDataError("no counts above the background level")
     c1, ch, v1, vh, cov = weighted_moments(w, spec.lambda1_nm, spec.lambdah_nm)
@@ -190,6 +198,79 @@ def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
     )
 
 
+def _to_vector(params: GaussianFitParams) -> np.ndarray:
+    """Fit parameters as the solvers' vector, with widths as sigma."""
+    return np.array(
+        [
+            params.amplitude,
+            params.center1_nm,
+            params.centerh_nm,
+            units.fwhm_to_sigma(params.fwhm1_nm),
+            units.fwhm_to_sigma(params.fwhmh_nm),
+            params.rho,
+            params.offset,
+        ]
+    )
+
+
+def _from_vector(x) -> GaussianFitParams:
+    amp, c1, ch, s1, sh, rho, off = (float(v) for v in x)
+    return GaussianFitParams(
+        amplitude=amp,
+        center1_nm=c1,
+        centerh_nm=ch,
+        fwhm1_nm=units.sigma_to_fwhm(s1),
+        fwhmh_nm=units.sigma_to_fwhm(sh),
+        rho=rho,
+        offset=off,
+    )
+
+
+def _fit_bounds(l1: np.ndarray, lh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the fit vector on an axis pair."""
+    span1 = l1[-1] - l1[0]
+    spanh = lh[-1] - lh[0]
+    lower = [0.0, l1[0] - span1, lh[0] - spanh, 1e-6 * span1, 1e-6 * spanh, -0.999, -np.inf]
+    upper = [np.inf, l1[-1] + span1, lh[-1] + spanh, 10.0 * span1, 10.0 * spanh, 0.999, np.inf]
+    return np.array(lower), np.array(upper)
+
+
+def _gaussian_residuals(p, l1: np.ndarray, lh: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the fit surface and their Jacobian, transposed.
+
+    p holds (amplitude, center1, centerh, sigma1, sigmah, rho, offset)
+    on its last axis, and counts the histograms on their last two; any
+    leading axes (one per trial) broadcast.  Returns the residuals,
+    shape (..., bins), and the Jacobian with one row per parameter,
+    shape (..., 7, bins).
+    """
+    amp, c1, ch, s1, sh, rho, off = (p[..., i, None, None] for i in range(7))
+    m = 1.0 - rho**2
+    d1 = (l1[:, None] - c1) / s1
+    dh = (lh[None, :] - ch) / sh
+    u1 = d1 - rho * dh
+    uh = dh - rho * d1
+    q = (d1 * u1 + dh * uh) / m
+    lead = q.shape[:-2]
+    # each row is written in place: fresh temporaries per row cost more
+    # than the arithmetic on a histogram of a few thousand bins
+    jac = np.empty(lead + (7,) + q.shape[-2:])
+    e = np.exp(-0.5 * q, out=jac[..., 0, :, :])
+    ae = amp * e
+    g = ae / m
+    a1 = np.multiply(g, u1 / s1, out=jac[..., 1, :, :])
+    ah = np.multiply(g, uh / sh, out=jac[..., 2, :, :])
+    np.multiply(a1, d1, out=jac[..., 3, :, :])
+    np.multiply(ah, dh, out=jac[..., 4, :, :])
+    np.multiply(g, d1 * dh - rho * q, out=jac[..., 5, :, :])
+    jac[..., 6, :, :] = 1.0
+    return (off + ae - counts).reshape(*lead, -1), jac.reshape(*lead, 7, -1)
+
+
+# relative step at which a fit stops (the trust-region fit's xtol)
+XTOL = 1e-10
+
+
 def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) -> FitReport:
     """Least-squares elliptical-Gaussian fit with a constant offset.
 
@@ -203,66 +284,21 @@ def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) ->
 
     if spec.counts.shape[0] < 6 or spec.counts.shape[1] < 6:
         raise ValueError("need at least 6x6 bins to fit")
-    if spec.counts.sum() <= 0:
-        raise DegenerateDataError("histogram holds no counts")
     init = _moment_initialization(spec)
     if start is not None:
         init = start
 
     l1 = spec.lambda1_nm
     lh = spec.lambdah_nm
-    span1 = l1[-1] - l1[0]
-    spanh = lh[-1] - lh[0]
-    x0 = np.array(
-        [
-            init.amplitude,
-            init.center1_nm,
-            init.centerh_nm,
-            units.fwhm_to_sigma(init.fwhm1_nm),
-            units.fwhm_to_sigma(init.fwhmh_nm),
-            init.rho,
-            init.offset,
-        ]
-    )
-    lower = [0.0, l1[0] - span1, lh[0] - spanh, 1e-6 * span1, 1e-6 * spanh, -0.999, -np.inf]
-    upper = [np.inf, l1[-1] + span1, lh[-1] + spanh, 10.0 * span1, 10.0 * spanh, 0.999, np.inf]
-    x0 = np.clip(x0, lower, upper)
-
     counts = spec.counts
-
-    def residuals(p):
-        amp, c1, ch, s1, sh, rho, off = p
-        d1 = (l1[:, None] - c1) / s1
-        dh = (lh[None, :] - ch) / sh
-        q = (d1**2 - 2.0 * rho * d1 * dh + dh**2) / (1.0 - rho**2)
-        return (off + amp * np.exp(-0.5 * q) - counts).ravel()
-
-    def jacobian(p):
-        amp, c1, ch, s1, sh, rho, off = p
-        m = 1.0 - rho**2
-        d1 = (l1[:, None] - c1) / s1
-        dh = (lh[None, :] - ch) / sh
-        q = (d1**2 - 2.0 * rho * d1 * dh + dh**2) / m
-        e = np.exp(-0.5 * q)
-        ae = amp * e
-        cols = (
-            e,
-            ae * (d1 - rho * dh) / (s1 * m),
-            ae * (dh - rho * d1) / (sh * m),
-            ae * d1 * (d1 - rho * dh) / (s1 * m),
-            ae * dh * (dh - rho * d1) / (sh * m),
-            -ae * (rho * q - d1 * dh) / m,
-            np.ones_like(e),
-        )
-        return np.stack([c.ravel() for c in cols], axis=1)
-
+    lower, upper = _fit_bounds(l1, lh)
     result = least_squares(
-        residuals,
-        x0,
-        jac=jacobian,
+        lambda p: _gaussian_residuals(p, l1, lh, counts)[0],
+        np.clip(_to_vector(init), lower, upper),
+        jac=lambda p: _gaussian_residuals(p, l1, lh, counts)[1].T,
         bounds=(lower, upper),
         method="trf",
-        xtol=1e-10,
+        xtol=XTOL,
         ftol=1e-12,
         gtol=1e-12,
         max_nfev=1000,
@@ -270,17 +306,7 @@ def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) ->
     )
     if not result.success:
         raise FitConvergenceError(f"fit did not converge: {result.message}")
-    amp, c1, ch, s1, sh, rho, off = result.x
-    raw = GaussianFitParams(
-        amplitude=float(amp),
-        center1_nm=float(c1),
-        centerh_nm=float(ch),
-        fwhm1_nm=units.sigma_to_fwhm(float(s1)),
-        fwhmh_nm=units.sigma_to_fwhm(float(sh)),
-        rho=float(rho),
-        offset=float(off),
-    )
-    return FitReport(raw=raw)
+    return FitReport(raw=_from_vector(result.x))
 
 
 # bins kept per axis by contour_subsample, and bins it keeps across a peak
@@ -393,6 +419,50 @@ def fit_values(params: GaussianFitParams) -> dict:
     return out
 
 
+# Monte Carlo refits run Gauss-Newton on chunks of this many trials, so the
+# Jacobian stack stays a few hundred kB, and a trial that has not stopped
+# after GN_MAX_ITERATIONS steps goes to the trust-region fit
+MC_CHUNK_TRIALS = 4
+GN_MAX_ITERATIONS = 20
+
+
+def _gauss_newton(x0: np.ndarray, spec: Spectrum2D, counts: np.ndarray) -> np.ndarray:
+    """Undamped Gauss-Newton refits of a stack of histograms, all from x0.
+
+    counts has shape (trials, n1, nh) on spec's axes.  A row stops once
+    its step passes XTOL in the Jacobian-scaled variables of the
+    trust-region fit (x_scale="jac"), ||D dx|| < XTOL (XTOL + ||D x||)
+    with D the Jacobian's column norms, and is not stepped again, so a
+    row's result does not depend on the other rows of the stack.
+    Returns one parameter vector per histogram, NaN where the fit did not
+    stop within GN_MAX_ITERATIONS, took a non-finite step or ended
+    outside fit_gaussian_2d's bounds: such a trial is for that fit.
+    """
+    lower, upper = _fit_bounds(spec.lambda1_nm, spec.lambdah_nm)
+    x = np.repeat(x0[None, :], counts.shape[0], axis=0)
+    rows = np.arange(counts.shape[0])
+    fitted = np.full(x.shape, np.nan)
+    for _ in range(GN_MAX_ITERATIONS):
+        r, jac_t = _gaussian_residuals(x, spec.lambda1_nm, spec.lambdah_nm, counts)
+        normal = jac_t @ jac_t.swapaxes(1, 2)
+        try:
+            step = np.linalg.solve(normal, -(jac_t @ r[..., None]))[..., 0]
+        except np.linalg.LinAlgError:
+            # a singular normal matrix sends the rest of the stack to the fallback
+            break
+        d = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
+        stopped = np.linalg.norm(d * step, axis=1) < XTOL * (XTOL + np.linalg.norm(d * x, axis=1))
+        x = x + step
+        finite = np.isfinite(x).all(axis=1)
+        inside = ((x >= lower) & (x <= upper)).all(axis=1)
+        fitted[rows[stopped & finite & inside]] = x[stopped & finite & inside]
+        going = finite & ~stopped
+        x, counts, rows = x[going], counts[going], rows[going]
+        if rows.size == 0:
+            break
+    return fitted
+
+
 def montecarlo_errorbars(
     spec: Spectrum2D,
     res: ResolutionModel | None = None,
@@ -401,39 +471,62 @@ def montecarlo_errorbars(
 ) -> MonteCarloResult:
     """Poissonian parameter error bars.
 
-    The observed spectrum is fit once, and a failure of that fit is
-    raised before any trial runs.  Each trial redraws every bin from a
-    Poisson law whose mean is the observed count, refits starting from
-    the observed fit, and (when a resolution model is given)
-    deconvolves; the reported error bars are the standard deviations of
-    each parameter over the successful trials.  Per-trial generators are
-    spawned from the seed, so results do not depend on execution order.
-    A failure rate above 5 percent marks the result as unreliable.
+    The observed spectrum is fit (and deconvolved) once, and a failure
+    of either is raised before any trial runs.  Each trial redraws every
+    bin from a Poisson law whose mean is the observed count, refits
+    starting from the observed fit, and (when a resolution model is
+    given) deconvolves; the reported error bars are the standard
+    deviations of each parameter over the successful trials.  A refit is
+    undamped Gauss-Newton on chunks of MC_CHUNK_TRIALS trials; a trial
+    it does not settle inside the fit bounds is refit by fit_gaussian_2d
+    from the observed fit, so both paths count the same failures.
+    Per-trial generators are spawned from the seed and each draw is made
+    when its chunk runs, so results depend neither on execution order
+    nor on the chunk size.  A failure rate above 5 percent marks the
+    result as unreliable.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials")
-    observed = fit_gaussian_2d(spec).raw
+    observed = fit_gaussian_2d(spec)
+    if res is not None:
+        observed = deconvolve_resolution(observed, res)
+    x_observed = _to_vector(observed.raw)
     children = np.random.SeedSequence(seed).spawn(n_trials)
     samples: dict[str, list] = {}
     failures: Counter[str] = Counter()
-    for child in children:
-        rng = np.random.default_rng(child)
-        resampled = Spectrum2D(
-            spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
-        )
-        try:
-            report = fit_gaussian_2d(resampled, start=observed)
-            values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
-            if res is not None:
-                report = deconvolve_resolution(report, res)
-                values.update(
-                    {f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()}
-                )
-        except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError) as exc:
-            failures[type(exc).__name__] += 1
+    for first in range(0, n_trials, MC_CHUNK_TRIALS):
+        draws = []
+        for child in children[first : first + MC_CHUNK_TRIALS]:
+            rng = np.random.default_rng(child)
+            resampled = Spectrum2D(
+                spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
+            )
+            try:
+                _moment_initialization(resampled)
+            except DegenerateDataError as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            draws.append(resampled)
+        if not draws:
             continue
-        for k, v in values.items():
-            samples.setdefault(k, []).append(v)
+        fitted = _gauss_newton(x_observed, spec, np.stack([d.counts for d in draws]))
+        for resampled, x in zip(draws, fitted):
+            try:
+                if np.isnan(x).any():
+                    report = fit_gaussian_2d(resampled, start=observed.raw)
+                else:
+                    report = FitReport(raw=_from_vector(x))
+                values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
+                if res is not None:
+                    report = deconvolve_resolution(report, res)
+                    values.update(
+                        {f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()}
+                    )
+            except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError) as exc:
+                failures[type(exc).__name__] += 1
+                continue
+            for k, v in values.items():
+                samples.setdefault(k, []).append(v)
 
     n_failed = failures.total()
     n_ok = n_trials - n_failed
@@ -449,6 +542,7 @@ def montecarlo_errorbars(
         failure_rate=failure_rate,
         unreliable=failure_rate > 0.05,
         failures=dict(failures),
+        observed=observed,
     )
 
 

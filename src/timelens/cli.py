@@ -26,7 +26,6 @@ from .analysis import (
     FitConvergenceError,
     ResolutionModel,
     contour_subsample,
-    deconvolve_resolution,
     fit_gaussian_2d,
     fit_values,
     montecarlo_errorbars,
@@ -344,11 +343,10 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"--trials: need at least 2 Monte Carlo trials, got {trials}")
     seed = settings.seed if args.seed is None else args.seed
 
-    report = fit_gaussian_2d(spec)
-    if res is not None:
-        # zero resolutions give the identity deconvolution
-        report = deconvolve_resolution(report, res)
+    # the report's values are the observed fit the Monte Carlo starts from;
+    # zero resolutions give the identity deconvolution
     mc = montecarlo_errorbars(spec, res, n_trials=trials, seed=seed)
+    report = mc.observed
 
     raw_vals = fit_values(report.raw)
     dec_vals = fit_values(report.deconvolved) if report.deconvolved else {}

@@ -9,8 +9,9 @@ deconvolutions from direct quadrature subtraction, heatmap colors
 from fancy-indexing whole rows of the color ramp, Schmidt numbers from
 a full singular value decomposition, field CSV files from one
 formatted tuple per grid point, and Monte Carlo error bars from the
-linearized least-squares covariance and from a trial loop whose refits
-start from the intensity moments.  Tests compare the
+linearized least-squares covariance and from a trial loop that refits
+each trial with the trust-region fit, from the intensity moments or from
+the observed fit.  Tests compare the
 package against numbers produced here, and the two engines against each
 other.
 """
@@ -197,13 +198,15 @@ def linearized_errorbars(spec, params) -> dict:
     return dict(zip(FIT_KEYS, np.sqrt(np.diag(cov))))
 
 
-def moment_started_errorbars(spec, res, n_trials: int, seed: int):
-    """Monte Carlo error bars with every refit started from its intensity moments.
+def trf_trials(spec, res, n_trials: int, seed: int, start):
+    """Monte Carlo trials refit one by one with the trust-region fit.
 
-    The trial loop of timelens.analysis.montecarlo_errorbars with the
-    same per-trial generators, but each refit begins at the moment
-    estimate of its own resampled histogram instead of at the observed
-    fit.  Returns (errors by key, failure counts by exception name).
+    The per-trial loop of timelens.analysis.montecarlo_errorbars before
+    its Gauss-Newton refits, with the same per-trial generators: every
+    resampled histogram is refit by fit_gaussian_2d from start, or from
+    its own intensity moments when start is None, then deconvolved when
+    res is given.  Returns (per-trial values by key, over the successful
+    trials in order; failure counts by exception name).
     """
     from timelens import analysis
 
@@ -216,7 +219,7 @@ def moment_started_errorbars(spec, res, n_trials: int, seed: int):
             spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
         )
         try:
-            report = analysis.fit_gaussian_2d(resampled)
+            report = analysis.fit_gaussian_2d(resampled, start=start)
             values = {f"raw_{k}": v for k, v in analysis.fit_values(report.raw).items()}
             if res is not None:
                 report = analysis.deconvolve_resolution(report, res)
@@ -232,8 +235,18 @@ def moment_started_errorbars(spec, res, n_trials: int, seed: int):
             continue
         for k, v in values.items():
             samples.setdefault(k, []).append(v)
-    errors = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
-    return errors, failures
+    return samples, failures
+
+
+def moment_started_errorbars(spec, res, n_trials: int, seed: int):
+    """Monte Carlo error bars with every refit started from its intensity moments.
+
+    trf_trials with no start: each refit begins at the moment estimate
+    of its own resampled histogram instead of at the observed fit.
+    Returns (errors by key, failure counts by exception name).
+    """
+    samples, failures = trf_trials(spec, res, n_trials, seed, None)
+    return {k: float(np.std(v, ddof=1)) for k, v in samples.items()}, failures
 
 
 def thz_per_ps(slope_rad_per_s2: float) -> float:

@@ -148,6 +148,36 @@ class TestFitGaussian2D:
                 getattr(RAW_INPUT, name), rel=1e-7
             ), name
 
+    def test_residuals_and_jacobian_match_oracle(self):
+        # one stack of two parameter sets, against the precision-matrix
+        # Jacobian of the oracle; widths enter the helper as sigma
+        lam1 = np.linspace(800.0, 822.0, 30)
+        lamh = np.linspace(730.0, 750.0, 26)
+        sets = [RAW_INPUT, replace(RAW_INPUT, rho=0.4, center1_nm=806.0, fwhmh_nm=6.1)]
+        counts = np.random.default_rng(3).poisson(50.0, (2, 30, 26)).astype(float)
+        r, jac_t = analysis._gaussian_residuals(
+            np.stack([analysis._to_vector(p) for p in sets]), lam1, lamh, counts
+        )
+        for i, params in enumerate(sets):
+            want_r = (gaussian2d_model(params, lam1, lamh) - counts[i]).ravel()
+            np.testing.assert_allclose(r[i], want_r, rtol=0, atol=1e-12 * params.amplitude)
+            want = oracles.gaussian_jacobian(params, lam1, lamh)
+            got = jac_t[i].T * np.array([1, 1, 1, 1 / oracles.FWHM, 1 / oracles.FWHM, 1, 1])
+            for k in range(7):
+                np.testing.assert_allclose(
+                    got[:, k], want[:, k], rtol=0, atol=1e-10 * np.abs(want[:, k]).max()
+                )
+
+    def test_moment_start_converges_at_high_counts(self):
+        # the test_matches_linearized_oracle histogram: the shot noise of
+        # its 100-count background once widened the moment start enough
+        # that 3 of these 200 fits ran out of evaluations
+        rng = np.random.default_rng(17)
+        model = synth_spectrum(replace(RAW_INPUT, amplitude=2e4, offset=100.0), n1=32, nh=30)
+        spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
+        _, failures = oracles.moment_started_errorbars(spec, None, n_trials=200, seed=5)
+        assert failures == {}
+
     def test_flat_background_degenerate(self):
         lam = np.linspace(810, 812, 10)
         with pytest.raises(DegenerateDataError):
@@ -310,17 +340,104 @@ class TestMonteCarlo:
             assert mc.errors[key] == pytest.approx(sigma, rel=1e-6, abs=0.0), key
 
     def test_refits_start_from_observed_fit(self, monkeypatch):
-        starts = []
-        original = analysis.fit_gaussian_2d
-
-        def recording(spec, **kwargs):
-            starts.append(kwargs.get("start"))
-            return original(spec, **kwargs)
-
-        monkeypatch.setattr(analysis, "fit_gaussian_2d", recording)
+        # on both paths: the Gauss-Newton stacks, and the trust-region
+        # fallback, where no Gauss-Newton step is allowed
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        observed = fit_gaussian_2d(spec).raw
+        stacks = []
+        original_gn = analysis._gauss_newton
+
+        def recording_gn(x0, spec, counts):
+            stacks.append((x0.copy(), len(counts)))
+            return original_gn(x0, spec, counts)
+
+        monkeypatch.setattr(analysis, "_gauss_newton", recording_gn)
+        starts = record_fit_starts(monkeypatch)
         montecarlo_errorbars(spec, n_trials=10, seed=3)
-        assert starts == [None] + [original(spec).raw] * 10
+        assert starts == [None]
+        assert sum(n for _, n in stacks) == 10
+        for x0, _ in stacks:
+            np.testing.assert_array_equal(x0, analysis._to_vector(observed))
+
+        monkeypatch.setattr(analysis, "GN_MAX_ITERATIONS", 0)
+        starts.clear()
+        montecarlo_errorbars(spec, n_trials=10, seed=3)
+        assert starts == [None] + [observed] * 10
+
+    def test_well_conditioned_refits_never_fall_back(self, monkeypatch):
+        # the fast path is the one that runs: on the benchmark-shaped
+        # histogram the only trust-region fit is the observed one
+        starts = record_fit_starts(monkeypatch)
+        mc = montecarlo_errorbars(benchmark_histogram(), RES_INPUT, n_trials=100, seed=7)
+        assert starts == [None]
+        assert mc.failures == {}
+
+    @pytest.mark.parametrize("case", ["benchmark-56x48", "peak-100"])
+    def test_matches_trust_region_refits(self, monkeypatch, case):
+        # every trial against the per-trial trust-region loop started from
+        # the observed fit; at peak 100 some trials take the fallback
+        if case == "peak-100":
+            params = replace(RAW_INPUT, amplitude=100.0, offset=2.0)
+            spec, res, n_trials, seed = synth_spectrum(params, n1=28, nh=26), None, 120, 11
+        else:
+            spec, res, n_trials, seed = benchmark_histogram(), RES_INPUT, 100, 7
+        recorded = record_fit_values(monkeypatch)
+        starts = record_fit_starts(monkeypatch)
+        mc = montecarlo_errorbars(spec, res, n_trials=n_trials, seed=seed)
+        assert (len(starts) > 1) == (case == "peak-100")
+        trials = list(recorded)
+        recorded.clear()
+        samples, failures = oracles.trf_trials(spec, res, n_trials, seed, mc.observed.raw)
+        assert mc.failures == failures == {}
+        assert len(trials) == len(recorded)
+        for got, want in zip(trials, recorded):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-6, abs=0.0), key
+        for key, values in samples.items():
+            sigma = float(np.std(values, ddof=1))
+            assert mc.errors[key] == pytest.approx(sigma, rel=1e-6, abs=0.0), key
+
+    def test_refits_outside_the_bounds_fall_back(self, monkeypatch):
+        # with the correlation bound at the observed value, about half the
+        # Gauss-Newton refits end above it and are refit within the bounds
+        spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        cap = fit_gaussian_2d(spec).raw.rho
+        original_bounds = analysis._fit_bounds
+
+        def capped_bounds(l1, lh):
+            lower, upper = original_bounds(l1, lh)
+            upper[5] = cap
+            return lower, upper
+
+        monkeypatch.setattr(analysis, "_fit_bounds", capped_bounds)
+        recorded = record_fit_values(monkeypatch)
+        starts = record_fit_starts(monkeypatch)
+        mc = montecarlo_errorbars(spec, n_trials=30, seed=3)
+        assert mc.failures == {}
+        assert 5 < len(starts) - 1 < 25
+        assert max(values["rho"] for values in recorded) <= cap
+
+    def test_chunk_size_does_not_change_errors(self, monkeypatch):
+        spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        reference = montecarlo_errorbars(spec, RES_INPUT, n_trials=23, seed=3)
+        for chunk in (1, 7, 23):
+            monkeypatch.setattr(analysis, "MC_CHUNK_TRIALS", chunk)
+            mc = montecarlo_errorbars(spec, RES_INPUT, n_trials=23, seed=3)
+            assert mc.errors == reference.errors, chunk
+            assert mc.failures == reference.failures == {}
+
+    def test_gauss_newton_failures_counted_by_type(self, monkeypatch):
+        # a response that leaves the observed correlation at -0.9991 after
+        # deconvolution: some Gauss-Newton refits deconvolve to |rho| >= 1,
+        # and they are counted as the trust-region loop counts them
+        spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
+        res = ResolutionModel(r1_nm=0.28, rh_nm=0.28)
+        starts = record_fit_starts(monkeypatch)
+        mc = montecarlo_errorbars(spec, res, n_trials=30, seed=3)
+        assert starts == [None]
+        _, failures = oracles.trf_trials(spec, res, 30, 3, mc.observed.raw)
+        assert mc.failures == failures == {"UnphysicalDeconvolutionError": 6}
+        assert mc.unreliable
 
     def test_degenerate_observed_histogram_raises_before_trials(self, monkeypatch):
         calls = []
@@ -356,7 +473,9 @@ class TestMonteCarlo:
 
 
 def fail_every_third_refit(monkeypatch):
-    """Make every third fit looked up in analysis (the Monte Carlo refits) fail."""
+    """Send every Monte Carlo trial to the trust-region fallback, and make
+    every third fit looked up in analysis (the observed fit, then one per
+    trial) fail."""
     calls = []
     original = analysis.fit_gaussian_2d
 
@@ -366,7 +485,41 @@ def fail_every_third_refit(monkeypatch):
             raise FitConvergenceError("no convergence")
         return original(spec, **kwargs)
 
+    monkeypatch.setattr(analysis, "GN_MAX_ITERATIONS", 0)
     monkeypatch.setattr(analysis, "fit_gaussian_2d", flaky)
+
+
+def record_fit_starts(monkeypatch):
+    """Record the start of every fit looked up in analysis, in call order."""
+    starts = []
+    original = analysis.fit_gaussian_2d
+
+    def recording(spec, **kwargs):
+        starts.append(kwargs.get("start"))
+        return original(spec, **kwargs)
+
+    monkeypatch.setattr(analysis, "fit_gaussian_2d", recording)
+    return starts
+
+
+def record_fit_values(monkeypatch):
+    """Record what analysis.fit_values returns, in call order."""
+    recorded = []
+    original = analysis.fit_values
+
+    def recording(params):
+        recorded.append(original(params))
+        return recorded[-1]
+
+    monkeypatch.setattr(analysis, "fit_values", recording)
+    return recorded
+
+
+def benchmark_histogram():
+    """One Poisson draw on the benchmark's 56x48 grid: +-4 sigma per axis."""
+    model = synth_spectrum(RAW_INPUT, n1=56, nh=48, span=1.6)
+    counts = np.random.default_rng(1).poisson(model.counts)
+    return Spectrum2D(model.lambda1_nm, model.lambdah_nm, counts)
 
 
 class TestContourSubsample:
