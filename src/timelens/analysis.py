@@ -67,9 +67,13 @@ class Spectrum2D:
             raise ValueError(
                 f"counts shape {counts.shape} does not match axes ({l1.size}, {lh.size})"
             )
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         for name, ax in (("signal", l1), ("herald", lh)):
+            if not np.all(np.isfinite(ax)):
+                raise ValueError(f"{name} axis must be finite")
             d = np.diff(ax)
             if ax.size < 2 or np.any(d <= 0):
                 raise ValueError(f"{name} axis must be strictly increasing")
@@ -560,16 +564,61 @@ def g2_cross_correlation(rates: CountRates) -> float:
     return rates.coincidences * rates.rep_rate / (rates.singles_signal * rates.singles_herald)
 
 
+def _linear_weights(grid: np.ndarray, x: np.ndarray):
+    """Lower neighbour index, both linear weights and in-band mask of each x.
+
+    The interval rule is grid[i] <= x < grid[i + 1], clipped to the end
+    intervals; points outside [grid[0], grid[-1]] are marked off-grid.
+    """
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    t = (x - grid[i]) / (grid[i + 1] - grid[i])
+    return i, 1.0 - t, t, (x >= grid[0]) & (x <= grid[-1])
+
+
+def _bilinear_on_axes(values, grid1, gridh, x1, xh) -> np.ndarray:
+    """Bilinear resampling of values on the rectilinear grid (x1, xh).
+
+    Each axis is searched once; the two neighbour columns are gathered,
+    then the four corners by row, and the terms are summed in the order
+    v00, v01, v10, v11.  Off-grid points are 0, and a non-finite value
+    in range stays so.
+    """
+    i1, a1, b1, in1 = _linear_weights(grid1, x1)
+    ih, ah, bh, inh = _linear_weights(gridh, xh)
+    a1, b1 = a1[:, None], b1[:, None]
+    left = values.take(ih, axis=1)
+    right = values.take(ih + 1, axis=1)
+    out = left.take(i1, axis=0)
+    out *= a1
+    out *= ah
+    term = right.take(i1, axis=0)
+    term *= a1
+    term *= bh
+    out += term
+    # the indices are in range; mode="clip" lets take write into term unbuffered
+    left.take(i1 + 1, axis=0, out=term, mode="clip")
+    term *= b1
+    term *= ah
+    out += term
+    right.take(i1 + 1, axis=0, out=term, mode="clip")
+    term *= b1
+    term *= bh
+    out += term
+    out[~in1] = 0.0
+    out[:, ~inh] = 0.0
+    return out
+
+
 def spectrum_from_field(field: GridField2D) -> Spectrum2D:
     """Resample a spectral grid field onto uniform wavelength axes.
 
-    The intensity is interpolated bilinearly in angular frequency,
-    multiplied by the frequency-to-wavelength Jacobian, and scaled so
-    the peak bin holds 1e4 counts.  Simulated spectra therefore carry
-    float 'counts' usable directly as Poisson means.
+    The intensity is interpolated bilinearly in angular frequency by two
+    separable index gathers, one per axis, and is zero outside the
+    sampled band; it is then multiplied by the frequency-to-wavelength
+    Jacobian and scaled so the peak bin holds 1e4 counts.  Simulated
+    spectra therefore carry float 'counts' usable directly as Poisson
+    means.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     w1 = field.axis1.points
     wh = field.axis_h.points
     lam1 = np.linspace(
@@ -582,19 +631,18 @@ def spectrum_from_field(field: GridField2D) -> Spectrum2D:
         units.angular_to_wavelength(wh[0]) * 1e9,
         field.axis_h.n,
     )
-    interp = RegularGridInterpolator(
-        (w1, wh), field.intensity(), method="linear", bounds_error=False, fill_value=0.0
-    )
     wq1 = units.TWO_PI * units.C_LIGHT / (lam1 * 1e-9)
     wqh = units.TWO_PI * units.C_LIGHT / (lamh * 1e-9)
-    pts = np.stack(np.meshgrid(wq1, wqh, indexing="ij"), axis=-1)
-    intensity = interp(pts)
-    jac = (wq1[:, None] / lam1[:, None]) * (wqh[None, :] / lamh[None, :])
-    counts = intensity * jac
+    counts = _bilinear_on_axes(field.intensity(), w1, wh, wq1, wqh)
+    counts *= (wq1 / lam1)[:, None] * (wqh / lamh)
     peak = counts.max()
+    if not np.isfinite(peak):
+        raise ValueError("field intensity is not finite on the wavelength grid")
     if peak <= 0.0:
         raise DegenerateDataError("field intensity vanishes on the wavelength grid")
-    return Spectrum2D(lam1, lamh, counts / peak * 1e4)
+    counts /= peak
+    counts *= 1e4
+    return Spectrum2D(lam1, lamh, counts)
 
 
 def read_spectrum_csv(path) -> Spectrum2D:

@@ -8,12 +8,12 @@ normalization checks from composite Simpson quadrature, expected
 deconvolutions from direct quadrature subtraction, heatmap colors
 from fancy-indexing whole rows of the color ramp, Schmidt numbers from
 a full singular value decomposition, field CSV files from one
-formatted tuple per grid point, and Monte Carlo error bars from the
-linearized least-squares covariance and from a trial loop that refits
-each trial with the trust-region fit, from the intensity moments or from
-the observed fit.  Tests compare the
-package against numbers produced here, and the two engines against each
-other.
+formatted tuple per grid point, wavelength resampling from scipy's
+RegularGridInterpolator on a full meshgrid of query points, and Monte
+Carlo error bars from the linearized least-squares covariance and from
+a trial loop that refits each trial with the trust-region fit, from the
+intensity moments or from the observed fit.  Tests compare the package
+against numbers produced here, and the two engines against each other.
 """
 
 from __future__ import annotations
@@ -247,6 +247,38 @@ def moment_started_errorbars(spec, res, n_trials: int, seed: int):
     """
     samples, failures = trf_trials(spec, res, n_trials, seed, None)
     return {k: float(np.std(v, ddof=1)) for k, v in samples.items()}, failures
+
+
+def bilinear_reference(values, grid1, gridh, x1, xh) -> np.ndarray:
+    """scipy's RegularGridInterpolator evaluated on the grid x1 x xh.
+
+    Linear in both axes with fill value 0 off the grid: every query
+    point of a full meshgrid is searched on both axes.
+    """
+    from scipy.interpolate import RegularGridInterpolator
+
+    interp = RegularGridInterpolator(
+        (grid1, gridh), values, method="linear", bounds_error=False, fill_value=0.0
+    )
+    return interp(np.stack(np.meshgrid(x1, xh, indexing="ij"), axis=-1))
+
+
+def spectrum_from_field_reference(field):
+    """(lambda1_nm, lambdah_nm, counts) of a field resampled by bilinear_reference.
+
+    The wavelength axes, Jacobian and 1e4 peak scaling of
+    timelens.analysis.spectrum_from_field, with the intensity
+    interpolated over a full meshgrid of query points.
+    """
+    w1 = field.axis1.points
+    wh = field.axis_h.points
+    lam1 = np.linspace(TWO_PI * C_LIGHT / w1[-1] * 1e9, TWO_PI * C_LIGHT / w1[0] * 1e9, w1.size)
+    lamh = np.linspace(TWO_PI * C_LIGHT / wh[-1] * 1e9, TWO_PI * C_LIGHT / wh[0] * 1e9, wh.size)
+    wq1 = TWO_PI * C_LIGHT / (lam1 * 1e-9)
+    wqh = TWO_PI * C_LIGHT / (lamh * 1e-9)
+    intensity = bilinear_reference(field.intensity(), w1, wh, wq1, wqh)
+    counts = intensity * ((wq1[:, None] / lam1[:, None]) * (wqh[None, :] / lamh[None, :]))
+    return lam1, lamh, counts / counts.max() * 1e4
 
 
 def thz_per_ps(slope_rad_per_s2: float) -> float:

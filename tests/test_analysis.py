@@ -82,6 +82,20 @@ class TestSpectrum2D:
         with pytest.raises(ValueError):
             Spectrum2D(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.ones((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_or_axes_rejected(self, bad):
+        lam = np.array([1.0, 2.0, 3.0])
+        counts = np.ones((3, 3))
+        counts[1, 2] = bad
+        with pytest.raises(ValueError, match="counts must be finite"):
+            Spectrum2D(lam, lam, counts)
+        axis = lam.copy()
+        axis[2] = bad
+        with pytest.raises(ValueError, match="signal axis must be finite"):
+            Spectrum2D(axis, lam, np.ones((3, 3)))
+        with pytest.raises(ValueError, match="herald axis must be finite"):
+            Spectrum2D(lam, axis, np.ones((3, 3)))
+
     def test_csv_round_trip(self, tmp_path):
         spec = synth_spectrum(RAW_INPUT, n1=12, nh=10)
         path = tmp_path / "spec.csv"
@@ -583,6 +597,54 @@ class TestG2:
 
 
 class TestSpectrumFromField:
+    @pytest.mark.parametrize("name", ["experimental", "ideal", "filterlimit", "longcrystal"])
+    def test_matches_reference_bitwise(self, name):
+        # the input and output fields that simulate resamples, at tau != 0
+        from importlib import resources
+
+        from timelens.config import parse_config
+        from timelens.grid import prepare_sweep, sfg_convolve
+
+        cfg = parse_config(resources.files("timelens") / "configs" / f"{name}.cfg")
+        tau = 0.5e-12
+        chirped, out_grid = prepare_sweep(cfg.lens, cfg.state, [tau], n=512, nh=64, n_out=64)
+        fields = [
+            sample_jsa(cfg.state, chirped.axis1, chirped.axis_h),
+            sfg_convolve(
+                chirped, cfg.lens.escort, cfg.lens.phasematching, tau, out_grid=out_grid,
+                method="fft",
+            )[0],
+        ]
+        for field in fields:
+            spec = spectrum_from_field(field)
+            lam1, lamh, counts = oracles.spectrum_from_field_reference(field)
+            assert np.array_equal(spec.lambda1_nm, lam1)
+            assert np.array_equal(spec.lambdah_nm, lamh)
+            assert np.array_equal(spec.counts, counts)
+
+    def test_off_grid_points_match_reference(self):
+        # query points below, on and above both grid ends, on interior
+        # knots and between them.  A NaN sample in range is not zeroed,
+        # and a query on a knot reads the cell above it, as the reference
+        # does, so the NaN at (11.0, -2.5) stays out of (11.5, -2.5)
+        grid1 = 10.0 + 0.5 * np.arange(7)
+        gridh = -3.0 + 0.25 * np.arange(5)
+        values = np.random.default_rng(3).uniform(0.5, 2.0, (7, 5))
+        values[2, 2] = np.nan
+        x1 = np.array([9.0, np.nextafter(10.0, 0.0), 10.0, 10.2, 11.2, 11.5, 12.75, 13.0,
+                       np.nextafter(13.0, 14.0), 14.0])
+        xh = np.array([-4.0, -3.0, -2.9, -2.5, -2.0, np.nextafter(-2.0, 0.0), -1.0])
+        got = analysis._bilinear_on_axes(values, grid1, gridh, x1, xh)
+        want = oracles.bilinear_reference(values, grid1, gridh, x1, xh)
+        assert np.array_equal(got, want, equal_nan=True)
+        off1 = (x1 < grid1[0]) | (x1 > grid1[-1])
+        offh = (xh < gridh[0]) | (xh > gridh[-1])
+        off = off1[:, None] | offh
+        assert np.all(got[off] == 0.0)
+        assert np.any(np.isnan(got[~off]))
+        assert got[7, 1] == values[-1, 0]
+        assert np.isnan(got[4, 3]) and np.isfinite(got[5, 3])
+
     def test_axes_and_peak(self, exp_state):
         field = sample_jsa(exp_state, *grids_for_state(exp_state, n=128))
         spec = spectrum_from_field(field)

@@ -573,6 +573,33 @@ class TestFit:
     def test_fit_missing_file(self, tmp_path):
         assert main(["fit", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_fit_non_finite_csv_cell_exit_3(self, tmp_path, capsys):
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=20, nh=18), hist)
+        lines = hist.read_text().splitlines()
+        cells = lines[7].split(",")
+        cells[5] = "nan"
+        lines[7] = ",".join(cells)
+        hist.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(hist), "--trials", "5", "--out", str(tmp_path / "o")]) == 3
+        assert "counts must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_non_finite_binary_sample_exit_3(self, bad, tmp_path, exp_state, capsys):
+        from timelens import GridField2D, grids_for_state, sample_jsa
+
+        field = sample_jsa(exp_state, *grids_for_state(exp_state, n=64))
+        values = field.values.copy()
+        values[32, 32] = bad
+        path = tmp_path / "field.bin"
+        gridio.write_field_binary(GridField2D(field.axis1, field.axis_h, values), path)
+        # the error comes before any invalid divide
+        with np.errstate(invalid="raise", divide="raise"):
+            assert main(["fit", str(path), "--trials", "5", "--out", str(tmp_path / "o")]) == 3
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_quick_green(self, tmp_path):
@@ -600,20 +627,32 @@ class TestValidateCommand:
         assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # importing scipy's submodules took most of a second; --version and a
-    # configuration error need none of them, so no scipy module loads
+def _scipy_modules_after(argv, prefix: str) -> str:
+    """Run timelens.cli.main(argv) in a fresh interpreter; list the loaded modules under prefix."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, timelens.cli; "
-        "assert timelens.cli.main(['simulate', '--config', 'no-such.cfg']) == 2; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"code = timelens.cli.main({argv!r}); "
+        f"print(code, sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # importing scipy's submodules took most of a second; --version and a
+    # configuration error need none of them, so no scipy module loads
+    assert _scipy_modules_after(["simulate", "--config", "no-such.cfg"], "scipy") == "2 []"
+
+
+def test_sweep_leaves_out_scipy_interpolate(fast_cfg, tmp_path):
+    # the wavelength resampling gathers with numpy; importing
+    # scipy.interpolate would add about 0.26 s to every sweep
+    argv = ["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "out")]
+    assert _scipy_modules_after(argv, "scipy.interpolate") == "0 []"
 
 
 class TestParser:
