@@ -13,7 +13,9 @@ Two on-disk forms are supported:
 
 from __future__ import annotations
 
+import os
 import struct
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,25 +30,82 @@ CSV_HEADER = "omega1_rad_s,omegah_rad_s,intensity_per_rad_s_sq,phase_rad"
 def write_field_csv(field: GridField2D, path) -> None:
     """Write the field as CSV with intensity and phase columns.
 
-    Every value is written with %.17g, so it reads back exactly.  Each
-    axis value is formatted once, and each signal row of nh lines is
-    formatted by one % call and written before the next is built.
+    Every value is written with %.17g, so it reads back exactly.  The
+    signal rows are formatted by two processes at once (POSIX only): a
+    helper forked here formats the second half into one buffer and sends
+    it through a pipe while this process formats and writes the first
+    half, then appends the helper's bytes.  The bytes are those of a
+    single process writing every row in order.
     """
-    nh = field.axis_h.n
     w1 = ["%.17g," % w for w in field.axis1.points.tolist()]
     wh = ["%.17g," % w for w in field.axis_h.points.tolist()]
     intensity = field.intensity()
     phase = np.angle(field.values)
+    half = len(w1) // 2
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            _send_rows(read_end, write_end, w1[half:], wh, intensity[half:], phase[half:])
+        os.close(write_end)
+        try:
+            for text in _format_rows(w1[:half], wh, intensity[:half], phase[:half]):
+                fh.write(text.encode("ascii"))
+            while chunk := os.read(read_end, 1 << 20):
+                fh.write(chunk)
+        finally:
+            # a helper blocked on a full pipe gets EPIPE once the read
+            # end is closed, so waiting for it cannot deadlock
+            os.close(read_end)
+            status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise OSError(
+            f"{path}: helper formatting signal rows {half}..{len(w1) - 1} failed "
+            f"with exit code {os.waitstatus_to_exitcode(status)}"
+        )
+
+
+def _format_rows(w1, wh, intensity, phase):
+    """Yield the CSV lines of each signal row, one string per row.
+
+    w1 and wh hold the formatted axis values ending in a comma; each row
+    of len(wh) lines is formatted by one % call.
+    """
+    nh = len(wh)
     row_format = "%s%s%.17g,%.17g\n" * nh
     cells = [None] * (4 * nh)
     cells[1::4] = wh
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i, w in enumerate(w1):
-            cells[0::4] = [w] * nh
-            cells[2::4] = intensity[i].tolist()
-            cells[3::4] = phase[i].tolist()
-            fh.write(row_format % tuple(cells))
+    for w, row_intensity, row_phase in zip(w1, intensity, phase):
+        cells[0::4] = [w] * nh
+        cells[2::4] = row_intensity.tolist()
+        cells[3::4] = row_phase.tolist()
+        yield row_format % tuple(cells)
+
+
+def _send_rows(read_end: int, write_end: int, *rows) -> NoReturn:
+    """Helper body: format every row before writing, then leave by os._exit.
+
+    Formatting the whole half first lets both processes format at once
+    (the pipe holds only 64 KiB).  The helper closes its copy of the read
+    end, so a reader that closes early makes its write fail instead of
+    blocking.  os._exit runs no atexit handler and flushes none of the
+    buffers inherited from the parent; any failure gives exit code 1.
+    """
+    status = 1
+    try:
+        os.close(read_end)
+        data = memoryview("".join(_format_rows(*rows)).encode("ascii"))
+        while data:
+            data = data[os.write(write_end, data):]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def write_field_binary(field: GridField2D, path) -> None:
@@ -62,10 +121,12 @@ def write_field_binary(field: GridField2D, path) -> None:
         field.axis1.step,
         field.axis_h.step,
     )
-    body = np.ascontiguousarray(field.values, dtype=np.complex128)
+    # a C-contiguous complex128 field on a little-endian machine is
+    # written from its own buffer, without a copy
+    body = np.ascontiguousarray(field.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body.astype("<c16").tobytes())
+        fh.write(memoryview(body))
 
 
 def read_field_binary(path) -> GridField2D:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from timelens import cli, grid
 from timelens.analysis import FitConvergenceError, fit_gaussian_2d
 from timelens.cli import build_parser, main
@@ -244,6 +245,36 @@ class TestSimulate:
         main(["simulate", "--config", str(fast_cfg), "--out", str(out), "--format", "bin"])
         field = gridio.read_field_binary(out / "jsi_output.bin")
         assert field.norm() == pytest.approx(1.0, abs=1e-9)
+
+    def test_csv_dump_matches_binary_dump_written_per_point(self, fast_cfg, tmp_path):
+        # the CSV dump, formatted by two processes, equals the binary
+        # dump's fields written one grid point at a time
+        csv_out, bin_out = tmp_path / "csv", tmp_path / "bin"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(csv_out)]) == 0
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(bin_out),
+                     "--format", "bin"]) == 0
+        for name in ("jsi_input", "jsi_output"):
+            ref = tmp_path / f"{name}.csv"
+            field = gridio.read_field_binary(bin_out / f"{name}.bin")
+            oracles.write_field_csv_rows(field, ref, gridio.CSV_HEADER)
+            assert (csv_out / f"{name}.csv").read_bytes() == ref.read_bytes(), name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_csv_helper_failure_exits_3(self, fast_cfg, tmp_path, monkeypatch, capsys):
+        parent, format_rows = os.getpid(), gridio._format_rows
+
+        def fail_in_helper(*rows):
+            if os.getpid() != parent:
+                raise ValueError("cannot format")
+            return format_rows(*rows)
+
+        monkeypatch.setattr(gridio, "_format_rows", fail_in_helper)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 3
+        assert f"OSError: {out / 'jsi_input.csv'}: helper" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_contour_fit_failure_drops_ellipse(self, fast_cfg, tmp_path, monkeypatch, capsys):
         def fail(spec):
@@ -646,6 +677,13 @@ def test_cli_import_leaves_out_scipy_signal():
     # importing scipy's submodules took most of a second; --version and a
     # configuration error need none of them, so no scipy module loads
     assert _scipy_modules_after(["simulate", "--config", "no-such.cfg"], "scipy") == "2 []"
+
+
+@pytest.mark.parametrize("prefix", ["multiprocessing", "concurrent.futures", "subprocess"])
+def test_cli_import_leaves_out_process_pools(prefix):
+    # the field CSV's helper process comes from one os.fork; nothing that
+    # starts pools or subprocesses is imported
+    assert _scipy_modules_after(["simulate", "--config", "no-such.cfg"], prefix) == "2 []"
 
 
 def test_sweep_leaves_out_scipy_interpolate(fast_cfg, tmp_path):

@@ -1,3 +1,9 @@
+import os
+import re
+import signal
+import struct
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -97,3 +103,101 @@ def test_csv_bytes_match_per_row_writer(small_field, tmp_path):
         gridio.write_field_csv(field, new)
         oracles.write_field_csv_rows(field, ref, gridio.CSV_HEADER)
         assert new.read_bytes() == ref.read_bytes()
+
+
+def _random_field(n1: int, nh: int, seed: int) -> GridField2D:
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n1, nh)) + 1j * rng.normal(size=(n1, nh))
+    return GridField2D(Grid1D(2.3e15, 1.1e10, n1), Grid1D(2.5e15, 1.3e10, nh), values)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    # a write that deadlocks against its helper fails the test instead
+    # of hanging the run
+    def expired(signum, frame):
+        pytest.fail("write_field_csv did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_binary_bytes_are_header_and_little_endian_values(tmp_path):
+    # written from the field's own buffer; -0.0, subnormal and -1e-300
+    # imaginary parts keep their bits
+    edge = _edge_case_field()
+    header = struct.pack(
+        "<8d", gridio.BINARY_MAGIC, gridio.BINARY_VERSION, 23.0, 17.0,
+        edge.axis1.start, edge.axis_h.start, edge.axis1.step, edge.axis_h.step,
+    )
+    for values in (edge.values, np.asfortranarray(edge.values), edge.values.astype(">c16")):
+        path = tmp_path / "field.bin"
+        gridio.write_field_binary(GridField2D(edge.axis1, edge.axis_h, values), path)
+        assert path.read_bytes() == header + edge.values.astype("<c16").tobytes()
+
+
+@pytest.mark.parametrize("n1", [16, 17])
+def test_split_csv_bytes_match_per_row_writer(n1, tmp_path, deadline):
+    # the parent writes rows :n1 // 2 and the helper the rest; an odd
+    # count gives the helper the extra row
+    field = _random_field(n1, 40, seed=n1)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    gridio.write_field_csv(field, new)
+    oracles.write_field_csv_rows(field, ref, gridio.CSV_HEADER)
+    assert new.read_bytes() == ref.read_bytes()
+    _assert_no_child_left()
+
+
+def test_csv_missing_directory_fails_before_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before opening the destination")
+
+    monkeypatch.setattr(gridio.os, "fork", no_fork)
+    with pytest.raises(FileNotFoundError):
+        gridio.write_field_csv(_random_field(16, 16, seed=1), tmp_path / "missing" / "f.csv")
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_csv_full_device_raises_and_reaps_helper(deadline):
+    # each half (about 200 KB) outgrows the 64 KiB pipe: the parent fails
+    # on its first rows while the helper is blocked writing, and closing
+    # the read end before waiting lets the helper fail too
+    with pytest.raises(OSError):
+        gridio.write_field_csv(_random_field(64, 64, seed=2), "/dev/full")
+    _assert_no_child_left()
+
+
+def test_csv_helper_failure_names_path(tmp_path, monkeypatch, deadline):
+    field = _random_field(17, 16, seed=3)
+    first_row = "%.17g," % field.axis1.start
+    format_rows = gridio._format_rows
+
+    def fail_second_half(w1, *rest):
+        if w1[0] != first_row:
+            raise ValueError("cannot format")
+        return format_rows(w1, *rest)
+
+    monkeypatch.setattr(gridio, "_format_rows", fail_second_half)
+    path = tmp_path / "f.csv"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        gridio.write_field_csv(field, path)
+    _assert_no_child_left()
+
+
+def test_csv_helper_leaves_parent_stdio_alone(tmp_path, capfd, deadline):
+    # the helper leaves by os._exit: it flushes none of the buffers it
+    # inherits, so text still buffered in the parent is written once
+    with open(os.dup(1), "w", buffering=1 << 16) as stdout, redirect_stdout(stdout):
+        print("buffered before the write", end="")
+        gridio.write_field_csv(_random_field(16, 16, seed=4), tmp_path / "f.csv")
+    assert capfd.readouterr().out == "buffered before the write"
+    _assert_no_child_left()
