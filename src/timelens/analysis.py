@@ -32,6 +32,11 @@ from .states import (
 )
 
 
+# cells per row block of the wavelength resampling: 0.5 MB per float64
+# temporary, so a block's gathers stay near the 2 MB L2 cache
+_BLOCK_CELLS = 2**16
+
+
 class DegenerateDataError(ValueError):
     """Histogram carries no usable peak (empty or structureless)."""
 
@@ -578,34 +583,41 @@ def _linear_weights(grid: np.ndarray, x: np.ndarray):
 def _bilinear_on_axes(values, grid1, gridh, x1, xh) -> np.ndarray:
     """Bilinear resampling of values on the rectilinear grid (x1, xh).
 
-    Each axis is searched once; the two neighbour columns are gathered,
-    then the four corners by row, and the terms are summed in the order
-    v00, v01, v10, v11.  Off-grid points are 0, and a non-finite value
-    in range stays so.
+    Each axis is searched once.  Output rows are filled in blocks of
+    about _BLOCK_CELLS cells: the block's lower and upper neighbour rows
+    are gathered, then the four corners by column, and the terms are
+    summed in the order v00, v01, v10, v11.  Off-grid points are 0, and
+    a non-finite value in range stays so.
     """
     i1, a1, b1, in1 = _linear_weights(grid1, x1)
     ih, ah, bh, inh = _linear_weights(gridh, xh)
-    a1, b1 = a1[:, None], b1[:, None]
-    left = values.take(ih, axis=1)
-    right = values.take(ih + 1, axis=1)
-    out = left.take(i1, axis=0)
-    out *= a1
-    out *= ah
-    term = right.take(i1, axis=0)
-    term *= a1
-    term *= bh
-    out += term
-    # the indices are in range; mode="clip" lets take write into term unbuffered
-    left.take(i1 + 1, axis=0, out=term, mode="clip")
-    term *= b1
-    term *= ah
-    out += term
-    right.take(i1 + 1, axis=0, out=term, mode="clip")
-    term *= b1
-    term *= bh
-    out += term
-    out[~in1] = 0.0
-    out[:, ~inh] = 0.0
+    out = np.empty((x1.size, xh.size), dtype=values.dtype)
+    step = max(1, _BLOCK_CELLS // max(1, xh.size))
+    term = np.empty((min(step, x1.size), xh.size), dtype=values.dtype)
+    for r in range(0, x1.size, step):
+        block = out[r : r + step]
+        t = term[: len(block)]
+        a, b = a1[r : r + step, None], b1[r : r + step, None]
+        lower = values.take(i1[r : r + step], axis=0)
+        upper = values.take(i1[r : r + step] + 1, axis=0)
+        # the indices are in range; mode="clip" lets take write into block and t unbuffered
+        lower.take(ih, axis=1, out=block, mode="clip")
+        block *= a
+        block *= ah
+        lower.take(ih + 1, axis=1, out=t, mode="clip")
+        t *= a
+        t *= bh
+        block += t
+        upper.take(ih, axis=1, out=t, mode="clip")
+        t *= b
+        t *= ah
+        block += t
+        upper.take(ih + 1, axis=1, out=t, mode="clip")
+        t *= b
+        t *= bh
+        block += t
+        block[~in1[r : r + step]] = 0.0
+        block[:, ~inh] = 0.0
     return out
 
 
@@ -634,7 +646,10 @@ def spectrum_from_field(field: GridField2D) -> Spectrum2D:
     wq1 = units.TWO_PI * units.C_LIGHT / (lam1 * 1e-9)
     wqh = units.TWO_PI * units.C_LIGHT / (lamh * 1e-9)
     counts = _bilinear_on_axes(field.intensity(), w1, wh, wq1, wqh)
-    counts *= (wq1 / lam1)[:, None] * (wqh / lamh)
+    jac1, jach = wq1 / lam1, wqh / lamh
+    step = max(1, _BLOCK_CELLS // jach.size)
+    for r in range(0, jac1.size, step):
+        counts[r : r + step] *= jac1[r : r + step, None] * jach
     peak = counts.max()
     if not np.isfinite(peak):
         raise ValueError("field intensity is not finite on the wavelength grid")

@@ -29,6 +29,9 @@ EDGE_MASS_LIMIT = 1e-5
 APERTURE_WEIGHT_RATIO = 1e-3
 # the grid planner refuses a run whose grid_bytes estimate exceeds this
 GRID_BYTES_LIMIT = 2**30
+# cells per row block of the sampling and convolution loops: 1 MB of
+# complex128, so a block and its temporaries stay near the 2 MB L2 cache
+_BLOCK_CELLS = 2**16
 
 
 class CoverageError(ValueError):
@@ -184,11 +187,17 @@ def grids_for_state(
     return g1, gh
 
 
+def _block_rows(row_cells: int) -> int:
+    """Rows of row_cells cells that make one block of about _BLOCK_CELLS cells."""
+    return max(1, _BLOCK_CELLS // row_cells)
+
+
 def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
     """Sample the joint amplitude on the grid pair, with discrete norm exactly one.
 
     The marginal mass falling outside either grid must not exceed 1e-4,
-    otherwise a CoverageError is raised.
+    otherwise a CoverageError is raised.  Rows are sampled in blocks of
+    about _BLOCK_CELLS cells into one array, which is normalized in place.
     """
     outside = _gaussian_tail_mass(
         state.omega1, state.sigma1, grid1.start, grid1.stop
@@ -199,8 +208,17 @@ def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
         )
     w1 = grid1.points[:, None]
     wh = gridh.points[None, :]
-    values = jsa_amplitude(state, w1, wh)
-    return GridField2D(grid1, gridh, values).normalized()
+    values = np.empty((grid1.n, gridh.n), dtype=complex)
+    rows = _block_rows(gridh.n)
+    for r in range(0, grid1.n, rows):
+        values[r : r + rows] = jsa_amplitude(state, w1[r : r + rows], wh)
+    field = GridField2D(grid1, gridh, values)
+    norm = field.norm()
+    if norm <= 0.0:
+        raise NormalizationError("field has zero norm")
+    # field views values, so this normalizes it with no second copy
+    values /= math.sqrt(norm)
+    return field
 
 
 def default_output_grid(
@@ -226,61 +244,83 @@ def sfg_convolve(
     *,
     out_grid: Grid1D,
     method: str = "direct",
+    input_spectrum: np.ndarray | None = None,
 ) -> tuple[GridField2D, float]:
     """Upconvert the sampled input field with a chirped escort.
 
     The output amplitude on frequency w3 is the escort-weighted sum over
     input frequencies w1 of the field times escort_amplitude(w3 - w1),
     multiplied by the phasematching acceptance in w3.  A relative delay
-    tau applies the phase exp(-i w1 tau) to the input.  Returns the
+    tau multiplies the input by exp(-i w1 tau).  Returns the
     renormalized output field together with the pre-normalization norm
     (the relative conversion weight).  CoverageError is raised when that
     weight is zero or when the two-sample bands along the output grid's
     edges hold more than EDGE_MASS_LIMIT of the intensity.
 
-    method="direct" evaluates the kernel sum exactly per output sample;
-    method="fft" is a fast path requiring equal steps on the input and
-    output axes (ResamplingRequiredError otherwise).  It takes a circular
+    method="direct" evaluates the kernel sum exactly per output sample,
+    with the delay phase applied to the input.  method="fft" is a fast
+    path requiring equal steps on the input and output axes
+    (ResamplingRequiredError otherwise).  It takes a circular
     convolution of length next_fast_len(n_in + n_out - 1) along the
     input axis; the n_out rows it keeps never wrap at that length, so
-    the result is the linear one.  Both agree to better than 1e-9.
+    the result is the linear one.  There the delay phase is split as
+    exp(-i w1 tau) = exp(i (w3 - w1) tau) exp(-i w3 tau): the first
+    factor goes onto the escort kernel and the second onto the output,
+    so the input's transform does not depend on tau.  input_spectrum is
+    that transform, _input_spectrum(field, out_grid.n); a delay sweep
+    computes it once for all of its delays, and it is computed here
+    when not given.  Both paths agree to better than 1e-9.
     """
     import scipy.fft
 
-    w1 = field.axis1.points
-    values = field.values
-    if tau != 0.0:
-        values = values * np.exp(-1j * w1 * tau)[:, None]
-
     w3 = out_grid.points
+    step = field.axis1.step
+    nh = field.axis_h.n
     if method == "direct":
+        if input_spectrum is not None:
+            raise ValueError("input_spectrum is a transform for method='fft' only")
+        w1 = field.axis1.points
+        values = field.values
+        if tau != 0.0:
+            values = values * np.exp(-1j * w1 * tau)[:, None]
         kernel = escort_amplitude(escort, w3[:, None] - w1[None, :])
-        out_values = kernel @ values * field.axis1.step
+        out_values = kernel @ values * step
     elif method == "fft":
-        if not math.isclose(out_grid.step, field.axis1.step, rel_tol=1e-9):
+        if not math.isclose(out_grid.step, step, rel_tol=1e-9):
             raise ResamplingRequiredError(
                 f"fft path needs equal steps, got output {out_grid.step} "
-                f"vs input {field.axis1.step}; resample or use method='direct'"
+                f"vs input {step}; resample or use method='direct'"
             )
         n1, n3 = field.axis1.n, out_grid.n
-        offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * field.axis1.step
-        kvec = escort_amplitude(escort, offsets)
-        # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
-        # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact;
-        # transform the herald-major copy along its contiguous last axis
+        if input_spectrum is None:
+            input_spectrum = _input_spectrum(field, n3)
         size = scipy.fft.next_fast_len(n1 + n3 - 1)
-        spectrum = scipy.fft.fft(np.ascontiguousarray(values.T), n=size, axis=-1)
-        spectrum *= scipy.fft.fft(kvec, n=size)
-        circular = scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)
-        out_values = np.ascontiguousarray(circular[:, n1 - 1 : n1 - 1 + n3].T) * field.axis1.step
-        # the workspace is not needed once the kept rows are copied out
-        del spectrum, circular
+        if input_spectrum.shape != (nh, size):
+            raise ValueError(
+                f"input_spectrum has shape {input_spectrum.shape}, expected {(nh, size)} "
+                f"for {n1} input and {n3} output samples"
+            )
+        offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * step
+        kvec = escort_amplitude(escort, offsets)
+        factor = step
+        if tau != 0.0:
+            kvec *= np.exp(1j * offsets * tau)
+            factor = step * np.exp(-1j * w3 * tau)[:, None]
+        kspec = scipy.fft.fft(kvec, n=size)
+        # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
+        # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
+        out_values = np.empty((n3, nh), dtype=complex)
+        rows = _block_rows(size)
+        for h in range(0, nh, rows):
+            circular = scipy.fft.ifft(input_spectrum[h : h + rows] * kspec, overwrite_x=True)
+            np.multiply(circular[:, n1 - 1 : n1 - 1 + n3].T, factor, out=out_values[:, h : h + rows])
+        del circular  # not held through the intensity pass below
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
     nominal = field.axis1.center + escort.center
     if not pm.is_infinite:
-        out_values = out_values * pm.amplitude(w3, nominal)[:, None]
+        out_values *= pm.amplitude(w3, nominal)[:, None]
 
     # one intensity pass: the weight as norm() computes it, and the edge fraction
     out = GridField2D(out_grid, field.axis_h, out_values)
@@ -297,8 +337,28 @@ def sfg_convolve(
             f"output grid clips the field: edge bands hold {frac:.2e} of the "
             f"intensity (limit {EDGE_MASS_LIMIT:.0e}); widen or recenter the output grid"
         )
-    del intensity  # not held next to the normalized copy: it would raise the peak
-    return GridField2D(out_grid, field.axis_h, out_values / math.sqrt(weight)), weight
+    # out views out_values, so this normalizes it with no second copy
+    out_values /= math.sqrt(weight)
+    return out, weight
+
+
+def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
+    """Transform along w1 of the input zero-padded for an n_out-sample convolution.
+
+    One row per herald sample, of length next_fast_len(n_in + n_out - 1),
+    the FFT path's circular length; herald rows are transformed in
+    blocks of about _BLOCK_CELLS cells, so no transposed copy of the
+    input is made.
+    """
+    import scipy.fft
+
+    n1, nh = field.values.shape
+    size = scipy.fft.next_fast_len(n1 + n_out - 1)
+    spectrum = np.empty((nh, size), dtype=complex)
+    rows = _block_rows(size)
+    for h in range(0, nh, rows):
+        spectrum[h : h + rows] = scipy.fft.fft(field.values[:, h : h + rows].T, n=size)
+    return spectrum
 
 
 def weighted_moments(weights: np.ndarray, x1: np.ndarray, xh: np.ndarray) -> tuple:
@@ -319,14 +379,17 @@ def intensity_moments(field: GridField2D) -> IntensityMoments:
 
     The field must be normalized to within 1e-6.
     """
-    norm = field.norm()
+    # one intensity pass: the norm as norm() computes it, then the weights
+    intensity = field.intensity()
+    norm = float(np.sum(intensity) * field.cell)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise NormalizationError(
             f"field norm {norm} differs from 1 beyond {NORM_TOLERANCE:.0e}; "
             "normalize before computing statistics"
         )
+    intensity *= field.cell
     mean1, meanh, var1, varh, cov = weighted_moments(
-        field.intensity() * field.cell, field.axis1.points, field.axis_h.points
+        intensity, field.axis1.points, field.axis_h.points
     )
     if var1 <= 0.0 or varh <= 0.0:
         raise ValueError("zero marginal variance; correlation undefined")
@@ -413,24 +476,31 @@ def suggested_input_samples(
 def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
     """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
-    Counted at the worst moment of a convolution, in complex n x nh
-    inputs and n_out x nh outputs: three inputs (the sampled field,
-    simulate's unchirped field and the delay-phased copy); the
-    out_fields kept outputs (a sweep frees each delay's output before
-    the next is convolved); and the larger of the forward transform,
-    where the transposed input copy and the FFT workspace of
-    next_fast_len(n + n_out - 1) x nh are alive together, and the end
-    of the call, after sfg_convolve frees the workspace,
-    where the kept rows times the step are alive with their intensity
-    (half an output) and then with their normalized copy.  pocketfft's
+    Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs
+    are alive throughout: the sampled field and simulate's unchirped
+    field (sampling normalizes in place, so the second costs half an
+    input more, its intensity, while it is sampled).  On top of them
+    comes the larger of two moments.  One is the inverse transform of a
+    row block: the input's transform, next_fast_len(n + n_out - 1) x nh,
+    which a sweep holds for all of its delays; the out_fields outputs
+    the caller keeps plus the one being convolved (a sweep keeping fewer
+    fields than it has delays holds them while it convolves the next);
+    and the larger of one block of the product with the kernel spectrum,
+    about _BLOCK_CELLS cells (all nh rows when fewer), and the
+    half-output intensity of the weight and the moments, which is made
+    after the block is freed.  The output is normalized in place.  The
+    other is simulate's Schmidt number of its input: a conjugate copy of
+    the input and the Gram matrix on its smaller side.  pocketfft's
     internal scratch is not a numpy allocation and is not counted;
     tracemalloc does not see it.
     """
     from scipy.fft import next_fast_len
 
     size = next_fast_len(n + n_out - 1)
-    inputs_outputs = 16 * nh * (3 * n + out_fields * n_out)
-    return inputs_outputs + max(16 * nh * (size + n), 32 * nh * n_out)
+    block = 16 * min(nh, _block_rows(size)) * size
+    convolution = 16 * nh * (size + (out_fields + 1) * n_out) + max(block, 8 * nh * n_out)
+    input_stats = 16 * nh * n + 16 * min(n, nh) ** 2
+    return 32 * nh * n + max(convolution, input_stats)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
@@ -505,8 +575,9 @@ def delay_sweep(
     """Upconvert the state at each delay and regress the output centers.
 
     The input state is augmented with the lens signal chirp, sampled
-    once on the grids of :func:`prepare_sweep`, and convolved per delay
-    on the FFT path; centers are intensity-weighted means.  A
+    once on the grids of :func:`prepare_sweep`, transformed once, and
+    convolved per delay on the FFT path from that one transform;
+    centers are intensity-weighted means.  A
     CoverageError at one delay is raised again naming that delay.
     Rows whose conversion weight falls below 1e-3 of the sweep maximum
     are flagged as outside the temporal aperture, and the reported
@@ -523,13 +594,16 @@ def delay_sweep(
         keep_fields=keep_fields,
     )
 
+    # the FFT path puts the delay phase on the kernel, so one transform
+    # of the input serves every delay
+    spectrum = _input_spectrum(field, out_grid.n)
     points = []
     fields = []
     for tau in taus:
         try:
             out, weight = sfg_convolve(
                 field, cfg.escort, cfg.phasematching, float(tau), out_grid=out_grid,
-                method="fft",
+                method="fft", input_spectrum=spectrum,
             )
         except CoverageError as exc:
             note = ""

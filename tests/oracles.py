@@ -6,13 +6,14 @@ of the upconverted amplitude and inverting a 2x2 matrix, and again from
 the paper's hand-expanded width and correlation formulas, the
 normalization checks from composite Simpson quadrature, expected
 deconvolutions from direct quadrature subtraction, heatmap colors
-from fancy-indexing whole rows of the color ramp, Schmidt numbers from
-a full singular value decomposition, field CSV files from one
-formatted tuple per grid point, wavelength resampling from scipy's
-RegularGridInterpolator on a full meshgrid of query points, and Monte
-Carlo error bars from the linearized least-squares covariance and from
-a trial loop that refits each trial with the trust-region fit, from the
-intensity moments or from the observed fit.  Tests compare the package
+from fancy-indexing whole rows of the color ramp, the FFT convolution
+at zero delay from one full-width transform of the whole input,
+Schmidt numbers from a full singular value decomposition, field CSV
+files from one formatted tuple per grid point, wavelength resampling
+from scipy's RegularGridInterpolator on a full meshgrid of query
+points, and Monte Carlo error bars from the linearized least-squares
+covariance and from a trial loop that refits each trial with the
+trust-region fit, from the intensity moments or from the observed fit.  Tests compare the package
 against numbers produced here, and the two engines against each other.
 """
 
@@ -120,6 +121,34 @@ def ramp_colors(values, ramp: np.ndarray) -> np.ndarray:
     frac = (pos - lo)[..., None]
     rgb = ramp[lo] * (1.0 - frac) + ramp[hi] * frac
     return np.round(rgb).astype(np.uint8)
+
+
+def fft_convolve_one_shot(field, escort, pm, out_grid):
+    """(values, weight) of the zero-delay FFT convolution, all herald rows at once.
+
+    The herald-major copy of the input is transformed at the full
+    next_fast_len(n_in + n_out - 1) length, multiplied by the kernel's
+    transform and transformed back in one call; the kept rows are copied
+    out, scaled by the step, weighted by the acceptance, and divided by
+    the square root of the weight into a new array.
+    """
+    import scipy.fft
+
+    from timelens.states import escort_amplitude
+
+    n1, n3 = field.axis1.n, out_grid.n
+    step = field.axis1.step
+    offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * step
+    size = scipy.fft.next_fast_len(n1 + n3 - 1)
+    spectrum = scipy.fft.fft(np.ascontiguousarray(field.values.T), n=size, axis=-1)
+    spectrum *= scipy.fft.fft(escort_amplitude(escort, offsets), n=size)
+    circular = scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)
+    values = np.ascontiguousarray(circular[:, n1 - 1 : n1 - 1 + n3].T) * step
+    if not pm.is_infinite:
+        nominal = field.axis1.center + escort.center
+        values = values * pm.amplitude(out_grid.points, nominal)[:, None]
+    weight = float(np.sum(np.abs(values) ** 2) * (out_grid.step * field.axis_h.step))
+    return values / math.sqrt(weight), weight
 
 
 def svd_schmidt_number(values: np.ndarray) -> float:

@@ -596,31 +596,47 @@ class TestG2:
             g2_cross_correlation(CountRates(1e6, 2e6, 1e4, 0.0))
 
 
+def simulated_fields(name: str, nh: int):
+    """The input and output fields that simulate resamples, at tau != 0."""
+    from importlib import resources
+
+    from timelens.config import parse_config
+    from timelens.grid import prepare_sweep, sfg_convolve
+
+    cfg = parse_config(resources.files("timelens") / "configs" / f"{name}.cfg")
+    tau = 0.5e-12
+    chirped, out_grid = prepare_sweep(cfg.lens, cfg.state, [tau], n=512, nh=nh, n_out=64)
+    return [
+        sample_jsa(cfg.state, chirped.axis1, chirped.axis_h),
+        sfg_convolve(
+            chirped, cfg.lens.escort, cfg.lens.phasematching, tau, out_grid=out_grid,
+            method="fft",
+        )[0],
+    ]
+
+
+def assert_spectrum_matches_reference(field):
+    spec = spectrum_from_field(field)
+    lam1, lamh, counts = oracles.spectrum_from_field_reference(field)
+    assert np.array_equal(spec.lambda1_nm, lam1)
+    assert np.array_equal(spec.lambdah_nm, lamh)
+    assert np.array_equal(spec.counts, counts)
+
+
 class TestSpectrumFromField:
     @pytest.mark.parametrize("name", ["experimental", "ideal", "filterlimit", "longcrystal"])
     def test_matches_reference_bitwise(self, name):
-        # the input and output fields that simulate resamples, at tau != 0
-        from importlib import resources
+        for field in simulated_fields(name, nh=64):
+            assert_spectrum_matches_reference(field)
 
-        from timelens.config import parse_config
-        from timelens.grid import prepare_sweep, sfg_convolve
-
-        cfg = parse_config(resources.files("timelens") / "configs" / f"{name}.cfg")
-        tau = 0.5e-12
-        chirped, out_grid = prepare_sweep(cfg.lens, cfg.state, [tau], n=512, nh=64, n_out=64)
-        fields = [
-            sample_jsa(cfg.state, chirped.axis1, chirped.axis_h),
-            sfg_convolve(
-                chirped, cfg.lens.escort, cfg.lens.phasematching, tau, out_grid=out_grid,
-                method="fft",
-            )[0],
-        ]
-        for field in fields:
-            spec = spectrum_from_field(field)
-            lam1, lamh, counts = oracles.spectrum_from_field_reference(field)
-            assert np.array_equal(spec.lambda1_nm, lam1)
-            assert np.array_equal(spec.lambdah_nm, lamh)
-            assert np.array_equal(spec.counts, counts)
+    @pytest.mark.parametrize("name", ["experimental", "ideal", "filterlimit", "longcrystal"])
+    def test_matches_reference_across_row_blocks(self, name):
+        # with 200 herald samples the 512 input rows are resampled in two
+        # row blocks, the second one partial
+        field = simulated_fields(name, nh=200)[0]
+        block = analysis._BLOCK_CELLS // 200
+        assert field.axis1.n > block and field.axis1.n % block != 0
+        assert_spectrum_matches_reference(field)
 
     def test_off_grid_points_match_reference(self):
         # query points below, on and above both grid ends, on interior

@@ -36,7 +36,7 @@ from timelens.grid import (
     grid_bytes,
     prepare_sweep,
 )
-from timelens import units
+from timelens import grid, units
 from timelens.config import parse_config
 from timelens.lens import gaussian_output
 
@@ -308,6 +308,31 @@ class TestSfgConvolve:
         assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)) < 1e-9
         assert wa == pytest.approx(wb, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma_pm", [math.inf, 3e12])
+    def test_fft_row_blocks_match_one_shot_bitwise(self, exp_state, exp_lens, sigma_pm):
+        # 200 herald rows cross the edges of the row blocks and end in a
+        # partial one; at zero delay no phase is applied, so the blocked
+        # transforms give the one-shot route's bits
+        pm = PhasematchingModel(sigma=sigma_pm)
+        lens_cfg = replace(exp_lens, phasematching=pm)
+        field, out_grid = prepare_sweep(lens_cfg, exp_state, [0.0], n=512, nh=200)
+        rows = grid._block_rows(scipy.fft.next_fast_len(512 + out_grid.n - 1))
+        assert rows < 200 and 200 % rows != 0
+        out, weight = sfg_convolve(field, exp_lens.escort, pm, out_grid=out_grid, method="fft")
+        want, want_weight = oracles.fft_convolve_one_shot(field, exp_lens.escort, pm, out_grid)
+        assert np.array_equal(out.values, want)
+        assert weight == want_weight
+
+    def test_given_input_spectrum_is_checked(self, exp_state, exp_lens):
+        field, out_grid = prepare_sweep(exp_lens, exp_state, [0.0], n=512, nh=64)
+        spectrum = grid._input_spectrum(field, out_grid.n)
+        for method, given in (("fft", spectrum[1:]), ("direct", spectrum)):
+            with pytest.raises(ValueError, match="input_spectrum"):
+                sfg_convolve(
+                    field, exp_lens.escort, out_grid=out_grid, method=method,
+                    input_spectrum=given,
+                )
+
     def test_fft_requires_matching_step(self):
         state = mild_state()
         escort = EscortPulse(center=2.43e15, sigma=1.2e12)
@@ -548,6 +573,26 @@ class TestDelaySweep:
         for point, field in zip(sw.points, sw.fields):
             mo = intensity_moments(field)
             assert (mo.mean1, mo.sigma1, mo.rho) == (point.omega3_center, point.sigma3, point.rho_f)
+
+    def test_rows_and_fields_match_direct_per_delay(self, exp_state, exp_lens):
+        # the sweep puts the delay phase on the kernel and the output of one
+        # shared transform; the direct path keeps exp(-i w1 tau) on the input
+        taus = [-1.0e-12, 0.4e-12, 1.0e-12]
+        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=200, keep_fields=3)
+        field, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=200, keep_fields=3)
+        for tau, point, got in zip(taus, sw.points, sw.fields):
+            want, weight = sfg_convolve(
+                field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
+                method="direct",
+            )
+            assert np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values)) < 1e-9
+            assert point.weight == pytest.approx(weight, rel=1e-9)
+            mo = intensity_moments(want)
+            assert abs(point.omega3_center - mo.mean1) < 1e-9 * mo.sigma1
+            assert abs(point.omegah_center - mo.meanh) < 1e-9 * mo.sigmah
+            assert point.sigma3 == pytest.approx(mo.sigma1, rel=1e-9)
+            assert point.sigmah == pytest.approx(mo.sigmah, rel=1e-9)
+            assert point.rho_f == pytest.approx(mo.rho, abs=1e-9)
 
     @pytest.mark.parametrize("offset", [-1.0e12, 3.0e12])
     def test_off_nominal_acceptance_intercepts(self, offset):

@@ -14,6 +14,15 @@ def assert_matches_oracle(values):
     assert np.array_equal(got, want)
 
 
+def layout_values(layout, shape):
+    """Random values in [0, 1] of the given shape, contiguous or as render_heatmap's view."""
+    rng = np.random.default_rng(9)
+    normed = rng.random(shape) ** 3
+    values = np.ascontiguousarray(normed) if layout == "c_contiguous" else normed.T[::-1, :]
+    assert values.flags.c_contiguous == (layout == "c_contiguous")
+    return values
+
+
 class TestColormap:
     def test_random_values_with_out_of_range(self):
         rng = np.random.default_rng(5)
@@ -30,8 +39,13 @@ class TestColormap:
     def test_layouts(self, layout):
         # render_heatmap passes the transposed, row-reversed view of the
         # normalized matrix
-        rng = np.random.default_rng(9)
-        normed = rng.random((61, 40)) ** 3
-        values = np.ascontiguousarray(normed) if layout == "c_contiguous" else normed.T[::-1, :]
-        assert values.flags.c_contiguous == (layout == "c_contiguous")
+        assert_matches_oracle(layout_values(layout, (61, 40)))
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "heatmap_view"])
+    def test_rows_span_several_blocks(self, layout):
+        # either way round, the rows are mapped in several blocks, the last
+        # one partial
+        values = layout_values(layout, (1000, 70))
+        block = svgplot._BLOCK_CELLS // values.shape[1]
+        assert values.shape[0] > block and values.shape[0] % block != 0
         assert_matches_oracle(values)
