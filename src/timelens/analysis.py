@@ -22,7 +22,7 @@ import numpy as np
 from . import units
 # sfg_convolve is unused here but stays bound: perfbench/selftest.py
 # checks that its traced wrapper reaches this module
-from .grid import GridField2D, delay_sweep, sfg_convolve, weighted_moments  # noqa: F401
+from .grid import GridField2D, delay_sweep, row_blocks, sfg_convolve, weighted_moments  # noqa: F401
 from .lens import LensConfig, gaussian_output
 from .states import (
     GaussianJSA,
@@ -30,11 +30,6 @@ from .states import (
     joint_energy_uncertainty,
     schmidt_number,
 )
-
-
-# cells per row block of the wavelength resampling: 0.5 MB per float64
-# temporary, so a block's gathers stay near the 2 MB L2 cache
-_BLOCK_CELLS = 2**16
 
 
 class DegenerateDataError(ValueError):
@@ -583,23 +578,24 @@ def _linear_weights(grid: np.ndarray, x: np.ndarray):
 def _bilinear_on_axes(values, grid1, gridh, x1, xh) -> np.ndarray:
     """Bilinear resampling of values on the rectilinear grid (x1, xh).
 
-    Each axis is searched once.  Output rows are filled in blocks of
-    about _BLOCK_CELLS cells: the block's lower and upper neighbour rows
-    are gathered, then the four corners by column, and the terms are
-    summed in the order v00, v01, v10, v11.  Off-grid points are 0, and
-    a non-finite value in range stays so.
+    Each axis is searched once.  Output rows are filled in the grid's
+    row blocks (0.5 MB per float64 temporary, near the 2 MB L2 cache):
+    the block's lower and upper neighbour rows are gathered, then the
+    four corners by column, and the terms are summed in the order v00,
+    v01, v10, v11.  Off-grid points are 0, and a non-finite value in
+    range stays so.
     """
     i1, a1, b1, in1 = _linear_weights(grid1, x1)
     ih, ah, bh, inh = _linear_weights(gridh, xh)
     out = np.empty((x1.size, xh.size), dtype=values.dtype)
-    step = max(1, _BLOCK_CELLS // max(1, xh.size))
-    term = np.empty((min(step, x1.size), xh.size), dtype=values.dtype)
-    for r in range(0, x1.size, step):
-        block = out[r : r + step]
+    blocks = row_blocks(x1.size, xh.size)
+    term = np.empty((blocks[0].stop, xh.size), dtype=values.dtype)
+    for rows in blocks:
+        block = out[rows]
         t = term[: len(block)]
-        a, b = a1[r : r + step, None], b1[r : r + step, None]
-        lower = values.take(i1[r : r + step], axis=0)
-        upper = values.take(i1[r : r + step] + 1, axis=0)
+        a, b = a1[rows, None], b1[rows, None]
+        lower = values.take(i1[rows], axis=0)
+        upper = values.take(i1[rows] + 1, axis=0)
         # the indices are in range; mode="clip" lets take write into block and t unbuffered
         lower.take(ih, axis=1, out=block, mode="clip")
         block *= a
@@ -616,7 +612,7 @@ def _bilinear_on_axes(values, grid1, gridh, x1, xh) -> np.ndarray:
         t *= b
         t *= bh
         block += t
-        block[~in1[r : r + step]] = 0.0
+        block[~in1[rows]] = 0.0
         block[:, ~inh] = 0.0
     return out
 
@@ -647,9 +643,8 @@ def spectrum_from_field(field: GridField2D) -> Spectrum2D:
     wqh = units.TWO_PI * units.C_LIGHT / (lamh * 1e-9)
     counts = _bilinear_on_axes(field.intensity(), w1, wh, wq1, wqh)
     jac1, jach = wq1 / lam1, wqh / lamh
-    step = max(1, _BLOCK_CELLS // jach.size)
-    for r in range(0, jac1.size, step):
-        counts[r : r + step] *= jac1[r : r + step, None] * jach
+    for rows in row_blocks(jac1.size, jach.size):
+        counts[rows] *= jac1[rows, None] * jach
     peak = counts.max()
     if not np.isfinite(peak):
         raise ValueError("field intensity is not finite on the wavelength grid")

@@ -114,21 +114,19 @@ def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
     )
 
 
-def _stats_row(label: str, st, extra: dict | None = None) -> dict:
-    row = {
-        "engine": label,
-        "center_signal_rad_s": st.mean1,
-        "center_herald_rad_s": st.meanh,
-        "sigma_signal_rad_s": st.sigma1,
-        "sigma_herald_rad_s": st.sigmah,
-        "rho": st.rho,
-        "schmidt_k": st.schmidt_k,
-        "signal_fwhm_thz": units.sigma_rad_to_fwhm_thz(st.sigma1),
-        "herald_fwhm_thz": units.sigma_rad_to_fwhm_thz(st.sigmah),
+def _stats_row(engine: str, center1, centerh, sigma1, sigmah, rho, **extra) -> dict:
+    """One stats.csv row: signal and herald centers and widths in rad/s, widths also as FWHM."""
+    return {
+        "engine": engine,
+        "center_signal_rad_s": center1,
+        "center_herald_rad_s": centerh,
+        "sigma_signal_rad_s": sigma1,
+        "sigma_herald_rad_s": sigmah,
+        "rho": rho,
+        "signal_fwhm_thz": units.sigma_rad_to_fwhm_thz(sigma1),
+        "herald_fwhm_thz": units.sigma_rad_to_fwhm_thz(sigmah),
+        **extra,
     }
-    if extra:
-        row.update(extra)
-    return row
 
 
 _STATS_COLUMNS = [
@@ -169,23 +167,21 @@ def cmd_simulate(args) -> int:
     output_stats = compute_stats(out_field)
 
     rows = [
-        _stats_row("grid-input", input_stats),
-        _stats_row("grid-output", output_stats, {"conversion_weight": weight}),
+        _stats_row(
+            label, st.mean1, st.meanh, st.sigma1, st.sigmah, st.rho, schmidt_k=st.schmidt_k, **extra
+        )
+        for label, st, extra in (
+            ("grid-input", input_stats, {}),
+            ("grid-output", output_stats, {"conversion_weight": weight}),
+        )
     ]
     pred = lens.predict_output(lens_cfg, state)
     rows.append(
-        {
-            "engine": "closed-form-output",
-            "center_signal_rad_s": pred.omega3_center,
-            "center_herald_rad_s": pred.omegah_center,
-            "sigma_signal_rad_s": pred.sigma3,
-            "sigma_herald_rad_s": pred.sigmah_f,
-            "rho": pred.rho_f,
-            "signal_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigma3),
-            "herald_fwhm_thz": units.sigma_rad_to_fwhm_thz(pred.sigmah_f),
-            "lcl_parameter": pred.lcl_parameter,
-            "flags": ";".join(sorted(pred.flags)),
-        }
+        _stats_row(
+            "closed-form-output", pred.omega3_center, pred.omegah_center, pred.sigma3,
+            pred.sigmah_f, pred.rho_f, lcl_parameter=pred.lcl_parameter,
+            flags=";".join(sorted(pred.flags)),
+        )
     )
 
     outputs = []

@@ -250,16 +250,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if parser.has_option("phasematching", "sigma"):
             raw = parser.get("phasematching", "sigma")
             if raw.strip() != "infinite":
-                value, unit = _parse_quantity("phasematching", "sigma", raw)
-                if unit == "rad/s":
-                    sigma_phi = value
-                elif unit == "THz":
-                    sigma_phi = _checked(
-                        "[phasematching] sigma", units.fwhm_thz_to_sigma_rad, value
-                    )
-                else:
+                sigma_phi, unit = _parse_quantity("phasematching", "sigma", raw)
+                if unit != "rad/s":
                     raise ConfigError(
-                        "[phasematching] sigma: expected rad/s, THz, or 'infinite'"
+                        "[phasematching] sigma: expected a width sigma in rad/s or 'infinite'"
                     )
         pm_center = None
         if parser.has_option("phasematching", "center"):

@@ -29,8 +29,8 @@ EDGE_MASS_LIMIT = 1e-5
 APERTURE_WEIGHT_RATIO = 1e-3
 # the grid planner refuses a run whose grid_bytes estimate exceeds this
 GRID_BYTES_LIMIT = 2**30
-# cells per row block of the sampling and convolution loops: 1 MB of
-# complex128, so a block and its temporaries stay near the 2 MB L2 cache
+# default cells per row block of row_blocks: 1 MB of complex128, so a
+# block and its temporaries stay near the 2 MB L2 cache
 _BLOCK_CELLS = 2**16
 
 
@@ -108,12 +108,6 @@ class GridField2D:
     def norm(self) -> float:
         return float(np.sum(self.intensity()) * self.cell)
 
-    def normalized(self) -> "GridField2D":
-        n = self.norm()
-        if n <= 0.0:
-            raise NormalizationError("field has zero norm")
-        return GridField2D(self.axis1, self.axis_h, self.values / math.sqrt(n))
-
 
 @dataclass(frozen=True)
 class IntensityMoments:
@@ -187,11 +181,6 @@ def grids_for_state(
     return g1, gh
 
 
-def _block_rows(row_cells: int) -> int:
-    """Rows of row_cells cells that make one block of about _BLOCK_CELLS cells."""
-    return max(1, _BLOCK_CELLS // row_cells)
-
-
 def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
     """Sample the joint amplitude on the grid pair, with discrete norm exactly one.
 
@@ -209,9 +198,8 @@ def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
     w1 = grid1.points[:, None]
     wh = gridh.points[None, :]
     values = np.empty((grid1.n, gridh.n), dtype=complex)
-    rows = _block_rows(gridh.n)
-    for r in range(0, grid1.n, rows):
-        values[r : r + rows] = jsa_amplitude(state, w1[r : r + rows], wh)
+    for rows in row_blocks(grid1.n, gridh.n):
+        values[rows] = jsa_amplitude(state, w1[rows], wh)
     field = GridField2D(grid1, gridh, values)
     norm = field.norm()
     if norm <= 0.0:
@@ -310,10 +298,9 @@ def sfg_convolve(
         # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
         # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
         out_values = np.empty((n3, nh), dtype=complex)
-        rows = _block_rows(size)
-        for h in range(0, nh, rows):
-            circular = scipy.fft.ifft(input_spectrum[h : h + rows] * kspec, overwrite_x=True)
-            np.multiply(circular[:, n1 - 1 : n1 - 1 + n3].T, factor, out=out_values[:, h : h + rows])
+        for rows in row_blocks(nh, size):
+            circular = scipy.fft.ifft(input_spectrum[rows] * kspec, overwrite_x=True)
+            np.multiply(circular[:, n1 - 1 : n1 - 1 + n3].T, factor, out=out_values[:, rows])
         del circular  # not held through the intensity pass below
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
@@ -355,9 +342,8 @@ def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
     n1, nh = field.values.shape
     size = scipy.fft.next_fast_len(n1 + n_out - 1)
     spectrum = np.empty((nh, size), dtype=complex)
-    rows = _block_rows(size)
-    for h in range(0, nh, rows):
-        spectrum[h : h + rows] = scipy.fft.fft(field.values[:, h : h + rows].T, n=size)
+    for rows in row_blocks(nh, size):
+        spectrum[rows] = scipy.fft.fft(field.values[:, rows].T, n=size)
     return spectrum
 
 
@@ -473,6 +459,17 @@ def suggested_input_samples(
     return min(n, 16384)
 
 
+def row_blocks(n_rows: int, row_cells: int, budget: int = _BLOCK_CELLS) -> list[slice]:
+    """Slices that take n_rows rows of row_cells cells, in order, about budget cells at a time.
+
+    Every block holds at least one row, so a row wider than the budget
+    is a block of its own, and only the last block may be short; fewer
+    rows than one block, none included, make one slice.
+    """
+    rows = max(1, budget // max(1, row_cells))
+    return [slice(r, min(r + rows, n_rows)) for r in range(0, max(1, n_rows), rows)]
+
+
 def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
     """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
@@ -497,7 +494,7 @@ def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
     from scipy.fft import next_fast_len
 
     size = next_fast_len(n + n_out - 1)
-    block = 16 * min(nh, _block_rows(size)) * size
+    block = 16 * row_blocks(nh, size)[0].stop * size
     convolution = 16 * nh * (size + (out_fields + 1) * n_out) + max(block, 8 * nh * n_out)
     input_stats = 16 * nh * n + 16 * min(n, nh) ** 2
     return 32 * nh * n + max(convolution, input_stats)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .states import EscortPulse, GaussianJSA, PhasematchingModel
+from .states import EscortPulse, GaussianJSA, PhasematchingModel, _chirped_duration
 
 LCL_THRESHOLD = 10.0  # dimensionless large-chirp criterion
 
@@ -317,15 +317,8 @@ def predict_output(cfg: LensConfig, state: GaussianJSA) -> OutputStatePrediction
     flags = set()
     if lcl > LCL_THRESHOLD:
         flags.add("lcl_satisfied")
-    escort_duration = (
-        math.sqrt(1.0 + 16.0 * cfg.escort_chirp**2 * cfg.escort.sigma**4)
-        / (2.0 * cfg.escort.sigma)
-    )
-    m = 1.0 - state.rho**2
-    signal_duration = math.sqrt(1.0 + 16.0 * a1**2 * m * state.sigma1**4) / (
-        2.0 * math.sqrt(m) * state.sigma1
-    )
-    if escort_duration < signal_duration:
+    escort_duration = _chirped_duration(cfg.escort.sigma, cfg.escort_chirp, 0.0)
+    if escort_duration < _chirped_duration(state.sigma1, a1, state.rho):
         flags.add("escort_aperture_limited")
     if phasematch_restrictive(cfg, state):
         flags.add("phasematch_limited")

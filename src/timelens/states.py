@@ -159,10 +159,16 @@ def chirped_temporal_width(state: GaussianJSA) -> float:
     linearly with |chirp| once the state is chirped well beyond its
     transform limit.
     """
-    m = 1.0 - state.rho**2
-    return math.sqrt(1.0 + 16.0 * state.chirp**2 * m * state.sigma1**4) / (
-        2.0 * math.sqrt(m) * state.sigma1
-    )
+    return _chirped_duration(state.sigma1, state.chirp, state.rho)
+
+
+def _chirped_duration(sigma: float, chirp: float, rho: float) -> float:
+    """Temporal 1/sqrt(e) half-width, s, of a pulse of width sigma and chirp, correlated by rho.
+
+    rho is the correlation with a partner photon, 0 for a single pulse.
+    """
+    m = 1.0 - rho**2
+    return math.sqrt(1.0 + 16.0 * chirp**2 * m * sigma**4) / (2.0 * math.sqrt(m) * sigma)
 
 
 def joint_energy_uncertainty(sigma1: float, sigmah: float, rho: float) -> float:

@@ -18,6 +18,8 @@ import zlib
 
 import numpy as np
 
+from .grid import row_blocks
+
 # fixed color ramp, dark violet to bright yellow, anchors at even spacing
 _RAMP = np.array(
     [
@@ -51,15 +53,14 @@ def colormap(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     rows = np.atleast_2d(v)
     rgb = np.empty(rows.shape + (3,), dtype=np.uint8)
-    step = max(1, _BLOCK_CELLS // max(1, math.prod(rows.shape[1:])))
-    for r in range(0, len(rows), step):
-        pos = np.clip(rows[r : r + step], 0.0, 1.0)
+    for r in row_blocks(len(rows), math.prod(rows.shape[1:]), _BLOCK_CELLS):
+        pos = np.clip(rows[r], 0.0, 1.0)
         pos *= _RAMP.shape[0] - 1
         lo = np.floor(pos).astype(np.intp)
         hi = np.minimum(lo + 1, _RAMP.shape[0] - 1)
         frac = pos - lo
         rest = 1.0 - frac
-        block = rgb[r : r + step]
+        block = rgb[r]
         for channel, ramp in enumerate(_RAMP.T):
             block[..., channel] = np.round(ramp.take(lo) * rest + ramp.take(hi) * frac)
     return rgb.reshape(v.shape + (3,))

@@ -47,15 +47,6 @@ def bandwidth_nm_to_thz(fwhm_nm: float, center_nm: float) -> float:
     return C_LIGHT * (fwhm_nm * 1e-9) / (center_nm * 1e-9) ** 2 / 1e12
 
 
-def bandwidth_thz_to_nm(fwhm_thz: float, center_nm: float) -> float:
-    """Inverse of :func:`bandwidth_nm_to_thz` (same first-order relation)."""
-    if center_nm <= 0.0:
-        raise ValueError(f"center wavelength must be positive, got {center_nm}")
-    if fwhm_thz < 0.0:
-        raise ValueError(f"bandwidth must be non-negative, got {fwhm_thz}")
-    return fwhm_thz * 1e12 * (center_nm * 1e-9) ** 2 / C_LIGHT * 1e9
-
-
 def fwhm_to_sigma(fwhm: float) -> float:
     """FWHM to Gaussian intensity standard deviation, any unit."""
     if fwhm < 0.0:
@@ -83,11 +74,6 @@ def sigma_rad_to_fwhm_thz(sigma: float) -> float:
 def fwhm_nm_to_sigma_rad(fwhm_nm: float, center_nm: float) -> float:
     """FWHM in nm at a given carrier to sigma in rad/s."""
     return fwhm_thz_to_sigma_rad(bandwidth_nm_to_thz(fwhm_nm, center_nm))
-
-
-def sigma_rad_to_fwhm_nm(sigma: float, center_nm: float) -> float:
-    """Sigma in rad/s to FWHM in nm at a given carrier."""
-    return bandwidth_thz_to_nm(sigma_rad_to_fwhm_thz(sigma), center_nm)
 
 
 def slope_rad_to_thz_per_ps(slope: float) -> float:

@@ -314,6 +314,11 @@ def thz_per_ps(slope_rad_per_s2: float) -> float:
     return slope_rad_per_s2 / TWO_PI * 1e-24
 
 
+def sigma_rad_to_fwhm_nm(sigma: float, center_nm: float) -> float:
+    """Sigma in rad/s to FWHM in nm, first order: dlambda = lambda^2 dnu / c."""
+    return FWHM * sigma / TWO_PI * (center_nm * 1e-9) ** 2 / C_LIGHT * 1e9
+
+
 # Measured operating point used across the acceptance tests
 SIGMA1 = 4.909e12       # rad/s, from a 1.840 THz FWHM marginal
 SIGMAH = 5.427e12       # rad/s, from a 2.034 THz FWHM marginal

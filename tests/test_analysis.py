@@ -21,7 +21,7 @@ from timelens import (
     montecarlo_errorbars,
     sample_jsa,
 )
-from timelens import analysis
+from timelens import analysis, grid
 from timelens.analysis import (
     DegenerateDataError,
     FitConvergenceError,
@@ -634,7 +634,7 @@ class TestSpectrumFromField:
         # with 200 herald samples the 512 input rows are resampled in two
         # row blocks, the second one partial
         field = simulated_fields(name, nh=200)[0]
-        block = analysis._BLOCK_CELLS // 200
+        block = grid.row_blocks(field.axis1.n, 200)[0].stop
         assert field.axis1.n > block and field.axis1.n % block != 0
         assert_spectrum_matches_reference(field)
 
@@ -671,7 +671,7 @@ class TestSpectrumFromField:
         assert fit.center1_nm == pytest.approx(lam_center, abs=1e-2)
         assert fit.rho == pytest.approx(exp_state.rho, abs=2e-3)
         assert fit.fwhm1_nm == pytest.approx(
-            units.sigma_rad_to_fwhm_nm(exp_state.sigma1, lam_center), rel=2e-3
+            oracles.sigma_rad_to_fwhm_nm(exp_state.sigma1, lam_center), rel=2e-3
         )
 
 

@@ -164,6 +164,14 @@ def test_phasematching_finite():
     assert cfg.lens.phasematching.sigma == 9.1e12
 
 
+@pytest.mark.parametrize("value", ["1 THz", "1 nm", "6.28e12"])
+def test_phasematching_sigma_only_in_rad_s(value):
+    # a THz value was once read as a FWHM; the width is a sigma in rad/s
+    text = GOOD.replace("sigma = infinite", f"sigma = {value}")
+    with pytest.raises(ConfigError, match=r"\[phasematching\] sigma: .*rad/s or 'infinite'"):
+        parse_config_text(text)
+
+
 def test_bundled_configs_parse():
     for name in ("experimental.cfg", "ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"):
         text = (resources.files("timelens") / "configs" / name).read_text()

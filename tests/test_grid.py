@@ -35,6 +35,7 @@ from timelens.grid import (
     ResamplingRequiredError,
     grid_bytes,
     prepare_sweep,
+    row_blocks,
 )
 from timelens import grid, units
 from timelens.config import parse_config
@@ -316,7 +317,7 @@ class TestSfgConvolve:
         pm = PhasematchingModel(sigma=sigma_pm)
         lens_cfg = replace(exp_lens, phasematching=pm)
         field, out_grid = prepare_sweep(lens_cfg, exp_state, [0.0], n=512, nh=200)
-        rows = grid._block_rows(scipy.fft.next_fast_len(512 + out_grid.n - 1))
+        rows = row_blocks(200, scipy.fft.next_fast_len(512 + out_grid.n - 1))[0].stop
         assert rows < 200 and 200 % rows != 0
         out, weight = sfg_convolve(field, exp_lens.escort, pm, out_grid=out_grid, method="fft")
         want, want_weight = oracles.fft_convolve_one_shot(field, exp_lens.escort, pm, out_grid)
@@ -492,7 +493,9 @@ class TestTimeDomain:
         g1, gh = grids_for_state(state, n=512, nh=64)
         field = sample_jsa(state, g1, gh)
         mask = (g1.points > state.omega1).astype(float)[:, None]
-        upper = GridField2D(g1, gh, field.values * mask).normalized()
+        masked = field.values * mask
+        masked /= math.sqrt(GridField2D(g1, gh, masked).norm())
+        upper = GridField2D(g1, gh, masked)
         t = to_time_domain(upper).axis1.points
         marginal_t = to_time_domain(upper).intensity().sum(axis=1)
         mean_t = marginal_t @ t / marginal_t.sum()
@@ -641,6 +644,25 @@ class TestDelaySweep:
         )
         assert field.values.shape == (4096, 512)
         assert out_grid.n == n_out
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n_rows, row_cells, budget", [(1000, 70, 2**14), (512, 200, 2**16), (4737, 8910, 2**16)]
+    )
+    def test_covers_every_row_once_in_order(self, n_rows, row_cells, budget):
+        blocks = row_blocks(n_rows, row_cells, budget)
+        assert [r for b in blocks for r in range(n_rows)[b]] == list(range(n_rows))
+        sizes = [len(range(n_rows)[b]) for b in blocks]
+        assert set(sizes[:-1]) == {budget // row_cells}
+        assert 0 < sizes[-1] < sizes[0]
+
+    def test_row_wider_than_budget_is_a_block_of_its_own(self):
+        assert row_blocks(3, 2**16 + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024])
+    def test_fewer_rows_than_one_block_give_one_slice(self, n_rows):
+        assert row_blocks(n_rows, 64) == [slice(0, n_rows)]
 
 
 class TestGridBytes:

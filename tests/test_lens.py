@@ -390,6 +390,14 @@ class TestPredictOutput:
         pred = predict_output(cfg, exp_state)
         assert "lcl_satisfied" in pred.flags
 
+    @pytest.mark.parametrize("name, limited", [("experimental.cfg", True), ("ideal.cfg", False)])
+    def test_escort_aperture_limited_flag(self, name, limited):
+        # set when the chirped escort is shorter than the chirped signal;
+        # the ideal lens's broad, chirped escort outlasts the signal
+        cfg = parse_config(resources.files("timelens") / "configs" / name)
+        pred = predict_output(cfg.lens, cfg.state)
+        assert ("escort_aperture_limited" in pred.flags) == limited
+
     @pytest.mark.parametrize(
         "name, limited", [("longcrystal.cfg", True), ("experimental.cfg", False)]
     )

@@ -8,6 +8,13 @@ defaulted parameter that no call passes, by keyword or by position.
 Calls are matched by the called name alone (a function, a method or an
 attribute of that name), and a call that unpacks *args or **kwargs counts
 as passing every positional or keyword parameter.
+
+A second test holds the package to its own callers: every function and
+method defined in src/timelens must be referenced in src/timelens outside
+its own definition, as a name, an attribute or an ``__all__`` entry, so no
+function lives in the package for the tests alone.  Dunder methods are
+called by Python itself, and the functions perfbench traces
+(``perfbench/spans.TRACED``) are pinned by the benchmark, so both pass.
 """
 
 from __future__ import annotations
@@ -88,3 +95,51 @@ def test_every_defaulted_parameter_has_a_caller():
             if not _passed(calls.get(fn, []), parameter, position):
                 unused.append(f"{module.name}:{line} {fn}({parameter})")
     assert unused == [], "defaulted parameters no call passes: " + ", ".join(unused)
+
+
+def _traced_names() -> set[str]:
+    """Function names listed in perfbench/spans.TRACED."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
+            return {elt.value for names in node.value.values for elt in names.elts}
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name, attribute and __all__ entry in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            for elt in node.value.elts:
+                yield elt.value, elt.lineno
+
+
+def test_every_package_function_has_a_package_caller():
+    trees = {
+        module.name: ast.parse(module.read_text(encoding="utf-8"))
+        for module in sorted(PACKAGE.glob("*.py"))
+    }
+    references: dict[str, list] = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            references.setdefault(name, []).append((module, line))
+    exempt = _traced_names()
+    uncalled = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name in exempt or (fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            if not any(
+                where != module or not fn.lineno <= line <= fn.end_lineno
+                for where, line in references.get(fn.name, [])
+            ):
+                uncalled.append(f"{module}:{fn.lineno} {fn.name}")
+    assert uncalled == [], "functions nothing in src/timelens refers to: " + ", ".join(uncalled)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from timelens import svgplot
+from timelens.grid import row_blocks
 
 import oracles
 
@@ -46,6 +47,6 @@ class TestColormap:
         # either way round, the rows are mapped in several blocks, the last
         # one partial
         values = layout_values(layout, (1000, 70))
-        block = svgplot._BLOCK_CELLS // values.shape[1]
+        block = row_blocks(values.shape[0], values.shape[1], svgplot._BLOCK_CELLS)[0].stop
         assert values.shape[0] > block and values.shape[0] % block != 0
         assert_matches_oracle(values)
