@@ -168,8 +168,7 @@ def gaussian2d_model(params: GaussianFitParams, lambda1_nm, lambdah_nm) -> np.nd
     return params.offset + params.amplitude * np.exp(-0.5 * q)
 
 
-def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
-    counts = spec.counts
+def _moment_initialization(l1: np.ndarray, lh: np.ndarray, counts: np.ndarray) -> GaussianFitParams:
     if counts.sum() <= 0:
         raise DegenerateDataError("histogram holds no counts")
     if counts.max() <= counts.min():
@@ -184,7 +183,7 @@ def _moment_initialization(spec: Spectrum2D) -> GaussianFitParams:
     w = np.where(above > 3.0 * math.sqrt(offset0), above, 0.0)
     if not w.any():
         raise DegenerateDataError("no counts above the background level")
-    c1, ch, v1, vh, cov = weighted_moments(w, spec.lambda1_nm, spec.lambdah_nm)
+    c1, ch, v1, vh, cov = weighted_moments(w, l1, lh)
     if v1 <= 0.0 or vh <= 0.0:
         raise DegenerateDataError("histogram has zero spread above background")
     rho0 = float(np.clip(cov / math.sqrt(v1 * vh), -0.98, 0.98))
@@ -246,7 +245,7 @@ def _gaussian_residuals(p, l1: np.ndarray, lh: np.ndarray, counts) -> tuple[np.n
     on its last axis, and counts the histograms on their last two; any
     leading axes (one per trial) broadcast.  Returns the residuals,
     shape (..., bins), and the Jacobian with one row per parameter,
-    shape (..., 7, bins).
+    shape (..., 7, bins), on the leading axes of p alone.
     """
     amp, c1, ch, s1, sh, rho, off = (p[..., i, None, None] for i in range(7))
     m = 1.0 - rho**2
@@ -268,11 +267,70 @@ def _gaussian_residuals(p, l1: np.ndarray, lh: np.ndarray, counts) -> tuple[np.n
     np.multiply(ah, dh, out=jac[..., 4, :, :])
     np.multiply(g, d1 * dh - rho * q, out=jac[..., 5, :, :])
     jac[..., 6, :, :] = 1.0
-    return (off + ae - counts).reshape(*lead, -1), jac.reshape(*lead, 7, -1)
+    r = off + ae - counts
+    return r.reshape(*r.shape[:-2], -1), jac.reshape(*lead, 7, -1)
 
 
-# relative step at which a fit stops (the trust-region fit's xtol)
-XTOL = 1e-10
+# relative Jacobian-scaled step at which a fit stops, and the most steps it takes
+XTOL = 1e-12
+LM_MAX_ITERATIONS = 1000
+
+
+def _levenberg_marquardt(x0, l1: np.ndarray, lh: np.ndarray, counts) -> np.ndarray:
+    """Bounded Levenberg-Marquardt fits of a stack of histograms (trials, n1, nh), all from x0.
+
+    A row steps by (J^T J + lam D^2) dx = -J^T r, D the Jacobian's column
+    norms (More, 1978); lam starts at 1e-3, falls tenfold after a step
+    that lowers the sum of squares and rises tenfold, dropping the step,
+    after one that does not.  Parameters on a bound of _fit_bounds with
+    the gradient pointing out are held; steps are projected into the
+    box.  A row stops before a step with ||D dx|| < XTOL (XTOL + ||D x||)
+    or a gain below the rounding of the sum, so a refit from a result
+    reached with lam <= 1e-3 stops there.  Rows are independent.  NaN
+    marks a row not stopped in LM_MAX_ITERATIONS steps or one whose
+    Jacobian lost a column.
+    """
+    lower, upper = _fit_bounds(l1, lh)
+    x = np.repeat(np.clip(x0, lower, upper)[None, :], counts.shape[0], axis=0)
+    rows = np.arange(counts.shape[0])
+    lam = np.full(rows.size, 1e-3)
+    # every row starts at x0, so one Jacobian serves them all
+    r, jac_t = _gaussian_residuals(x[:1], l1, lh, counts)
+    jac_t = np.broadcast_to(jac_t, (rows.size,) + jac_t.shape[1:])
+    cost = np.einsum("ij,ij->i", r, r)
+    fitted = np.full(x.shape, np.nan)
+    for _ in range(LM_MAX_ITERATIONS):
+        normal = jac_t @ jac_t.swapaxes(1, 2)
+        grad = (jac_t @ r[..., None])[..., 0]
+        d2 = np.diagonal(normal, axis1=1, axis2=2)
+        usable = ((d2 > 0.0) & (d2 < np.inf)).all(axis=1)
+        held = ((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)) | ~usable[:, None]
+        damped = normal * ~(held[:, :, None] | held[:, None, :])
+        damped[:, range(7), range(7)] += np.where(held, 1.0, lam[:, None] * d2)
+        grad[held] = 0.0
+        step = -np.linalg.solve(damped, grad[..., None])[..., 0]
+        trial = np.clip(x + step, lower, upper)
+        d = np.sqrt(d2)
+        limit = XTOL * (XTOL + np.linalg.norm(d * x, axis=1))
+        small = np.linalg.norm(d * (trial - x), axis=1) < limit
+        gain = -np.einsum("ij,ij->i", 2.0 * grad + (normal @ step[..., None])[..., 0], step)
+        small |= gain < 4.0 * np.finfo(float).eps * cost
+        fitted[rows[small & usable]] = x[small & usable]
+        going = ~small & usable
+        if not going.all():
+            x, r, jac_t, cost, lam, counts, rows, trial = (
+                v[going] for v in (x, r, jac_t, cost, lam, counts, rows, trial)
+            )
+            if rows.size == 0:
+                break
+        r_trial, jac_trial = _gaussian_residuals(trial, l1, lh, counts)
+        cost_trial = np.einsum("ij,ij->i", r_trial, r_trial)
+        worse = ~(cost_trial < cost)
+        for new, old in ((trial, x), (r_trial, r), (jac_trial, jac_t), (cost_trial, cost)):
+            new[worse] = old[worse]
+        x, r, jac_t, cost = trial, r_trial, jac_trial, cost_trial
+        lam = np.where(worse, 10.0 * lam, 0.1 * lam)
+    return fitted
 
 
 def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) -> FitReport:
@@ -281,36 +339,17 @@ def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) ->
     Initialization comes from intensity moments of the background-
     subtracted histogram, or from start when it is given (the moments
     are still taken, so a degenerate histogram raises either way); the
-    optimizer is a damped trust-region least-squares scheme with
-    relative parameter tolerance 1e-10 and a cap of 1000 evaluations.
+    solver is _levenberg_marquardt on a stack of one, and a fit that
+    does not converge raises FitConvergenceError.
     """
-    from scipy.optimize import least_squares
-
     if spec.counts.shape[0] < 6 or spec.counts.shape[1] < 6:
         raise ValueError("need at least 6x6 bins to fit")
-    init = _moment_initialization(spec)
-    if start is not None:
-        init = start
-
-    l1 = spec.lambda1_nm
-    lh = spec.lambdah_nm
-    counts = spec.counts
-    lower, upper = _fit_bounds(l1, lh)
-    result = least_squares(
-        lambda p: _gaussian_residuals(p, l1, lh, counts)[0],
-        np.clip(_to_vector(init), lower, upper),
-        jac=lambda p: _gaussian_residuals(p, l1, lh, counts)[1].T,
-        bounds=(lower, upper),
-        method="trf",
-        xtol=XTOL,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=1000,
-        x_scale="jac",
-    )
-    if not result.success:
-        raise FitConvergenceError(f"fit did not converge: {result.message}")
-    return FitReport(raw=_from_vector(result.x))
+    l1, lh, counts = spec.lambda1_nm, spec.lambdah_nm, spec.counts
+    init = _moment_initialization(l1, lh, counts)
+    x = _levenberg_marquardt(_to_vector(init if start is None else start), l1, lh, counts[None])[0]
+    if np.isnan(x).any():
+        raise FitConvergenceError(f"fit did not converge within {LM_MAX_ITERATIONS} steps")
+    return FitReport(raw=_from_vector(x))
 
 
 # bins kept per axis by contour_subsample, and bins it keeps across a peak
@@ -328,7 +367,7 @@ def contour_subsample(spec: Spectrum2D) -> Spectrum2D:
     does not fall between samples.  Raises DegenerateDataError where the
     moments do.
     """
-    init = _moment_initialization(spec)
+    init = _moment_initialization(spec.lambda1_nm, spec.lambdah_nm, spec.counts)
     strides = []
     for axis, fwhm in ((spec.lambda1_nm, init.fwhm1_nm), (spec.lambdah_nm, init.fwhmh_nm)):
         fwhm_bins = fwhm / (axis[1] - axis[0])
@@ -423,48 +462,8 @@ def fit_values(params: GaussianFitParams) -> dict:
     return out
 
 
-# Monte Carlo refits run Gauss-Newton on chunks of this many trials, so the
-# Jacobian stack stays a few hundred kB, and a trial that has not stopped
-# after GN_MAX_ITERATIONS steps goes to the trust-region fit
-MC_CHUNK_TRIALS = 4
-GN_MAX_ITERATIONS = 20
-
-
-def _gauss_newton(x0: np.ndarray, spec: Spectrum2D, counts: np.ndarray) -> np.ndarray:
-    """Undamped Gauss-Newton refits of a stack of histograms, all from x0.
-
-    counts has shape (trials, n1, nh) on spec's axes.  A row stops once
-    its step passes XTOL in the Jacobian-scaled variables of the
-    trust-region fit (x_scale="jac"), ||D dx|| < XTOL (XTOL + ||D x||)
-    with D the Jacobian's column norms, and is not stepped again, so a
-    row's result does not depend on the other rows of the stack.
-    Returns one parameter vector per histogram, NaN where the fit did not
-    stop within GN_MAX_ITERATIONS, took a non-finite step or ended
-    outside fit_gaussian_2d's bounds: such a trial is for that fit.
-    """
-    lower, upper = _fit_bounds(spec.lambda1_nm, spec.lambdah_nm)
-    x = np.repeat(x0[None, :], counts.shape[0], axis=0)
-    rows = np.arange(counts.shape[0])
-    fitted = np.full(x.shape, np.nan)
-    for _ in range(GN_MAX_ITERATIONS):
-        r, jac_t = _gaussian_residuals(x, spec.lambda1_nm, spec.lambdah_nm, counts)
-        normal = jac_t @ jac_t.swapaxes(1, 2)
-        try:
-            step = np.linalg.solve(normal, -(jac_t @ r[..., None]))[..., 0]
-        except np.linalg.LinAlgError:
-            # a singular normal matrix sends the rest of the stack to the fallback
-            break
-        d = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
-        stopped = np.linalg.norm(d * step, axis=1) < XTOL * (XTOL + np.linalg.norm(d * x, axis=1))
-        x = x + step
-        finite = np.isfinite(x).all(axis=1)
-        inside = ((x >= lower) & (x <= upper)).all(axis=1)
-        fitted[rows[stopped & finite & inside]] = x[stopped & finite & inside]
-        going = finite & ~stopped
-        x, counts, rows = x[going], counts[going], rows[going]
-        if rows.size == 0:
-            break
-    return fitted
+# histogram bins per Monte Carlo refit stack: 2 MB of Jacobian rows
+MC_STACK_CELLS = 2**15
 
 
 def montecarlo_errorbars(
@@ -480,53 +479,46 @@ def montecarlo_errorbars(
     bin from a Poisson law whose mean is the observed count, refits
     starting from the observed fit, and (when a resolution model is
     given) deconvolves; the reported error bars are the standard
-    deviations of each parameter over the successful trials.  A refit is
-    undamped Gauss-Newton on chunks of MC_CHUNK_TRIALS trials; a trial
-    it does not settle inside the fit bounds is refit by fit_gaussian_2d
-    from the observed fit, so both paths count the same failures.
-    Per-trial generators are spawned from the seed and each draw is made
-    when its chunk runs, so results depend neither on execution order
-    nor on the chunk size.  A failure rate above 5 percent marks the
-    result as unreliable.
+    deviations of each parameter over the successful trials.  Draws,
+    counts arrays on the observed axes, are refit in stacks of about
+    MC_STACK_CELLS bins; a degenerate draw, a refit that does not
+    converge and a failed deconvolution are counted by exception name.
+    Per-trial generators are spawned from the seed and each draw is
+    made when its stack runs, so results depend neither on execution
+    order nor on the stack size.  A failure rate above 5 percent marks
+    the result as unreliable.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials")
     observed = fit_gaussian_2d(spec)
     if res is not None:
         observed = deconvolve_resolution(observed, res)
-    x_observed = _to_vector(observed.raw)
+    l1, lh = spec.lambda1_nm, spec.lambdah_nm
     children = np.random.SeedSequence(seed).spawn(n_trials)
     samples: dict[str, list] = {}
     failures: Counter[str] = Counter()
-    for first in range(0, n_trials, MC_CHUNK_TRIALS):
+    for trials in row_blocks(n_trials, spec.counts.size, MC_STACK_CELLS):
         draws = []
-        for child in children[first : first + MC_CHUNK_TRIALS]:
-            rng = np.random.default_rng(child)
-            resampled = Spectrum2D(
-                spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
-            )
+        for child in children[trials]:
+            counts = np.random.default_rng(child).poisson(spec.counts).astype(float)
             try:
-                _moment_initialization(resampled)
+                _moment_initialization(l1, lh, counts)
             except DegenerateDataError as exc:
                 failures[type(exc).__name__] += 1
                 continue
-            draws.append(resampled)
+            draws.append(counts)
         if not draws:
             continue
-        fitted = _gauss_newton(x_observed, spec, np.stack([d.counts for d in draws]))
-        for resampled, x in zip(draws, fitted):
+        for x in _levenberg_marquardt(_to_vector(observed.raw), l1, lh, np.stack(draws)):
             try:
                 if np.isnan(x).any():
-                    report = fit_gaussian_2d(resampled, start=observed.raw)
-                else:
-                    report = FitReport(raw=_from_vector(x))
+                    raise FitConvergenceError("refit did not converge")
+                report = FitReport(raw=_from_vector(x))
                 values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
                 if res is not None:
                     report = deconvolve_resolution(report, res)
-                    values.update(
-                        {f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()}
-                    )
-            except (DegenerateDataError, FitConvergenceError, UnphysicalDeconvolutionError) as exc:
+                    values.update({f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()})
+            except (FitConvergenceError, UnphysicalDeconvolutionError) as exc:
                 failures[type(exc).__name__] += 1
                 continue
             for k, v in values.items():
@@ -535,9 +527,7 @@ def montecarlo_errorbars(
     n_failed = failures.total()
     n_ok = n_trials - n_failed
     if n_ok < 2:
-        raise FitConvergenceError(
-            f"only {n_ok} of {n_trials} Monte Carlo trials converged"
-        )
+        raise FitConvergenceError(f"only {n_ok} of {n_trials} Monte Carlo trials converged")
     errors = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
     failure_rate = n_failed / n_trials
     return MonteCarloResult(
@@ -703,7 +693,8 @@ def calibrate_phasematching(sweep_data, cfg: LensConfig, state: GaussianJSA) -> 
     sweep_data is a sequence of (delay s, signal center rad/s) pairs,
     at least three of them; their least-squares slope is the calibration
     target.  The acceptance width is solved on the closed-form core, by
-    a root of its signal-center slope on a log bracket, and one grid
+    bisecting its log bracket to 1e-12 for a root of the signal-center
+    slope, which is monotone in the width, and one grid
     delay sweep at the same delays with that width, on delay_sweep's
     default grids, supplies the achieved slope and the residual.  A
     target within 1 percent of the core's unrestricted slope returns the
@@ -715,8 +706,6 @@ def calibrate_phasematching(sweep_data, cfg: LensConfig, state: GaussianJSA) -> 
     The herald-center slope simulated with the calibrated model is an
     independent prediction, not used in the fit.
     """
-    from scipy.optimize import brentq
-
     data = np.asarray(list(sweep_data), dtype=float)
     if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] != 2:
         raise ValueError("sweep data must be at least three (delay, center) pairs")
@@ -757,7 +746,8 @@ def calibrate_phasematching(sweep_data, cfg: LensConfig, state: GaussianJSA) -> 
             f"no acceptance width in [{lo:.3e}, {hi:.3e}] rad/s reproduces slope "
             f"{target:.4e} (bracket slopes {f_lo + target:.4e}, {f_hi + target:.4e})"
         )
-    log_root = brentq(
-        lambda x: core_slope(math.exp(x)) - target, math.log(lo), math.log(hi), xtol=1e-12
-    )
-    return result(model_for(math.exp(log_root)))
+    a, b = math.log(lo), math.log(hi)
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if (core_slope(math.exp(mid)) - target) * f_lo > 0.0 else (a, mid)
+    return result(model_for(math.exp(0.5 * (a + b))))

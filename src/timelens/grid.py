@@ -259,8 +259,6 @@ def sfg_convolve(
     computes it once for all of its delays, and it is computed here
     when not given.  Both paths agree to better than 1e-9.
     """
-    import scipy.fft
-
     w3 = out_grid.points
     step = field.axis1.step
     nh = field.axis_h.n
@@ -282,7 +280,7 @@ def sfg_convolve(
         n1, n3 = field.axis1.n, out_grid.n
         if input_spectrum is None:
             input_spectrum = _input_spectrum(field, n3)
-        size = scipy.fft.next_fast_len(n1 + n3 - 1)
+        size = _next_fast_len(n1 + n3 - 1)
         if input_spectrum.shape != (nh, size):
             raise ValueError(
                 f"input_spectrum has shape {input_spectrum.shape}, expected {(nh, size)} "
@@ -294,12 +292,13 @@ def sfg_convolve(
         if tau != 0.0:
             kvec *= np.exp(1j * offsets * tau)
             factor = step * np.exp(-1j * w3 * tau)[:, None]
-        kspec = scipy.fft.fft(kvec, n=size)
+        kspec = np.fft.fft(kvec, n=size)
         # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
         # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
         out_values = np.empty((n3, nh), dtype=complex)
         for rows in row_blocks(nh, size):
-            circular = scipy.fft.ifft(input_spectrum[rows] * kspec, overwrite_x=True)
+            circular = input_spectrum[rows] * kspec
+            np.fft.ifft(circular, out=circular)
             np.multiply(circular[:, n1 - 1 : n1 - 1 + n3].T, factor, out=out_values[:, rows])
         del circular  # not held through the intensity pass below
     else:
@@ -337,14 +336,25 @@ def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
     blocks of about _BLOCK_CELLS cells, so no transposed copy of the
     input is made.
     """
-    import scipy.fft
-
     n1, nh = field.values.shape
-    size = scipy.fft.next_fast_len(n1 + n_out - 1)
+    size = _next_fast_len(n1 + n_out - 1)
     spectrum = np.empty((nh, size), dtype=complex)
     for rows in row_blocks(nh, size):
-        spectrum[rows] = scipy.fft.fft(field.values[:, rows].T, n=size)
+        np.fft.fft(field.values[:, rows].T, n=size, out=spectrum[rows])
     return spectrum
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length >= n, scipy.fft.next_fast_len's rule for complex input."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def weighted_moments(weights: np.ndarray, x1: np.ndarray, xh: np.ndarray) -> tuple:
@@ -475,25 +485,20 @@ def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
 
     Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs
     are alive throughout: the sampled field and simulate's unchirped
-    field (sampling normalizes in place, so the second costs half an
-    input more, its intensity, while it is sampled).  On top of them
-    comes the larger of two moments.  One is the inverse transform of a
-    row block: the input's transform, next_fast_len(n + n_out - 1) x nh,
-    which a sweep holds for all of its delays; the out_fields outputs
-    the caller keeps plus the one being convolved (a sweep keeping fewer
-    fields than it has delays holds them while it convolves the next);
-    and the larger of one block of the product with the kernel spectrum,
-    about _BLOCK_CELLS cells (all nh rows when fewer), and the
-    half-output intensity of the weight and the moments, which is made
-    after the block is freed.  The output is normalized in place.  The
-    other is simulate's Schmidt number of its input: a conjugate copy of
-    the input and the Gram matrix on its smaller side.  pocketfft's
-    internal scratch is not a numpy allocation and is not counted;
-    tracemalloc does not see it.
+    field, plus half an input, its intensity, while that is sampled (both
+    are normalized in place).  On top comes the larger of two moments.
+    One is the inverse transform of a row block: the input's transform,
+    _next_fast_len(n + n_out - 1) x nh, which a sweep holds for all of
+    its delays; the out_fields outputs the caller keeps plus the one
+    being convolved; and the larger of the block's product with the
+    kernel spectrum, about _BLOCK_CELLS cells (all nh rows when fewer)
+    and transformed in place through numpy's out=, and the half-output
+    intensity made after the block is freed.  The other is simulate's
+    Schmidt number of its input: a conjugate copy and the Gram matrix on
+    its smaller side.  pocketfft's working buffer, about one transform
+    row, is allocated outside numpy and is not counted.
     """
-    from scipy.fft import next_fast_len
-
-    size = next_fast_len(n + n_out - 1)
+    size = _next_fast_len(n + n_out - 1)
     block = 16 * row_blocks(nh, size)[0].stop * size
     convolution = 16 * nh * (size + (out_fields + 1) * n_out) + max(block, 8 * nh * n_out)
     input_stats = 16 * nh * n + 16 * min(n, nh) ** 2

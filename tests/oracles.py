@@ -11,10 +11,12 @@ at zero delay from one full-width transform of the whole input,
 Schmidt numbers from a full singular value decomposition, field CSV
 files from one formatted tuple per grid point, wavelength resampling
 from scipy's RegularGridInterpolator on a full meshgrid of query
-points, and Monte Carlo error bars from the linearized least-squares
-covariance and from a trial loop that refits each trial with the
-trust-region fit, from the intensity moments or from the observed fit.  Tests compare the package
-against numbers produced here, and the two engines against each other.
+points, Gaussian fits from scipy's bounded trust-region least squares,
+and Monte Carlo error bars from the linearized least-squares covariance
+and from a trial loop that refits each trial with that trust-region fit,
+from the intensity moments or from the observed fit.  Tests compare the
+package against numbers produced here, and the two engines against each
+other.
 """
 
 from __future__ import annotations
@@ -88,14 +90,18 @@ def expanded_output_moments(
     return sigma3, rho_f
 
 
-def simpson_norm(state_amplitude, center1, centerh, sigma1, sigmah, n=801, span=6.0):
-    """Composite-Simpson integral of |amplitude|^2 over a +-span sigma box."""
+def simpson_2d(values, x1, xh) -> float:
+    """scipy's composite-Simpson integral of values over the grid x1 x xh."""
     from scipy.integrate import simpson
 
+    return float(simpson(simpson(values, x=xh, axis=1), x=x1))
+
+
+def simpson_norm(state_amplitude, center1, centerh, sigma1, sigmah, n=801, span=6.0):
+    """Composite-Simpson integral of |amplitude|^2 over a +-span sigma box."""
     w1 = np.linspace(center1 - span * sigma1, center1 + span * sigma1, n)
     wh = np.linspace(centerh - span * sigmah, centerh + span * sigmah, n)
-    intensity = np.abs(state_amplitude(w1[:, None], wh[None, :])) ** 2
-    return float(simpson(simpson(intensity, x=wh, axis=1), x=w1))
+    return simpson_2d(np.abs(state_amplitude(w1[:, None], wh[None, :])) ** 2, w1, wh)
 
 
 def minor_axis_fwhm(sigma1: float, sigmah: float, rho: float) -> float:
@@ -227,15 +233,50 @@ def linearized_errorbars(spec, params) -> dict:
     return dict(zip(FIT_KEYS, np.sqrt(np.diag(cov))))
 
 
+def trf_fit(spec, start=None):
+    """timelens.analysis.fit_gaussian_2d solved by scipy's bounded trust-region fit.
+
+    The same start (the intensity moments unless start is given), the
+    same bounds and the same residual and Jacobian, minimized by
+    least_squares(method="trf", x_scale="jac") with xtol 1e-10 and at
+    most 1000 evaluations.  ftol and gtol are 1e-15: at 1e-12 the fit
+    stopped up to 3e-6 (relative) short of the optimum on low-count
+    histograms, where each Gauss-Newton step removes only a fifth of
+    the error.  Raises FitConvergenceError when it does not converge.
+    """
+    from scipy.optimize import least_squares
+
+    from timelens import analysis
+
+    l1, lh, counts = spec.lambda1_nm, spec.lambdah_nm, spec.counts
+    init = analysis._moment_initialization(l1, lh, counts)
+    lower, upper = analysis._fit_bounds(l1, lh)
+    result = least_squares(
+        lambda p: analysis._gaussian_residuals(p, l1, lh, counts)[0],
+        np.clip(analysis._to_vector(init if start is None else start), lower, upper),
+        jac=lambda p: analysis._gaussian_residuals(p, l1, lh, counts)[1].T,
+        bounds=(lower, upper),
+        method="trf",
+        xtol=1e-10,
+        ftol=1e-15,
+        gtol=1e-15,
+        max_nfev=1000,
+        x_scale="jac",
+    )
+    if not result.success:
+        raise analysis.FitConvergenceError(f"fit did not converge: {result.message}")
+    return analysis.FitReport(raw=analysis._from_vector(result.x))
+
+
 def trf_trials(spec, res, n_trials: int, seed: int, start):
     """Monte Carlo trials refit one by one with the trust-region fit.
 
-    The per-trial loop of timelens.analysis.montecarlo_errorbars before
-    its Gauss-Newton refits, with the same per-trial generators: every
-    resampled histogram is refit by fit_gaussian_2d from start, or from
-    its own intensity moments when start is None, then deconvolved when
-    res is given.  Returns (per-trial values by key, over the successful
-    trials in order; failure counts by exception name).
+    The per-trial loop of timelens.analysis.montecarlo_errorbars with the
+    same per-trial generators: every resampled histogram is refit by
+    trf_fit from start, or from its own intensity moments when start is
+    None, then deconvolved when res is given.  Returns (per-trial values
+    by key, over the successful trials in order; failure counts by
+    exception name).
     """
     from timelens import analysis
 
@@ -248,7 +289,7 @@ def trf_trials(spec, res, n_trials: int, seed: int, start):
             spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
         )
         try:
-            report = analysis.fit_gaussian_2d(resampled, start=start)
+            report = trf_fit(resampled, start=start)
             values = {f"raw_{k}": v for k, v in analysis.fit_values(report.raw).items()}
             if res is not None:
                 report = analysis.deconvolve_resolution(report, res)

@@ -21,7 +21,7 @@ from timelens import (
     montecarlo_errorbars,
     sample_jsa,
 )
-from timelens import analysis, grid
+from timelens import analysis, grid, lens
 from timelens.analysis import (
     DegenerateDataError,
     FitConvergenceError,
@@ -189,8 +189,29 @@ class TestFitGaussian2D:
         rng = np.random.default_rng(17)
         model = synth_spectrum(replace(RAW_INPUT, amplitude=2e4, offset=100.0), n1=32, nh=30)
         spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
-        _, failures = oracles.moment_started_errorbars(spec, None, n_trials=200, seed=5)
-        assert failures == {}
+        for child in np.random.SeedSequence(5).spawn(200):
+            counts = np.random.default_rng(child).poisson(spec.counts)
+            fit_gaussian_2d(Spectrum2D(spec.lambda1_nm, spec.lambdah_nm, counts))
+
+    @pytest.mark.parametrize("case", ["benchmark-56x48", "peak-2e4"])
+    def test_moment_and_observed_starts_print_the_same_digits(self, case):
+        # fitreport.csv prints 12 significant digits of the fit from the
+        # moments; a refit started from that fit must print the same ones
+        if case == "peak-2e4":
+            rng = np.random.default_rng(17)
+            model = synth_spectrum(replace(RAW_INPUT, amplitude=2e4, offset=100.0), n1=32, nh=30)
+            spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
+        else:
+            spec = benchmark_histogram()
+        fit = fit_gaussian_2d(spec).raw
+        refit = fit_gaussian_2d(spec, start=fit).raw
+        want = {k: "%.12g" % v for k, v in analysis.fit_values(fit).items()}
+        assert {k: "%.12g" % v for k, v in analysis.fit_values(refit).items()} == want
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "LM_MAX_ITERATIONS", 2)
+        with pytest.raises(FitConvergenceError):
+            fit_gaussian_2d(synth_spectrum(RAW_INPUT))
 
     def test_flat_background_degenerate(self):
         lam = np.linspace(810, 812, 10)
@@ -354,42 +375,36 @@ class TestMonteCarlo:
             assert mc.errors[key] == pytest.approx(sigma, rel=1e-6, abs=0.0), key
 
     def test_refits_start_from_observed_fit(self, monkeypatch):
-        # on both paths: the Gauss-Newton stacks, and the trust-region
-        # fallback, where no Gauss-Newton step is allowed
+        # the observed fit is one stack of one from the moments; every
+        # trial is refit in a stack started from the observed fit
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
         observed = fit_gaussian_2d(spec).raw
         stacks = []
-        original_gn = analysis._gauss_newton
+        original = analysis._levenberg_marquardt
 
-        def recording_gn(x0, spec, counts):
+        def recording(x0, l1, lh, counts):
             stacks.append((x0.copy(), len(counts)))
-            return original_gn(x0, spec, counts)
+            return original(x0, l1, lh, counts)
 
-        monkeypatch.setattr(analysis, "_gauss_newton", recording_gn)
+        monkeypatch.setattr(analysis, "_levenberg_marquardt", recording)
         starts = record_fit_starts(monkeypatch)
         montecarlo_errorbars(spec, n_trials=10, seed=3)
         assert starts == [None]
-        assert sum(n for _, n in stacks) == 10
-        for x0, _ in stacks:
+        assert [n for _, n in stacks] == [1, 10]
+        for x0, _ in stacks[1:]:
             np.testing.assert_array_equal(x0, analysis._to_vector(observed))
 
-        monkeypatch.setattr(analysis, "GN_MAX_ITERATIONS", 0)
-        starts.clear()
-        montecarlo_errorbars(spec, n_trials=10, seed=3)
-        assert starts == [None] + [observed] * 10
-
-    def test_well_conditioned_refits_never_fall_back(self, monkeypatch):
-        # the fast path is the one that runs: on the benchmark-shaped
-        # histogram the only trust-region fit is the observed one
-        starts = record_fit_starts(monkeypatch)
+    def test_well_conditioned_refits_converge_in_few_steps(self, monkeypatch):
+        # on the benchmark-shaped histogram the observed fit and every
+        # refit from it stop within 15 steps
+        monkeypatch.setattr(analysis, "LM_MAX_ITERATIONS", 15)
         mc = montecarlo_errorbars(benchmark_histogram(), RES_INPUT, n_trials=100, seed=7)
-        assert starts == [None]
         assert mc.failures == {}
 
     @pytest.mark.parametrize("case", ["benchmark-56x48", "peak-100"])
     def test_matches_trust_region_refits(self, monkeypatch, case):
-        # every trial against the per-trial trust-region loop started from
-        # the observed fit; at peak 100 some trials take the fallback
+        # the observed fit and every trial against scipy's trust-region
+        # fit, per trial started from the observed fit, to 1e-6 relative
         if case == "peak-100":
             params = replace(RAW_INPUT, amplitude=100.0, offset=2.0)
             spec, res, n_trials, seed = synth_spectrum(params, n1=28, nh=26), None, 120, 11
@@ -398,7 +413,13 @@ class TestMonteCarlo:
         recorded = record_fit_values(monkeypatch)
         starts = record_fit_starts(monkeypatch)
         mc = montecarlo_errorbars(spec, res, n_trials=n_trials, seed=seed)
-        assert (len(starts) > 1) == (case == "peak-100")
+        assert starts == [None]
+        np.testing.assert_allclose(
+            analysis._to_vector(mc.observed.raw),
+            analysis._to_vector(oracles.trf_fit(spec).raw),
+            rtol=1e-6,
+            atol=0.0,
+        )
         trials = list(recorded)
         recorded.clear()
         samples, failures = oracles.trf_trials(spec, res, n_trials, seed, mc.observed.raw)
@@ -411,9 +432,9 @@ class TestMonteCarlo:
             sigma = float(np.std(values, ddof=1))
             assert mc.errors[key] == pytest.approx(sigma, rel=1e-6, abs=0.0), key
 
-    def test_refits_outside_the_bounds_fall_back(self, monkeypatch):
+    def test_refits_stay_inside_the_bounds(self, monkeypatch):
         # with the correlation bound at the observed value, about half the
-        # Gauss-Newton refits end above it and are refit within the bounds
+        # refits end on it, as the bounded trust-region refits do
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
         cap = fit_gaussian_2d(spec).raw.rho
         original_bounds = analysis._fit_bounds
@@ -425,17 +446,23 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(analysis, "_fit_bounds", capped_bounds)
         recorded = record_fit_values(monkeypatch)
-        starts = record_fit_starts(monkeypatch)
         mc = montecarlo_errorbars(spec, n_trials=30, seed=3)
         assert mc.failures == {}
-        assert 5 < len(starts) - 1 < 25
-        assert max(values["rho"] for values in recorded) <= cap
+        trials = list(recorded)
+        assert 5 < sum(values["rho"] == cap for values in trials) < 25
+        assert max(values["rho"] for values in trials) <= cap
+        recorded.clear()
+        _, failures = oracles.trf_trials(spec, None, 30, 3, mc.observed.raw)
+        assert failures == {}
+        for got, want in zip(trials, recorded, strict=True):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-6, abs=0.0), key
 
     def test_chunk_size_does_not_change_errors(self, monkeypatch):
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
         reference = montecarlo_errorbars(spec, RES_INPUT, n_trials=23, seed=3)
-        for chunk in (1, 7, 23):
-            monkeypatch.setattr(analysis, "MC_CHUNK_TRIALS", chunk)
+        for chunk in (1, 4, 7):
+            monkeypatch.setattr(analysis, "MC_STACK_CELLS", chunk * spec.counts.size)
             mc = montecarlo_errorbars(spec, RES_INPUT, n_trials=23, seed=3)
             assert mc.errors == reference.errors, chunk
             assert mc.failures == reference.failures == {}
@@ -487,20 +514,20 @@ class TestMonteCarlo:
 
 
 def fail_every_third_refit(monkeypatch):
-    """Send every Monte Carlo trial to the trust-region fallback, and make
-    every third fit looked up in analysis (the observed fit, then one per
-    trial) fail."""
-    calls = []
-    original = analysis.fit_gaussian_2d
+    """Make every third row that analysis's solver fits (the observed fit,
+    then one per trial) come back unconverged."""
+    rows = []
+    original = analysis._levenberg_marquardt
 
-    def flaky(spec, **kwargs):
-        calls.append(spec)
-        if len(calls) % 3 == 0:
-            raise FitConvergenceError("no convergence")
-        return original(spec, **kwargs)
+    def flaky(x0, l1, lh, counts):
+        fitted = original(x0, l1, lh, counts)
+        for x in fitted:
+            rows.append(x)
+            if len(rows) % 3 == 0:
+                x[:] = np.nan
+        return fitted
 
-    monkeypatch.setattr(analysis, "GN_MAX_ITERATIONS", 0)
-    monkeypatch.setattr(analysis, "fit_gaussian_2d", flaky)
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", flaky)
 
 
 def record_fit_starts(monkeypatch):
@@ -718,6 +745,31 @@ class TestCalibration:
         pairs = [(p.tau, sw.signal_intercept + sw.signal_slope * p.tau) for p in sw.points]
         cal = calibrate_phasematching(pairs, cal_cfg, state)
         assert cal.model.sigma == pytest.approx(6e12, rel=5e-3)
+
+    @pytest.mark.parametrize("slope_thz_per_ps", [0.14, "sweep"])
+    def test_log_root_matches_brentq(self, setup, slope_thz_per_ps):
+        # the targets of the two calibrations above, against scipy's brentq
+        # on the same log bracket with the same 1e-12 tolerance
+        from scipy.optimize import brentq
+
+        state, cfg, taus = setup
+        if slope_thz_per_ps == "sweep":
+            pm = PhasematchingModel(sigma=6e12)
+            cfg = LensConfig(signal_chirp=oracles.A1, escort=cfg.escort, phasematching=pm)
+            slope = delay_sweep(cfg, state, taus).signal_slope
+        else:
+            slope = slope_thz_per_ps * 2 * math.pi * 1e12 * 1e12
+        pairs = [(t, 4.7553e15 + slope * t) for t in taus]
+        cal = calibrate_phasematching(pairs, cfg, state)
+        target = np.polyfit(taus, [c for _, c in pairs], 1)[0]
+
+        def core_slope(log_sigma):
+            pm = PhasematchingModel(sigma=math.exp(log_sigma), center=cfg.phasematching.center)
+            return lens.gaussian_output(replace(cfg, phasematching=pm), state).slope3 - target
+
+        scale = math.hypot(state.sigma1, cfg.escort.sigma)
+        want = brentq(core_slope, math.log(1e-4 * scale), math.log(1e3 * scale), xtol=1e-12)
+        assert math.log(cal.model.sigma) == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_unreachable_slope(self, setup):
         state, cfg, taus = setup

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -691,6 +692,41 @@ def test_sweep_leaves_out_scipy_interpolate(fast_cfg, tmp_path):
     # scipy.interpolate would add about 0.26 s to every sweep
     argv = ["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "out")]
     assert _scipy_modules_after(argv, "scipy.interpolate") == "0 []"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "fit", "validate"])
+def test_commands_load_no_scipy(command, fast_cfg, tmp_path):
+    # numpy does the transforms, the fits, the calibration and the
+    # quadrature, so no command loads a scipy module
+    out = str(tmp_path / "out")
+    if command == "simulate":
+        argv = ["simulate", "--config", "experimental.cfg", "--out", out]
+    elif command == "sweep":
+        argv = ["sweep", "--config", str(fast_cfg), "--out", out]
+    elif command == "fit":
+        from test_analysis import benchmark_histogram
+
+        write_spectrum_csv(benchmark_histogram(), tmp_path / "hist.csv")
+        argv = ["fit", str(tmp_path / "hist.csv"), "--trials", "20", "--out", out]
+    else:
+        argv = ["validate", "--quick", "--out", out]
+    assert _scipy_modules_after(argv, "scipy") == "0 []"
+
+
+def test_package_never_imports_scipy():
+    # the import statements of every module, wherever they stand
+    package = Path(cli.__file__).resolve().parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imported += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert imported == []
 
 
 class TestParser:

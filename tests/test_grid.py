@@ -665,6 +665,13 @@ class TestRowBlocks:
         assert row_blocks(n_rows, 64) == [slice(0, n_rows)]
 
 
+def test_next_fast_len_matches_scipy():
+    # the transform length rule: the smallest 11-smooth length, as scipy
+    # picks it for complex input
+    lengths = range(1, 20001)
+    assert [grid._next_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n) for n in lengths]
+
+
 class TestGridBytes:
     """grid_bytes bounds what numpy allocates; pocketfft's own scratch is untraced."""
 

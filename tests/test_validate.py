@@ -7,6 +7,8 @@ from timelens import grid, lens, validate
 from timelens.validate import PERTURBABLE, SUITES, SuiteParams, run_suites
 from timelens.svgplot import _png_encode, colormap
 
+import oracles
+
 
 def test_all_suites_green_quick():
     report, all_ok = run_suites(SuiteParams(quick=True))
@@ -89,3 +91,13 @@ def test_colormap_clips_and_interpolates():
     assert np.array_equal(rgb[0], rgb[1])
     assert np.array_equal(rgb[3], rgb[4])
     assert not np.array_equal(rgb[1], rgb[2])
+
+
+def test_simpson_matches_scipy():
+    # the JSA normalization suite's 801-point rule, against scipy's simpson
+    rng = np.random.default_rng(8)
+    w1 = np.linspace(2.29e15, 2.31e15, 801)
+    wh = np.linspace(2.49e15, 2.51e15, 801)
+    values = rng.uniform(0.0, 1.0, (801, 801)) * 1e-24
+    got = validate._simpson(validate._simpson(values, wh), w1)
+    assert got == pytest.approx(oracles.simpson_2d(values, w1, wh), rel=1e-12)
