@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 
@@ -333,20 +333,18 @@ def _levenberg_marquardt(x0, l1: np.ndarray, lh: np.ndarray, counts) -> np.ndarr
     return fitted
 
 
-def fit_gaussian_2d(spec: Spectrum2D, start: GaussianFitParams | None = None) -> FitReport:
+def fit_gaussian_2d(spec: Spectrum2D) -> FitReport:
     """Least-squares elliptical-Gaussian fit with a constant offset.
 
     Initialization comes from intensity moments of the background-
-    subtracted histogram, or from start when it is given (the moments
-    are still taken, so a degenerate histogram raises either way); the
-    solver is _levenberg_marquardt on a stack of one, and a fit that
-    does not converge raises FitConvergenceError.
+    subtracted histogram; the solver is _levenberg_marquardt on a stack
+    of one, and a fit that does not converge raises FitConvergenceError.
     """
     if spec.counts.shape[0] < 6 or spec.counts.shape[1] < 6:
         raise ValueError("need at least 6x6 bins to fit")
     l1, lh, counts = spec.lambda1_nm, spec.lambdah_nm, spec.counts
     init = _moment_initialization(l1, lh, counts)
-    x = _levenberg_marquardt(_to_vector(init if start is None else start), l1, lh, counts[None])[0]
+    x = _levenberg_marquardt(_to_vector(init), l1, lh, counts[None])[0]
     if np.isnan(x).any():
         raise FitConvergenceError(f"fit did not converge within {LM_MAX_ITERATIONS} steps")
     return FitReport(raw=_from_vector(x))
@@ -431,6 +429,7 @@ def derived_quantities(params: GaussianFitParams) -> dict:
     }
 
 
+# report keys of the GaussianFitParams fields, in field order
 _PARAM_KEYS = (
     "amplitude",
     "signal_center_nm",
@@ -444,20 +443,7 @@ _PARAM_KEYS = (
 
 def fit_values(params: GaussianFitParams) -> dict:
     """Fitted parameters and derived quantities by report key."""
-    out = dict(
-        zip(
-            _PARAM_KEYS,
-            (
-                params.amplitude,
-                params.center1_nm,
-                params.centerh_nm,
-                params.fwhm1_nm,
-                params.fwhmh_nm,
-                params.rho,
-                params.offset,
-            ),
-        )
-    )
+    out = dict(zip(_PARAM_KEYS, (getattr(params, f.name) for f in fields(params))))
     out.update(derived_quantities(params))
     return out
 

@@ -32,7 +32,14 @@ from .analysis import (
     read_spectrum_csv,
     spectrum_from_field,
 )
-from .config import MIN_GRID_SAMPLES, AnalysisSettings, ConfigError, parse_config
+from .config import (
+    MIN_GRID_SAMPLES,
+    MIN_TRIALS,
+    AnalysisSettings,
+    ConfigError,
+    at_least,
+    parse_config,
+)
 from .grid import compute_stats, delay_sweep, prepare_sweep, sample_jsa, sfg_convolve
 
 EXIT_OK = 0
@@ -86,9 +93,7 @@ def _input_samples(args, cfg) -> int | None:
     """--grid, else [grid] n (None: automatic)."""
     if args.grid is None:
         return cfg.grid.n
-    if args.grid < MIN_GRID_SAMPLES:
-        raise ConfigError(f"--grid: need at least {MIN_GRID_SAMPLES} samples, got {args.grid}")
-    return args.grid
+    return at_least("--grid", args.grid, MIN_GRID_SAMPLES, "samples")
 
 
 def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
@@ -334,10 +339,11 @@ def cmd_fit(args) -> int:
         res = ResolutionModel(
             r1_nm=settings.resolution_signal_nm, rh_nm=settings.resolution_herald_nm
         )
-    trials = settings.trials if args.trials is None else args.trials
-    if trials < 2:
-        raise ConfigError(f"--trials: need at least 2 Monte Carlo trials, got {trials}")
-    seed = settings.seed if args.seed is None else args.seed
+    trials, seed = settings.trials, settings.seed
+    if args.trials is not None:
+        trials = at_least("--trials", args.trials, MIN_TRIALS, "Monte Carlo trials")
+    if args.seed is not None:
+        seed = at_least("--seed", args.seed, 0, "for a seed")
 
     # the report's values are the observed fit the Monte Carlo starts from;
     # zero resolutions give the identity deconvolution
@@ -395,7 +401,8 @@ def cmd_validate(args) -> int:
         except ValueError:
             raise ConfigError(f"--mutate factor must be a number, got {factor!r}") from None
 
-    params = validate.SuiteParams(seed=args.seed, quick=args.quick)
+    seed = at_least("--seed", args.seed, 0, "for a seed")
+    params = validate.SuiteParams(seed=seed, quick=args.quick)
     report, all_ok = validate.run_suites(params, perturbations=perturbations or None)
     for name, entry in report.items():
         status = "ok  " if entry["ok"] else "FAIL"

@@ -41,8 +41,9 @@ class ConfigError(ValueError):
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
 TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0}
 CHIRP_UNITS = {"fs^2": 1e-30, "ps^2": 1e-24, "s^2": 1.0}
-# least sample count of a grid axis
+# least sample count of a grid axis, and least Monte Carlo trial count
 MIN_GRID_SAMPLES = 16
+MIN_TRIALS = 2
 
 _SCHEMA = {
     "input": {
@@ -97,6 +98,8 @@ def _parse_quantity(section: str, key: str, raw: str) -> tuple[float, str | None
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse number from {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
     unit = " ".join(parts[1:]) if len(parts) > 1 else None
     return value, unit
 
@@ -131,11 +134,18 @@ def _unitless(section: str, key: str, raw: str) -> float:
     return value
 
 
-def _integer(section: str, key: str, raw: str) -> int:
+def at_least(where: str, value: int, least: int, what: str) -> int:
+    """Return an integer setting, raising ConfigError when it is below least."""
+    if value < least:
+        raise ConfigError(f"{where}: need at least {least} {what}, got {value}")
+    return value
+
+
+def _integer(section: str, key: str, raw: str, least: int, what: str) -> int:
     value = _unitless(section, key, raw)
-    if not math.isfinite(value) or value != int(value):
+    if value != int(value):
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-    return int(value)
+    return at_least(f"[{section}] {key}", int(value), least, what)
 
 
 def _center_rad(section: str, key: str, raw: str) -> float:
@@ -279,9 +289,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if sweep_keys:
             start = _dimensional("delay", "sweep_start", parser.get("delay", "sweep_start"), TIME_UNITS, "time")
             stop = _dimensional("delay", "sweep_stop", parser.get("delay", "sweep_stop"), TIME_UNITS, "time")
-            points = _integer("delay", "sweep_points", parser.get("delay", "sweep_points"))
-            if points < 3:
-                raise ConfigError("[delay] sweep_points: need at least 3 points")
+            points = _integer("delay", "sweep_points", parser.get("delay", "sweep_points"), 3, "points")
             if stop <= start:
                 raise ConfigError("[delay]: sweep_stop must exceed sweep_start")
             sweep = (start, stop, points)
@@ -293,11 +301,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raw = parser.get("grid", key, fallback=None)
             if raw is None or (key == "n" and raw.strip() == "auto"):
                 continue  # the default; n's is None, chosen automatically
-            kw[key] = _integer("grid", key, raw)
-            if kw[key] < MIN_GRID_SAMPLES:
-                raise ConfigError(
-                    f"[grid] {key}: need at least {MIN_GRID_SAMPLES} samples, got {kw[key]}"
-                )
+            kw[key] = _integer("grid", key, raw, MIN_GRID_SAMPLES, "samples")
         if parser.has_option("grid", "span"):
             kw["span"] = _unitless("grid", "span", parser.get("grid", "span"))
             if kw["span"] < 4.0:
@@ -315,12 +319,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(
                 "[analysis]: give both resolution_signal and resolution_herald or neither"
             )
-        if parser.has_option("analysis", "trials"):
-            kw["trials"] = _integer("analysis", "trials", parser.get("analysis", "trials"))
-            if kw["trials"] < 2:
-                raise ConfigError("[analysis] trials: need at least 2 Monte Carlo trials")
-        if parser.has_option("analysis", "seed"):
-            kw["seed"] = _integer("analysis", "seed", parser.get("analysis", "seed"))
+        for key, least, what in (
+            ("trials", MIN_TRIALS, "Monte Carlo trials"),
+            ("seed", 0, "for a seed"),
+        ):
+            if parser.has_option("analysis", key):
+                kw[key] = _integer("analysis", key, parser.get("analysis", key), least, what)
         analysis = AnalysisSettings(**kw)
 
     return ExperimentConfig(

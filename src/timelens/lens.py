@@ -94,44 +94,22 @@ class GaussianOutput:
     shifth: float
 
 
-def solve_imaging(
-    signal_chirp: float | None = None,
-    escort_chirp: float | None = None,
-    output_chirp: float | None = None,
-) -> float:
-    """Solve 1/A_signal + 1/A_output = -1/A_escort for the missing chirp.
+def solve_imaging(signal_chirp: float, escort_chirp: float) -> float:
+    """Solve 1/A_signal + 1/A_output = -1/A_escort for the output chirp.
 
-    Exactly one of the three arguments must be None; the other two must
-    be nonzero.  Returns the unique finite solution, raising
-    SingularConfigurationError (or TimeToFrequencyError for the
-    cancelling signal/escort case) when none exists.
+    Both chirps must be nonzero.  Raises SingularConfigurationError for
+    a zero chirp, and TimeToFrequencyError when the signal and escort
+    chirps cancel, where no finite output chirp exists.
     """
-    given = [signal_chirp, escort_chirp, output_chirp]
-    if sum(v is None for v in given) != 1:
-        raise ValueError("exactly one chirp must be left unspecified")
-    for name, v in zip(("signal", "escort", "output"), given):
-        if v is not None and v == 0.0:
+    for name, v in (("signal", signal_chirp), ("escort", escort_chirp)):
+        if v == 0.0:
             raise SingularConfigurationError(f"{name} chirp must be nonzero")
-
-    if output_chirp is None:
-        if signal_chirp + escort_chirp == 0.0:
-            raise TimeToFrequencyError(
-                "signal and escort chirps cancel: time-to-frequency regime, "
-                "no finite output chirp recompresses the state"
-            )
-        return -signal_chirp * escort_chirp / (signal_chirp + escort_chirp)
-    if signal_chirp is None:
-        if output_chirp + escort_chirp == 0.0:
-            raise SingularConfigurationError(
-                "output and escort chirps cancel: no finite signal chirp solves "
-                "the imaging relation"
-            )
-        return -output_chirp * escort_chirp / (output_chirp + escort_chirp)
-    if signal_chirp + output_chirp == 0.0:
-        raise SingularConfigurationError(
-            "signal and output chirps cancel: escort chirp would be infinite"
+    if signal_chirp + escort_chirp == 0.0:
+        raise TimeToFrequencyError(
+            "signal and escort chirps cancel: time-to-frequency regime, "
+            "no finite output chirp recompresses the state"
         )
-    return -signal_chirp * output_chirp / (signal_chirp + output_chirp)
+    return -signal_chirp * escort_chirp / (signal_chirp + escort_chirp)
 
 
 def magnification(signal_chirp: float, escort_chirp: float) -> tuple[float, float]:

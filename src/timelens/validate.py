@@ -27,8 +27,8 @@ from .analysis import (
 )
 from .config import parse_config_text
 from .grid import (
-    Grid1D,
     compute_stats,
+    default_output_grid,
     grids_for_state,
     prepare_sweep,
     sample_jsa,
@@ -397,11 +397,7 @@ def suite_convolution_paths(p: SuiteParams):
     escort = EscortPulse(center=2.43e15, sigma=1.2e12, chirp=-1.0 / (4 * sigma1**2))
     g1, gh = grids_for_state(state, n=p.grid_n)
     field = sample_jsa(state, g1, gh)
-    out_grid = Grid1D(
-        start=state.omega1 + escort.center - g1.step * (2 * p.grid_n - 1) / 2,
-        step=g1.step,
-        n=2 * p.grid_n,
-    )
+    out_grid = default_output_grid(state, escort, 0.0, g1.step, 2 * p.grid_n)
     a, wa = sfg_convolve(field, escort, tau=0.7e-12, out_grid=out_grid, method="direct")
     b, wb = sfg_convolve(field, escort, tau=0.7e-12, out_grid=out_grid, method="fft")
     dev = float(np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)))

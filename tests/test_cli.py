@@ -109,6 +109,29 @@ def test_grid_below_16_samples_rejected_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "where, old, new",
+    [
+        ("[input] correlation", "correlation = -0.9776", "correlation = nan"),
+        ("[grid] span", "output_n = 256", "output_n = 256\nspan = nan"),
+        ("[lens] signal_chirp", "signal_chirp = 50e3 fs^2", "signal_chirp = nan fs^2"),
+        ("[delay] tau", "tau = 0 ps", "tau = nan ps"),
+        ("[delay] sweep_stop", "sweep_stop = 1 ps", "sweep_stop = nan ps"),
+        ("[escort] chirp", "chirp = -25e3 fs^2", "chirp = inf fs^2"),
+    ],
+    ids=["correlation", "span", "signal_chirp", "tau", "sweep_stop", "escort_chirp"],
+)
+def test_non_finite_number_exit_2(tmp_path, capsys, where, old, new):
+    # a nan or inf passed the number parser and reached the physics,
+    # which exited 3 on an integer conversion or a division by zero
+    bad = tmp_path / "nonfinite.cfg"
+    bad.write_text(FAST_SIM.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"{where}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_outputs_and_values(self, fast_cfg, tmp_path):
         out = tmp_path / "sim"
@@ -571,6 +594,25 @@ class TestFit:
         assert "at least 2 Monte Carlo trials" in capsys.readouterr().err
         assert not (out / "fitreport.csv").exists()
 
+    @pytest.mark.parametrize("where", ["--seed", "[analysis] seed"])
+    def test_fit_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, where):
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        monkeypatch.setattr(cli, "montecarlo_errorbars", _no_sampling)
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+        out = tmp_path / "fit"
+        argv = ["fit", str(hist), "--out", str(out)]
+        if where == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(FAST_SIM + "\n[analysis]\nseed = -3\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert f"{where}: need at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_reports_monte_carlo_failures(self, tmp_path, monkeypatch, capsys):
         from test_analysis import RAW_INPUT, fail_every_third_refit, synth_spectrum
 
@@ -650,6 +692,13 @@ class TestValidateCommand:
         original = lens.output_correlation
         main(["validate", "--quick", "--mutate", "output_correlation=1.5"])
         assert lens.output_correlation is original
+
+    def test_negative_seed_exit_2(self, monkeypatch, capsys):
+        from timelens import validate
+
+        monkeypatch.setattr(validate, "run_suites", _no_sampling)
+        assert main(["validate", "--quick", "--seed", "-1"]) == 2
+        assert "--seed: need at least 0" in capsys.readouterr().err
 
     def test_bad_mutation_spec(self):
         assert main(["validate", "--quick", "--mutate", "nonsense"]) == 2

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import pytest
@@ -146,6 +147,13 @@ def test_grid_below_16_samples_rejected(key, value):
     assert getattr(parse_config_text(GOOD.replace("n = 256", f"{key} = 16")).grid, key) == 16
 
 
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_seed_rejected(value):
+    with pytest.raises(ConfigError, match=r"\[analysis\] seed: need at least 0"):
+        parse_config_text(GOOD.replace("seed = 7", f"seed = {value}"))
+    assert parse_config_text(GOOD.replace("seed = 7", "seed = 0")).analysis.seed == 0
+
+
 @pytest.mark.parametrize("dropped", ["resolution_signal", "resolution_herald"])
 def test_resolutions_come_in_pairs(dropped):
     text = "\n".join(ln for ln in GOOD.splitlines() if not ln.startswith(dropped))
@@ -243,3 +251,13 @@ def test_edge_number_in_every_bundled_key(number):
     for text in _BUNDLED:
         for i, key, unit in _keyed_lines(text):
             _parses_or_config_error(_with_value(text, i, key, f"{number} {unit}"))
+
+
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+def test_non_finite_number_in_every_bundled_key(number):
+    # each key keeps its unit; the number parser refuses the value and
+    # names the key, before any unit conversion or physics sees it
+    for text in _BUNDLED:
+        for i, key, unit in _keyed_lines(text):
+            with pytest.raises(ConfigError, match=rf"\] {re.escape(key)}: expected a finite number"):
+                parse_config_text(_with_value(text, i, key, f"{number} {unit}"))
