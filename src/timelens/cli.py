@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -96,7 +97,8 @@ def _input_samples(args, cfg) -> int | None:
     return at_least("--grid", args.grid, MIN_GRID_SAMPLES, "samples")
 
 
-def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
+def _heatmap_svg(spec, title: str, contour_fit=None) -> str:
+    """SVG text of the heatmap of a spectrum, with the fitted contour when given."""
     contour = None
     if contour_fit is not None:
         s1 = units.fwhm_to_sigma(contour_fit.fwhm1_nm)
@@ -109,13 +111,8 @@ def _heatmap_from_spectrum(spec, path: Path, title: str, contour_fit=None):
         )
         # 25 percent contour of the fitted peak: quadratic form equals 2 ln 4
         contour = (contour_fit.center1_nm, contour_fit.centerh_nm, cov, 2.0 * math.log(4.0))
-    svgplot.render_heatmap(
-        spec.counts,
-        spec.lambda1_nm,
-        spec.lambdah_nm,
-        path,
-        title=title,
-        contour=contour,
+    return svgplot.render_heatmap(
+        spec.counts, spec.lambda1_nm, spec.lambdah_nm, title=title, contour=contour
     )
 
 
@@ -215,7 +212,9 @@ def cmd_simulate(args) -> int:
         except (DegenerateDataError, FitConvergenceError) as exc:
             print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
-        _heatmap_from_spectrum(spec, out_dir / name, title, contour_fit=fit)
+        (out_dir / name).write_text(
+            _heatmap_svg(spec, title, contour_fit=fit), encoding="utf-8", newline="\n"
+        )
         outputs.append(name)
 
     _write_manifest(out_dir, config_path, outputs)
@@ -237,6 +236,12 @@ _SWEEP_COLUMNS = [
 ]
 
 
+def _sweep_panel(svgs: list[str], index: int, tau: float, field) -> None:
+    """delay_sweep's panel: the heatmap SVG text of each of the first SWEEP_PANELS delays."""
+    if index < SWEEP_PANELS:
+        svgs.append(_heatmap_svg(spectrum_from_field(field), f"delay {tau * 1e12:+.3f} ps"))
+
+
 def cmd_sweep(args) -> int:
     config_path = _resolve_config(args.config)
     cfg = parse_config(config_path)
@@ -244,6 +249,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("configuration has no [delay] sweep_start/sweep_stop/sweep_points")
     start, stop, npts = cfg.sweep
     taus = np.linspace(start, stop, npts)
+    # each panel is rendered while its output field is alive, and its
+    # text is written with the other files once the whole sweep succeeded
+    svgs = []
     sw = delay_sweep(
         cfg.lens,
         cfg.state,
@@ -252,7 +260,7 @@ def cmd_sweep(args) -> int:
         nh=cfg.grid.herald_n,
         n_out=cfg.grid.output_n,
         span_sigmas=cfg.grid.span,
-        keep_fields=SWEEP_PANELS,
+        panel=functools.partial(_sweep_panel, svgs),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,11 +298,9 @@ def cmd_sweep(args) -> int:
     (out_dir / "slopes.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append("slopes.txt")
 
-    for idx, (point, fld) in enumerate(zip(sw.points, sw.fields)):
+    for idx, svg in enumerate(svgs):
         name = f"sweep_panel_{idx}.svg"
-        _heatmap_from_spectrum(
-            spectrum_from_field(fld), out_dir / name, f"delay {point.tau * 1e12:+.3f} ps"
-        )
+        (out_dir / name).write_text(svg, encoding="utf-8", newline="\n")
         outputs.append(name)
 
     _write_manifest(out_dir, config_path, outputs)

@@ -44,6 +44,8 @@ CHIRP_UNITS = {"fs^2": 1e-30, "ps^2": 1e-24, "s^2": 1.0}
 # least sample count of a grid axis, and least Monte Carlo trial count
 MIN_GRID_SAMPLES = 16
 MIN_TRIALS = 2
+# most delays of a sweep: each is one convolution, so the count bounds the run time
+MAX_SWEEP_POINTS = 10_000
 
 _SCHEMA = {
     "input": {
@@ -141,10 +143,14 @@ def at_least(where: str, value: int, least: int, what: str) -> int:
     return value
 
 
-def _integer(section: str, key: str, raw: str, least: int, what: str) -> int:
+def _integer(
+    section: str, key: str, raw: str, least: int, what: str, most: float = math.inf
+) -> int:
     value = _unitless(section, key, raw)
     if value != int(value):
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
+    if value > most:
+        raise ConfigError(f"[{section}] {key}: at most {most} {what}, got {int(value)}")
     return at_least(f"[{section}] {key}", int(value), least, what)
 
 
@@ -289,7 +295,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if sweep_keys:
             start = _dimensional("delay", "sweep_start", parser.get("delay", "sweep_start"), TIME_UNITS, "time")
             stop = _dimensional("delay", "sweep_stop", parser.get("delay", "sweep_stop"), TIME_UNITS, "time")
-            points = _integer("delay", "sweep_points", parser.get("delay", "sweep_points"), 3, "points")
+            points = _integer(
+                "delay", "sweep_points", parser.get("delay", "sweep_points"), 3, "points",
+                most=MAX_SWEEP_POINTS,
+            )
             if stop <= start:
                 raise ConfigError("[delay]: sweep_stop must exceed sweep_start")
             sweep = (start, stop, points)

@@ -16,6 +16,7 @@ and writing to it changes the field.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -32,6 +33,12 @@ GRID_BYTES_LIMIT = 2**30
 # default cells per row block of row_blocks: 1 MB of complex128, so a
 # block and its temporaries stay near the 2 MB L2 cache
 _BLOCK_CELLS = 2**16
+# bytes per field cell of a heatmap panel: the wavelength counts (8) and
+# the most that is alive beside them, simulate's contour start (17: the
+# counts less the background, its mask and the weights; the field's
+# intensity takes 8, the render's RGB image, PNG rows and join 9), plus
+# 1 for the per-axis vectors
+_PANEL_BYTES = 26
 
 
 class CoverageError(ValueError):
@@ -148,11 +155,10 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-delay rows, the center lines fitted through the valid ones, and kept fields.
+    """Per-delay rows and the center lines fitted through the valid ones.
 
     slope_rows counts the rows not flagged outside the aperture, the
-    only rows the slopes and intercepts are fitted on; fields holds the
-    output fields of the first keep_fields delays.
+    only rows the slopes and intercepts are fitted on.
     """
 
     points: tuple[SweepPoint, ...]
@@ -161,7 +167,6 @@ class SweepResult:
     signal_intercept: float
     herald_intercept: float
     slope_rows: int
-    fields: tuple[GridField2D, ...] = ()
 
 
 def _gaussian_tail_mass(center: float, sigma: float, lo: float, hi: float) -> float:
@@ -480,29 +485,33 @@ def row_blocks(n_rows: int, row_cells: int, budget: int = _BLOCK_CELLS) -> list[
     return [slice(r, min(r + rows, n_rows)) for r in range(0, max(1, n_rows), rows)]
 
 
-def grid_bytes(n: int, nh: int, n_out: int, out_fields: int) -> int:
+def grid_bytes(n: int, nh: int, n_out: int) -> int:
     """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
     Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs
-    are alive throughout: the sampled field and simulate's unchirped
-    field, plus half an input, its intensity, while that is sampled (both
-    are normalized in place).  On top comes the larger of two moments.
-    One is the inverse transform of a row block: the input's transform,
-    _next_fast_len(n + n_out - 1) x nh, which a sweep holds for all of
-    its delays; the out_fields outputs the caller keeps plus the one
-    being convolved; and the larger of the block's product with the
-    kernel spectrum, about _BLOCK_CELLS cells (all nh rows when fewer)
-    and transformed in place through numpy's out=, and the half-output
-    intensity made after the block is freed.  The other is simulate's
-    Schmidt number of its input: a conjugate copy and the Gram matrix on
-    its smaller side.  pocketfft's working buffer, about one transform
-    row, is allocated outside numpy and is not counted.
+    are counted throughout, simulate's sampled and unchirped fields
+    (both normalized in place), plus half an input, its intensity, while
+    one is sampled; a sweep releases its one input once transformed.  On
+    top comes the largest of three moments.  One is a delay's convolution:
+    the input's transform, _next_fast_len(n + n_out - 1) x nh, which a
+    sweep holds for all of its delays; the one output; and the larger of
+    the block's product with the kernel spectrum, about _BLOCK_CELLS
+    cells (all nh rows when fewer) and transformed in place through
+    numpy's out=, and the output's heatmap panel, _PANEL_BYTES per
+    output cell, which also covers the half-output intensity of the
+    weight and moments.  The other two are simulate's: the Schmidt
+    number of its input, a conjugate copy and the Gram matrix on its
+    smaller side, and the heatmap panel of its input, _PANEL_BYTES per
+    input cell, drawn while the output is alive.  pocketfft's working
+    buffer, about one transform row, is allocated outside numpy and is
+    not counted.
     """
     size = _next_fast_len(n + n_out - 1)
     block = 16 * row_blocks(nh, size)[0].stop * size
-    convolution = 16 * nh * (size + (out_fields + 1) * n_out) + max(block, 8 * nh * n_out)
+    convolution = 16 * nh * (size + n_out) + max(block, _PANEL_BYTES * nh * n_out)
     input_stats = 16 * nh * n + 16 * min(n, nh) ** 2
-    return 32 * nh * n + max(convolution, input_stats)
+    input_panel = 16 * nh * n_out + _PANEL_BYTES * nh * n
+    return 32 * nh * n + max(convolution, input_stats, input_panel)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
@@ -529,7 +538,6 @@ def prepare_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
-    keep_fields: int = 0,
 ) -> tuple[GridField2D, Grid1D]:
     """Plan the grids of an FFT convolution run and sample the chirped input.
 
@@ -538,8 +546,8 @@ def prepare_sweep(
     frequency, spans the output-width hint plus a margin for the center
     drift over the delays and the shift of an off-nominal acceptance,
     on the input step.  Before sampling, ConfigError is raised if
-    grid_bytes, with the fields the caller keeps (one to one per delay),
-    exceeds GRID_BYTES_LIMIT or the output grid reaches zero frequency.
+    grid_bytes exceeds GRID_BYTES_LIMIT or the output grid reaches zero
+    frequency.
     """
     taus = np.asarray(list(taus), dtype=float)
     max_tau = float(np.max(np.abs(taus)))
@@ -547,11 +555,10 @@ def prepare_sweep(
     n = auto if n is None else n
     g1, gh = grids_for_state(effective, n=n, nh=nh, span_sigmas=span_sigmas)
     out_grid = default_output_grid(effective, cfg.escort, out_half, g1.step, n_out)
-    out_fields = max(1, min(keep_fields, taus.size))
-    need = grid_bytes(g1.n, gh.n, out_grid.n, out_fields)
+    need = grid_bytes(g1.n, gh.n, out_grid.n)
     if need > GRID_BYTES_LIMIT:
         raise ConfigError(
-            f"{g1.n} x {gh.n} input and {out_fields} x {out_grid.n} x {gh.n} output samples "
+            f"{g1.n} x {gh.n} input and {out_grid.n} x {gh.n} output samples "
             f"need about {need / 2**30:.2f} GiB, above the {GRID_BYTES_LIMIT / 2**30:.2f} GiB "
             "limit; set a smaller [grid] n, herald_n or output_n, or a narrower delay range"
         )
@@ -572,36 +579,41 @@ def delay_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
-    keep_fields: int = 0,
+    panel: Callable[[int, float, GridField2D], None] | None = None,
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
     The input state is augmented with the lens signal chirp, sampled
     once on the grids of :func:`prepare_sweep`, transformed once, and
-    convolved per delay on the FFT path from that one transform;
-    centers are intensity-weighted means.  A
-    CoverageError at one delay is raised again naming that delay.
-    Rows whose conversion weight falls below 1e-3 of the sweep maximum
-    are flagged as outside the temporal aperture, and the reported
-    slopes and intercepts come from unweighted least-squares lines
-    through the unflagged rows only; fewer than two of them raise
-    ValueError.  The output fields of the first keep_fields delays are
-    kept in the result, for plotting.
+    convolved per delay on the FFT path from that one transform; the
+    sampled values are released once transformed.  Centers are
+    intensity-weighted means.  A CoverageError at one delay is raised
+    again naming that delay.  Rows whose conversion weight falls below
+    1e-3 of the sweep maximum are flagged as outside the temporal
+    aperture, and the reported slopes and intercepts come from
+    unweighted least-squares lines through the unflagged rows only;
+    fewer than two of them raise ValueError.  panel, when given, is
+    called as panel(index, tau, field) on each delay's normalized
+    output field before the next delay is convolved, so one output
+    field is alive at a time however many delays there are.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 2:
         raise ValueError("a sweep needs at least two delay values")
     field, out_grid = prepare_sweep(
-        cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas,
-        keep_fields=keep_fields,
+        cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas
     )
 
     # the FFT path puts the delay phase on the kernel, so one transform
-    # of the input serves every delay
+    # of the input serves every delay.  Given that transform, sfg_convolve
+    # reads only the input's grids, so the sampled values are swapped for
+    # zeros broadcast to their shape, which take no memory
     spectrum = _input_spectrum(field, out_grid.n)
+    field = GridField2D(
+        field.axis1, field.axis_h, np.broadcast_to(np.complex128(0.0), field.values.shape)
+    )
     points = []
-    fields = []
-    for tau in taus:
+    for index, tau in enumerate(taus):
         try:
             out, weight = sfg_convolve(
                 field, cfg.escort, cfg.phasematching, float(tau), out_grid=out_grid,
@@ -619,8 +631,8 @@ def delay_sweep(
                 )
             raise CoverageError(f"at delay {tau * 1e12:+.3f} ps: {exc}{note}") from exc
         points.append((float(tau), intensity_moments(out), weight))
-        if len(fields) < keep_fields:
-            fields.append(out)
+        if panel is not None:
+            panel(index, float(tau), out)
         # free this delay's output before the next one is convolved
         del out
 
@@ -655,5 +667,4 @@ def delay_sweep(
         signal_intercept=float(sig_icpt),
         herald_intercept=float(her_icpt),
         slope_rows=n_valid,
-        fields=tuple(fields),
     )

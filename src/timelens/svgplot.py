@@ -44,17 +44,19 @@ _MARGIN_T = 50
 _MARGIN_B = 70
 
 
-def colormap(values: np.ndarray) -> np.ndarray:
-    """Map values in [0, 1] to RGB bytes via the fixed ramp.
+def colormap(values: np.ndarray, peak: float) -> np.ndarray:
+    """Map values over peak, clipped to [0, 1], to RGB bytes via the fixed ramp.
 
-    Rows of the first axis are mapped in blocks of about _BLOCK_CELLS
-    cells, each with one gather per channel.
+    Rows of the first axis are divided by peak and mapped in blocks of
+    about _BLOCK_CELLS cells, each with one gather per channel, so no
+    normalized copy of the whole array is made.
     """
     v = np.asarray(values, dtype=float)
     rows = np.atleast_2d(v)
     rgb = np.empty(rows.shape + (3,), dtype=np.uint8)
     for r in row_blocks(len(rows), math.prod(rows.shape[1:]), _BLOCK_CELLS):
-        pos = np.clip(rows[r], 0.0, 1.0)
+        pos = rows[r] / peak
+        np.clip(pos, 0.0, 1.0, out=pos)
         pos *= _RAMP.shape[0] - 1
         lo = np.floor(pos).astype(np.intp)
         hi = np.minimum(lo + 1, _RAMP.shape[0] - 1)
@@ -89,11 +91,10 @@ def render_heatmap(
     matrix: np.ndarray,
     x_axis: np.ndarray,
     y_axis: np.ndarray,
-    path,
     title: str,
     contour=None,
-) -> None:
-    """Write an SVG heatmap of matrix[i, j] over (x_axis[i], y_axis[j]) in nm.
+) -> str:
+    """SVG text of a heatmap of matrix[i, j] over (x_axis[i], y_axis[j]) in nm.
 
     contour, when given, is (cx, cy, cov, level) describing the ellipse
     x^T cov^-1 x = level around (cx, cy) in data coordinates; it is drawn
@@ -107,9 +108,9 @@ def render_heatmap(
         raise ValueError("matrix shape does not match the axes")
 
     peak = matrix.max()
-    normed = matrix / peak if peak > 0 else matrix
-    # image rows run top to bottom: row 0 is the largest y
-    rgb = colormap(normed.T[::-1, :])
+    # image rows run top to bottom: row 0 is the largest y; x / 1.0 is x,
+    # so a matrix with no positive peak is mapped as it is
+    rgb = colormap(matrix.T[::-1, :], peak if peak > 0 else 1.0)
     png = base64.b64encode(_png_encode(rgb)).decode("ascii")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -201,5 +202,4 @@ def render_heatmap(
         )
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -30,6 +30,7 @@ from .grid import (
     compute_stats,
     default_output_grid,
     grids_for_state,
+    intensity_moments,
     prepare_sweep,
     sample_jsa,
     sfg_convolve,
@@ -151,8 +152,8 @@ def suite_phase_invariance(p: SuiteParams):
         omega1=2.3e15, omegah=2.5e15, sigma1=1.1e12, sigmah=0.9e12, rho=-0.8
     )
     g1, gh = grids_for_state(state, n=p.grid_n)
-    bare = compute_stats(sample_jsa(state, g1, gh))
-    phased = compute_stats(
+    bare = intensity_moments(sample_jsa(state, g1, gh))
+    phased = intensity_moments(
         sample_jsa(replace(state, chirp=4e-25, delay=3e-12), g1, gh)
     )
     devs = [
@@ -302,7 +303,7 @@ def suite_cross_engine(p: SuiteParams):
     worst_r = 0.0
     for _ in range(p.cross_configs):
         state, cfg = _random_state_and_lens(rng)
-        st = compute_stats(_upconverted(cfg, state, p.grid_n)[1])
+        st = intensity_moments(_upconverted(cfg, state, p.grid_n)[1])
         s3 = lens.output_sigma3(cfg, state)
         rf = lens.output_correlation(cfg, state)
         worst_s = max(worst_s, abs(st.sigma1 - s3) / s3)
@@ -337,7 +338,7 @@ def suite_time_domain(p: SuiteParams):
     field = sample_jsa(chirped, g1, gh)
     jta = to_time_domain(field)
     parseval = abs(jta.norm() - 1.0)
-    st = compute_stats(jta)
+    st = intensity_moments(jta)
     width = chirped_temporal_width(chirped)
     dev = abs(st.sigma1 - width) / width
     ok = parseval <= 1e-9 and dev <= 0.02
@@ -382,7 +383,7 @@ def suite_center_conservation(p: SuiteParams):
     # grid (edge bands 4.9e-4), so quick mode keeps 512
     state, cfg = experimental_setup()
     _, out = _upconverted(cfg, state, max(512, p.grid_n))
-    st = compute_stats(out)
+    st = intensity_moments(out)
     dev = abs(st.mean1 - (state.omega1 + cfg.escort.center))
     ok = dev <= out.axis1.step
     return ok, f"sum-frequency center off by {dev:.2e} rad/s (limit one step {out.axis1.step:.2e})"

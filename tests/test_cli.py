@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,64 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "CoverageError: at delay -20.000 ps" in err
         assert re.search(r"given 256 samples, and n = auto would pick \d+", err)
+
+    def test_later_delay_coverage_error_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # 0 ps converts and its panel is rendered; +4 ps clips the output
+        # grid of the given 256 samples.  The panel's text is held, and no
+        # file is written unless the whole sweep succeeds
+        titles = []
+        render = cli.svgplot.render_heatmap
+
+        def recording(*args, **kwargs):
+            titles.append(kwargs["title"])
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli.svgplot, "render_heatmap", recording)
+        text = FAST_SIM.replace("sweep_start = -1 ps", "sweep_start = 0 ps").replace(
+            "sweep_stop = 1 ps", "sweep_stop = 8 ps"
+        )
+        cfg = tmp_path / "later.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "CoverageError: at delay +4.000 ps" in capsys.readouterr().err
+        assert titles == ["delay +0.000 ps"]
+        assert not out.exists()
+
+    def test_peak_memory_flat_in_delay_count(self, fast_cfg, tmp_path):
+        # one output field is alive at a time, so 9 delays and 9 panels
+        # peak where 3 delays and 3 panels do, on the same grids
+        peaks = {}
+        for points in (3, 9):
+            cfg = tmp_path / f"points{points}.cfg"
+            cfg.write_text(FAST_SIM.replace("sweep_points = 3", f"sweep_points = {points}"))
+            out = tmp_path / f"sweep{points}"
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(list(out.glob("sweep_panel_*.svg"))) == points
+        parsed = parse_config(fast_cfg)
+        field, out_grid = grid.prepare_sweep(
+            parsed.lens, parsed.state, np.linspace(*parsed.sweep), n=parsed.grid.n,
+            nh=parsed.grid.herald_n, n_out=parsed.grid.output_n,
+        )
+        assert abs(peaks[9] - peaks[3]) < 16 * out_grid.n * field.axis_h.n
+
+    @pytest.mark.parametrize("points", [10_001, 10_000_000])
+    def test_sweep_points_above_maximum_exit_2(self, points, tmp_path, monkeypatch, capsys):
+        # each delay is one convolution: ten million of them passed the
+        # parser and ran for hours
+        monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text(FAST_SIM.replace("sweep_points = 3", f"sweep_points = {points}"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[delay] sweep_points: at most 10000 points, got {points}" in err
+        assert not out.exists()
 
     def test_sweep_requires_range(self, tmp_path):
         cfg = tmp_path / "norange.cfg"

@@ -133,6 +133,15 @@ def test_incomplete_sweep_rejected():
         parse_config_text(text)
 
 
+def test_sweep_points_above_maximum_rejected():
+    # each delay is one convolution, so an unbounded count meant hours of run time
+    most = GOOD.replace("sweep_points = 5", "sweep_points = 10000")
+    assert parse_config_text(most).sweep[2] == 10000
+    message = r"\[delay\] sweep_points: at most 10000 points, got 10001"
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(GOOD.replace("sweep_points = 5", "sweep_points = 10001"))
+
+
 def test_too_few_trials_rejected():
     with pytest.raises(ConfigError, match="trials"):
         parse_config_text(GOOD.replace("trials = 100", "trials = 1"))

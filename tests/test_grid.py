@@ -37,7 +37,7 @@ from timelens.grid import (
     prepare_sweep,
     row_blocks,
 )
-from timelens import grid, units
+from timelens import cli, grid, units
 from timelens.config import parse_config
 from timelens.lens import gaussian_output
 
@@ -48,6 +48,17 @@ def planned_output(cfg, state, **grid):
     """sfg_convolve at zero delay on prepare_sweep's grids and the FFT path."""
     field, out_grid = prepare_sweep(cfg, state, [0.0], **grid)
     return sfg_convolve(field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft")
+
+
+def kept_fields(count):
+    """A delay_sweep panel that keeps the output fields of the first count delays, and that list."""
+    fields = []
+
+    def panel(index, tau, field):
+        if index < count:
+            fields.append(field)
+
+    return panel, fields
 
 
 def mild_state(**kw):
@@ -428,8 +439,9 @@ class TestCrossEngineRandom:
                 phasematching=PhasematchingModel(sigma=sigma_phi, center=center),
             )
             tau = 0.3e-12
-            sw = delay_sweep(cfg, state, [0.0, tau], n=512, nh=128, keep_fields=1)
-            st0 = compute_stats(sw.fields[0])
+            panel, fields = kept_fields(1)
+            sw = delay_sweep(cfg, state, [0.0, tau], n=512, nh=128, panel=panel)
+            st0 = compute_stats(fields[0])
             s3 = output_sigma3(cfg, state)
             pred0 = predict_output(cfg, state)
             pred1 = predict_output(cfg, replace(state, delay=tau))
@@ -570,10 +582,16 @@ class TestDelaySweep:
 
     def test_keep_fields(self, exp_state, exp_lens):
         taus = np.linspace(-1e-12, 1e-12, 3)
-        assert delay_sweep(exp_lens, exp_state, taus, n=512, nh=64).fields == ()
-        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, keep_fields=2)
-        assert len(sw.fields) == 2
-        for point, field in zip(sw.points, sw.fields):
+        calls = []
+        delay_sweep(
+            exp_lens, exp_state, taus, n=512, nh=64,
+            panel=lambda index, tau, field: calls.append((index, tau)),
+        )
+        assert calls == list(enumerate(taus))
+        panel, fields = kept_fields(2)
+        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, panel=panel)
+        assert len(fields) == 2
+        for point, field in zip(sw.points, fields):
             mo = intensity_moments(field)
             assert (mo.mean1, mo.sigma1, mo.rho) == (point.omega3_center, point.sigma3, point.rho_f)
 
@@ -581,9 +599,10 @@ class TestDelaySweep:
         # the sweep puts the delay phase on the kernel and the output of one
         # shared transform; the direct path keeps exp(-i w1 tau) on the input
         taus = [-1.0e-12, 0.4e-12, 1.0e-12]
-        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=200, keep_fields=3)
-        field, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=200, keep_fields=3)
-        for tau, point, got in zip(taus, sw.points, sw.fields):
+        panel, fields = kept_fields(3)
+        sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=200, panel=panel)
+        field, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=200)
+        for tau, point, got in zip(taus, sw.points, fields):
             want, weight = sfg_convolve(
                 field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
                 method="direct",
@@ -700,19 +719,24 @@ class TestGridBytes:
             plans.append((field.axis1.n, field.axis_h.n, out_grid.n))
 
         peak = self.traced_peak(simulate)
-        bound = grid_bytes(*plans[0], 1)
+        bound = grid_bytes(*plans[0])
         assert 0.5 * bound < peak <= bound
 
-    @pytest.mark.parametrize("keep_fields", [0, 1, 3])
-    def test_bounds_one_sweep(self, exp_state, exp_lens, keep_fields):
+    @pytest.mark.parametrize("panels", [0, 1, 3])
+    def test_bounds_one_sweep(self, exp_state, exp_lens, panels):
+        # the CLI's panel callable renders the first panels delays while
+        # each output is alive
         taus = [-1e-12, 0.0, 1e-12]
-        sweeps = []
+        svgs = []
+
+        def panel(index, tau, field):
+            if index < panels:
+                cli._sweep_panel(svgs, index, tau, field)
+
         peak = self.traced_peak(
-            lambda: sweeps.append(
-                delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, keep_fields=keep_fields)
-            )
+            lambda: delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, panel=panel)
         )
         _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=64)
-        bound = grid_bytes(512, 64, out_grid.n, max(1, keep_fields))
-        assert len(sweeps[0].fields) == keep_fields
+        bound = grid_bytes(512, 64, out_grid.n)
+        assert len(svgs) == panels
         assert 0.5 * bound < peak <= bound

@@ -7,9 +7,9 @@ from timelens.grid import row_blocks
 import oracles
 
 
-def assert_matches_oracle(values):
-    got = svgplot.colormap(values)
-    want = oracles.ramp_colors(values, svgplot._RAMP)
+def assert_matches_oracle(values, peak=1.0):
+    got = svgplot.colormap(values, peak)
+    want = oracles.ramp_colors(np.asarray(values) / peak, svgplot._RAMP)
     assert got.dtype == np.uint8
     assert got.shape == np.shape(values) + (3,)
     assert np.array_equal(got, want)
@@ -34,13 +34,20 @@ class TestColormap:
         assert_matches_oracle(anchors)
         for value in anchors:
             assert_matches_oracle(value)
-        assert np.array_equal(svgplot.colormap(anchors), svgplot._RAMP.astype(np.uint8))
+        assert np.array_equal(svgplot.colormap(anchors, 1.0), svgplot._RAMP.astype(np.uint8))
 
     @pytest.mark.parametrize("layout", ["c_contiguous", "heatmap_view"])
     def test_layouts(self, layout):
         # render_heatmap passes the transposed, row-reversed view of the
-        # normalized matrix
+        # matrix
         assert_matches_oracle(layout_values(layout, (61, 40)))
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "heatmap_view"])
+    def test_divides_by_peak_per_block(self, layout):
+        # the blocks divide by the peak, byte for byte as the whole matrix
+        # divided once; the values span several blocks
+        values = 1e4 * layout_values(layout, (1000, 70))
+        assert_matches_oracle(values, values.max())
 
     @pytest.mark.parametrize("layout", ["c_contiguous", "heatmap_view"])
     def test_rows_span_several_blocks(self, layout):

@@ -80,14 +80,14 @@ def test_unknown_perturbation_rejected():
 
 
 def test_png_encoder_deterministic():
-    rgb = colormap(np.linspace(0, 1, 64).reshape(8, 8))
+    rgb = colormap(np.linspace(0, 1, 64).reshape(8, 8), 1.0)
     assert rgb.shape == (8, 8, 3)
     assert _png_encode(rgb) == _png_encode(rgb)
     assert _png_encode(rgb)[:8] == b"\x89PNG\r\n\x1a\n"
 
 
 def test_colormap_clips_and_interpolates():
-    rgb = colormap(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]))
+    rgb = colormap(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]), 1.0)
     assert np.array_equal(rgb[0], rgb[1])
     assert np.array_equal(rgb[3], rgb[4])
     assert not np.array_equal(rgb[1], rgb[2])
