@@ -13,7 +13,6 @@ from .analysis import (
     CalibrationError,
     CalibrationResult,
     CountRates,
-    FitReport,
     GaussianFitParams,
     MonteCarloResult,
     ResolutionModel,
@@ -72,7 +71,6 @@ __all__ = [
     "CountRates",
     "CoverageError",
     "EscortPulse",
-    "FitReport",
     "GaussianFitParams",
     "GaussianJSA",
     "Grid1D",

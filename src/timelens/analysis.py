@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import astuple, dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -95,23 +95,18 @@ class ResolutionModel:
 
 @dataclass(frozen=True)
 class GaussianFitParams:
-    """Elliptical Gaussian surface over two wavelength axes."""
+    """Elliptical Gaussian surface over two wavelength axes, widths as intensity sigma.
+
+    The fields are in the order of the fit solver's parameter vector.
+    """
 
     amplitude: float
     center1_nm: float
     centerh_nm: float
-    fwhm1_nm: float
-    fwhmh_nm: float
+    sigma1_nm: float
+    sigmah_nm: float
     rho: float
     offset: float
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Raw and, once the resolution is removed, deconvolved fit parameters."""
-
-    raw: GaussianFitParams
-    deconvolved: GaussianFitParams | None = None
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,8 @@ class MonteCarloResult:
 
     failures counts the failed trials by exception type name; it is empty
     when every trial converged.  observed is the fit of the observed
-    spectrum, whose raw parameters start every refit, deconvolved when a
-    resolution model was given.
+    spectrum, which starts every refit, and deconvolved its deconvolution,
+    None when no resolution model was given.
     """
 
     errors: dict
@@ -146,7 +141,8 @@ class MonteCarloResult:
     failure_rate: float
     unreliable: bool
     failures: dict[str, int]
-    observed: FitReport
+    observed: GaussianFitParams
+    deconvolved: GaussianFitParams | None
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,7 @@ def gaussian2d_model(params: GaussianFitParams, lambda1_nm, lambdah_nm) -> np.nd
     """Evaluate the fit surface on an axis pair (outer product layout)."""
     d1 = (np.asarray(lambda1_nm, dtype=float)[:, None] - params.center1_nm)
     dh = (np.asarray(lambdah_nm, dtype=float)[None, :] - params.centerh_nm)
-    s1 = units.fwhm_to_sigma(params.fwhm1_nm)
-    sh = units.fwhm_to_sigma(params.fwhmh_nm)
+    s1, sh = params.sigma1_nm, params.sigmah_nm
     m = 1.0 - params.rho**2
     q = ((d1 / s1) ** 2 - 2.0 * params.rho * d1 * dh / (s1 * sh) + (dh / sh) ** 2) / m
     return params.offset + params.amplitude * np.exp(-0.5 * q)
@@ -194,38 +189,10 @@ def _moment_initialization(l1: np.ndarray, lh: np.ndarray, counts: np.ndarray) -
         amplitude=amp0,
         center1_nm=c1,
         centerh_nm=ch,
-        fwhm1_nm=units.sigma_to_fwhm(math.sqrt(v1)),
-        fwhmh_nm=units.sigma_to_fwhm(math.sqrt(vh)),
+        sigma1_nm=math.sqrt(v1),
+        sigmah_nm=math.sqrt(vh),
         rho=rho0,
         offset=offset0,
-    )
-
-
-def _to_vector(params: GaussianFitParams) -> np.ndarray:
-    """Fit parameters as the solvers' vector, with widths as sigma."""
-    return np.array(
-        [
-            params.amplitude,
-            params.center1_nm,
-            params.centerh_nm,
-            units.fwhm_to_sigma(params.fwhm1_nm),
-            units.fwhm_to_sigma(params.fwhmh_nm),
-            params.rho,
-            params.offset,
-        ]
-    )
-
-
-def _from_vector(x) -> GaussianFitParams:
-    amp, c1, ch, s1, sh, rho, off = (float(v) for v in x)
-    return GaussianFitParams(
-        amplitude=amp,
-        center1_nm=c1,
-        centerh_nm=ch,
-        fwhm1_nm=units.sigma_to_fwhm(s1),
-        fwhmh_nm=units.sigma_to_fwhm(sh),
-        rho=rho,
-        offset=off,
     )
 
 
@@ -333,7 +300,7 @@ def _levenberg_marquardt(x0, l1: np.ndarray, lh: np.ndarray, counts) -> np.ndarr
     return fitted
 
 
-def fit_gaussian_2d(spec: Spectrum2D) -> FitReport:
+def fit_gaussian_2d(spec: Spectrum2D) -> GaussianFitParams:
     """Least-squares elliptical-Gaussian fit with a constant offset.
 
     Initialization comes from intensity moments of the background-
@@ -344,10 +311,10 @@ def fit_gaussian_2d(spec: Spectrum2D) -> FitReport:
         raise ValueError("need at least 6x6 bins to fit")
     l1, lh, counts = spec.lambda1_nm, spec.lambdah_nm, spec.counts
     init = _moment_initialization(l1, lh, counts)
-    x = _levenberg_marquardt(_to_vector(init), l1, lh, counts[None])[0]
+    x = _levenberg_marquardt(np.array(astuple(init)), l1, lh, counts[None])[0]
     if np.isnan(x).any():
         raise FitConvergenceError(f"fit did not converge within {LM_MAX_ITERATIONS} steps")
-    return FitReport(raw=_from_vector(x))
+    return GaussianFitParams(*x.tolist())
 
 
 # bins kept per axis by contour_subsample, and bins it keeps across a peak
@@ -367,57 +334,48 @@ def contour_subsample(spec: Spectrum2D) -> Spectrum2D:
     """
     init = _moment_initialization(spec.lambda1_nm, spec.lambdah_nm, spec.counts)
     strides = []
-    for axis, fwhm in ((spec.lambda1_nm, init.fwhm1_nm), (spec.lambdah_nm, init.fwhmh_nm)):
-        fwhm_bins = fwhm / (axis[1] - axis[0])
+    for axis, sigma in ((spec.lambda1_nm, init.sigma1_nm), (spec.lambdah_nm, init.sigmah_nm)):
+        fwhm_bins = units.sigma_to_fwhm(sigma) / (axis[1] - axis[0])
         cap = math.ceil(axis.size / CONTOUR_MAX_BINS)
         strides.append(max(1, min(cap, math.floor(fwhm_bins / CONTOUR_MIN_BINS_PER_FWHM))))
     s1, sh = strides
     return Spectrum2D(spec.lambda1_nm[::s1], spec.lambdah_nm[::sh], spec.counts[::s1, ::sh])
 
 
-def deconvolve_resolution(report: FitReport, res: ResolutionModel) -> FitReport:
+def deconvolve_resolution(params: GaussianFitParams, res: ResolutionModel) -> GaussianFitParams:
     """Correct the fitted widths for the spectrometer response.
 
-    The response FWHM is subtracted in quadrature on each axis; the
+    The response sigma is subtracted in quadrature on each axis; the
     covariance term sigma1 sigmah rho is preserved exactly, which raises
-    the magnitude of the correlation as the marginals shrink.
+    the magnitude of the correlation as the marginals shrink, and the
+    amplitude keeps the surface's volume.
     """
-    raw = report.raw
-    fw1_res = units.sigma_to_fwhm(res.r1_nm)
-    fwh_res = units.sigma_to_fwhm(res.rh_nm)
-    arg1 = raw.fwhm1_nm**2 - fw1_res**2
-    argh = raw.fwhmh_nm**2 - fwh_res**2
+    arg1 = params.sigma1_nm**2 - res.r1_nm**2
+    argh = params.sigmah_nm**2 - res.rh_nm**2
     if arg1 <= 0.0 or argh <= 0.0:
         raise UnphysicalDeconvolutionError(
             "spectrometer response is as wide as the fitted feature; "
             "deconvolved width would not be positive"
         )
-    fw1 = math.sqrt(arg1)
-    fwh = math.sqrt(argh)
-    rho_dec = raw.rho * (raw.fwhm1_nm * raw.fwhmh_nm) / (fw1 * fwh)
-    if abs(rho_dec) >= 1.0:
+    s1 = math.sqrt(arg1)
+    sh = math.sqrt(argh)
+    # exactly 1 with a zero response, which leaves rho and the amplitude as they are
+    ratio = (params.sigma1_nm * params.sigmah_nm) / (s1 * sh)
+    rho = params.rho * ratio
+    if abs(rho) >= 1.0:
         raise UnphysicalDeconvolutionError(
-            f"covariance preservation gives |rho| = {abs(rho_dec):.4f} >= 1"
+            f"covariance preservation gives |rho| = {abs(rho):.4f} >= 1"
         )
-    volume_ratio = (raw.fwhm1_nm * raw.fwhmh_nm * math.sqrt(1.0 - raw.rho**2)) / (
-        fw1 * fwh * math.sqrt(1.0 - rho_dec**2)
+    volume_ratio = ratio * math.sqrt(1.0 - params.rho**2) / math.sqrt(1.0 - rho**2)
+    return dc_replace(
+        params, amplitude=params.amplitude * volume_ratio, sigma1_nm=s1, sigmah_nm=sh, rho=rho
     )
-    dec = GaussianFitParams(
-        amplitude=raw.amplitude * volume_ratio,
-        center1_nm=raw.center1_nm,
-        centerh_nm=raw.centerh_nm,
-        fwhm1_nm=fw1,
-        fwhmh_nm=fwh,
-        rho=rho_dec,
-        offset=raw.offset,
-    )
-    return dc_replace(report, deconvolved=dec)
 
 
 def derived_quantities(params: GaussianFitParams) -> dict:
     """Bandwidths in THz, Schmidt number, and joint energy uncertainty."""
-    fw1_thz = units.bandwidth_nm_to_thz(params.fwhm1_nm, params.center1_nm)
-    fwh_thz = units.bandwidth_nm_to_thz(params.fwhmh_nm, params.centerh_nm)
+    fw1_thz = units.bandwidth_nm_to_thz(units.sigma_to_fwhm(params.sigma1_nm), params.center1_nm)
+    fwh_thz = units.bandwidth_nm_to_thz(units.sigma_to_fwhm(params.sigmah_nm), params.centerh_nm)
     jeu = joint_energy_uncertainty(
         units.fwhm_to_sigma(fw1_thz), units.fwhm_to_sigma(fwh_thz), params.rho
     )
@@ -429,23 +387,18 @@ def derived_quantities(params: GaussianFitParams) -> dict:
     }
 
 
-# report keys of the GaussianFitParams fields, in field order
-_PARAM_KEYS = (
-    "amplitude",
-    "signal_center_nm",
-    "herald_center_nm",
-    "signal_fwhm_nm",
-    "herald_fwhm_nm",
-    "rho",
-    "offset",
-)
-
-
 def fit_values(params: GaussianFitParams) -> dict:
-    """Fitted parameters and derived quantities by report key."""
-    out = dict(zip(_PARAM_KEYS, (getattr(params, f.name) for f in fields(params))))
-    out.update(derived_quantities(params))
-    return out
+    """Fitted parameters, widths as FWHM, and derived quantities by report key."""
+    return {
+        "amplitude": params.amplitude,
+        "signal_center_nm": params.center1_nm,
+        "herald_center_nm": params.centerh_nm,
+        "signal_fwhm_nm": units.sigma_to_fwhm(params.sigma1_nm),
+        "herald_fwhm_nm": units.sigma_to_fwhm(params.sigmah_nm),
+        "rho": params.rho,
+        "offset": params.offset,
+        **derived_quantities(params),
+    }
 
 
 # histogram bins per Monte Carlo refit stack: 2 MB of Jacobian rows
@@ -477,8 +430,8 @@ def montecarlo_errorbars(
     if n_trials < 2:
         raise ValueError("need at least 2 trials")
     observed = fit_gaussian_2d(spec)
-    if res is not None:
-        observed = deconvolve_resolution(observed, res)
+    deconvolved = None if res is None else deconvolve_resolution(observed, res)
+    start = np.array(astuple(observed))
     l1, lh = spec.lambda1_nm, spec.lambdah_nm
     children = np.random.SeedSequence(seed).spawn(n_trials)
     samples: dict[str, list] = {}
@@ -495,15 +448,15 @@ def montecarlo_errorbars(
             draws.append(counts)
         if not draws:
             continue
-        for x in _levenberg_marquardt(_to_vector(observed.raw), l1, lh, np.stack(draws)):
+        for x in _levenberg_marquardt(start, l1, lh, np.stack(draws)):
             try:
                 if np.isnan(x).any():
                     raise FitConvergenceError("refit did not converge")
-                report = FitReport(raw=_from_vector(x))
-                values = {f"raw_{k}": v for k, v in fit_values(report.raw).items()}
+                fit = GaussianFitParams(*x.tolist())
+                values = {f"raw_{k}": v for k, v in fit_values(fit).items()}
                 if res is not None:
-                    report = deconvolve_resolution(report, res)
-                    values.update({f"dec_{k}": v for k, v in fit_values(report.deconvolved).items()})
+                    dec = deconvolve_resolution(fit, res)
+                    values.update({f"dec_{k}": v for k, v in fit_values(dec).items()})
             except (FitConvergenceError, UnphysicalDeconvolutionError) as exc:
                 failures[type(exc).__name__] += 1
                 continue
@@ -523,6 +476,7 @@ def montecarlo_errorbars(
         unreliable=failure_rate > 0.05,
         failures=dict(failures),
         observed=observed,
+        deconvolved=deconvolved,
     )
 
 

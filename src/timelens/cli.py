@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -50,6 +51,14 @@ EXIT_RUNTIME = 3
 
 # sweep renders a heatmap panel for each of the first delays, up to this many
 SWEEP_PANELS = 9
+
+# largest gap between a run's grid statistics and the closed form, the
+# contract of validate's cross-engine suite
+CLOSED_FORM_TOLERANCE = 1e-3
+
+
+class GridAccuracyError(RuntimeError):
+    """A run's grid statistics stray from the closed form by more than CLOSED_FORM_TOLERANCE."""
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -101,8 +110,7 @@ def _heatmap_svg(spec, title: str, contour_fit=None) -> str:
     """SVG text of the heatmap of a spectrum, with the fitted contour when given."""
     contour = None
     if contour_fit is not None:
-        s1 = units.fwhm_to_sigma(contour_fit.fwhm1_nm)
-        sh = units.fwhm_to_sigma(contour_fit.fwhmh_nm)
+        s1, sh = contour_fit.sigma1_nm, contour_fit.sigmah_nm
         cov = np.array(
             [
                 [s1**2, contour_fit.rho * s1 * sh],
@@ -131,6 +139,29 @@ def _stats_row(engine: str, center1, centerh, sigma1, sigmah, rho, **extra) -> d
     }
 
 
+def _check_closed_form(row: str, n: int, pred, center1, centerh, sigma1, sigmah, rho) -> None:
+    """Raise GridAccuracyError if a grid output row strays from its closed-form prediction.
+
+    Widths are compared relative to the prediction, rho absolutely and
+    the centers in units of the predicted width.  The prediction is read
+    only after the grid has its numbers, so neither engine reads the other.
+    """
+    gaps = {
+        "signal sigma": abs(sigma1 - pred.sigma3) / pred.sigma3,
+        "herald sigma": abs(sigmah - pred.sigmah_f) / pred.sigmah_f,
+        "rho": abs(rho - pred.rho_f),
+        "signal center": abs(center1 - pred.omega3_center) / pred.sigma3,
+        "herald center": abs(centerh - pred.omegah_center) / pred.sigmah_f,
+    }
+    off = [f"{name} ({gap:.3g})" for name, gap in gaps.items() if not gap <= CLOSED_FORM_TOLERANCE]
+    if off:
+        raise GridAccuracyError(
+            f"{row}: the grid's {', '.join(off)} differ from the closed form by more than "
+            f"{CLOSED_FORM_TOLERANCE:g} on n = {n} input samples; a larger --grid or [grid] n "
+            "may resolve it"
+        )
+
+
 _STATS_COLUMNS = [
     "engine",
     "center_signal_rad_s",
@@ -157,9 +188,6 @@ def cmd_simulate(args) -> int:
         lens_cfg, state, [cfg.tau], n=_input_samples(args, cfg), nh=cfg.grid.herald_n,
         n_out=cfg.grid.output_n, span_sigmas=cfg.grid.span,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     input_field = sample_jsa(state, eff_field.axis1, eff_field.axis_h)
     input_stats = compute_stats(input_field)
     out_field, weight = sfg_convolve(
@@ -167,6 +195,13 @@ def cmd_simulate(args) -> int:
         method="fft",
     )
     output_stats = compute_stats(out_field)
+    pred = lens.predict_output(lens_cfg, replace(state, delay=cfg.tau))
+    _check_closed_form(
+        "grid-output", eff_field.axis1.n, pred, output_stats.mean1, output_stats.meanh,
+        output_stats.sigma1, output_stats.sigmah, output_stats.rho,
+    )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = [
         _stats_row(
@@ -177,7 +212,6 @@ def cmd_simulate(args) -> int:
             ("grid-output", output_stats, {"conversion_weight": weight}),
         )
     ]
-    pred = lens.predict_output(lens_cfg, state)
     rows.append(
         _stats_row(
             "closed-form-output", pred.omega3_center, pred.omegah_center, pred.sigma3,
@@ -208,7 +242,7 @@ def cmd_simulate(args) -> int:
         try:
             # the ellipse is drawn to a thousandth of a pixel; a subsample
             # places it as the full fit does at a fraction of the cost
-            fit = fit_gaussian_2d(contour_subsample(spec)).raw
+            fit = fit_gaussian_2d(contour_subsample(spec))
         except (DegenerateDataError, FitConvergenceError) as exc:
             print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
@@ -262,6 +296,13 @@ def cmd_sweep(args) -> int:
         span_sigmas=cfg.grid.span,
         panel=functools.partial(_sweep_panel, svgs),
     )
+    for i, p in enumerate(sw.points):
+        if not p.aperture_warning:
+            _check_closed_form(
+                f"sweep row {i} (delay {p.tau * 1e12:+.3f} ps)", sw.input_samples,
+                lens.predict_output(cfg.lens, replace(cfg.state, delay=p.tau)),
+                p.omega3_center, p.omegah_center, p.sigma3, p.sigmah, p.rho_f,
+            )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -326,8 +367,8 @@ _FIT_ROWS = [
 
 def cmd_fit(args) -> int:
     path = Path(args.histogram)
-    if not path.exists():
-        raise ConfigError(f"histogram file {path} not found")
+    if not path.is_file():
+        raise ConfigError(f"histogram file {path} not found or not a file")
     if gridio.is_field_binary(path):
         spec = spectrum_from_field(gridio.read_field_binary(path))
     else:
@@ -354,10 +395,8 @@ def cmd_fit(args) -> int:
     # the report's values are the observed fit the Monte Carlo starts from;
     # zero resolutions give the identity deconvolution
     mc = montecarlo_errorbars(spec, res, n_trials=trials, seed=seed)
-    report = mc.observed
-
-    raw_vals = fit_values(report.raw)
-    dec_vals = fit_values(report.deconvolved) if report.deconvolved else {}
+    raw_vals = fit_values(mc.observed)
+    dec_vals = {} if mc.deconvolved is None else fit_values(mc.deconvolved)
     rows = []
     for key, unit in _FIT_ROWS:
         rows.append(
@@ -381,8 +420,8 @@ def cmd_fit(args) -> int:
     _write_manifest(out_dir, config_path, outputs)
     flag = " (UNRELIABLE: fit failures above 5%)" if mc.unreliable else ""
     print(
-        f"fit: rho_raw={report.raw.rho:+.5f}"
-        + (f" rho_dec={report.deconvolved.rho:+.5f}" if report.deconvolved else "")
+        f"fit: rho_raw={mc.observed.rho:+.5f}"
+        + ("" if mc.deconvolved is None else f" rho_dec={mc.deconvolved.rho:+.5f}")
         + f", {mc.n_trials} Monte Carlo trials{flag}"
     )
     if mc.failures:

@@ -158,7 +158,8 @@ class SweepResult:
     """Per-delay rows and the center lines fitted through the valid ones.
 
     slope_rows counts the rows not flagged outside the aperture, the
-    only rows the slopes and intercepts are fitted on.
+    only rows the slopes and intercepts are fitted on; input_samples is
+    the signal-axis sample count of the input grid.
     """
 
     points: tuple[SweepPoint, ...]
@@ -167,6 +168,7 @@ class SweepResult:
     signal_intercept: float
     herald_intercept: float
     slope_rows: int
+    input_samples: int
 
 
 def _gaussian_tail_mass(center: float, sigma: float, lo: float, hi: float) -> float:
@@ -667,4 +669,5 @@ def delay_sweep(
         signal_intercept=float(sig_icpt),
         herald_intercept=float(her_icpt),
         slope_rows=n_valid,
+        input_samples=field.axis1.n,
     )

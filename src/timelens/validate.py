@@ -17,6 +17,7 @@ import numpy as np
 
 from . import lens, units
 from .analysis import (
+    GaussianFitParams,
     ResolutionModel,
     Spectrum2D,
     deconvolve_resolution,
@@ -408,24 +409,22 @@ def suite_convolution_paths(p: SuiteParams):
 
 def suite_fit_roundtrip(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 8)
-    from .analysis import GaussianFitParams
-
     worst = 0.0
     for _ in range(2 if p.quick else 5):
         truth = GaussianFitParams(
             amplitude=rng.uniform(500, 2000),
             center1_nm=811.0 + rng.uniform(-0.5, 0.5),
             centerh_nm=740.2 + rng.uniform(-0.5, 0.5),
-            fwhm1_nm=rng.uniform(2.0, 5.0),
-            fwhmh_nm=rng.uniform(2.0, 5.0),
+            sigma1_nm=units.fwhm_to_sigma(rng.uniform(2.0, 5.0)),
+            sigmah_nm=units.fwhm_to_sigma(rng.uniform(2.0, 5.0)),
             rho=rng.uniform(-0.97, 0.97),
             offset=rng.uniform(0, 30),
         )
         lam1 = np.linspace(800, 822, 56)
         lamh = np.linspace(730, 750, 48)
         spec = Spectrum2D(lam1, lamh, gaussian2d_model(truth, lam1, lamh))
-        fit = fit_gaussian_2d(spec).raw
-        for name in ("amplitude", "center1_nm", "centerh_nm", "fwhm1_nm", "fwhmh_nm", "rho"):
+        fit = fit_gaussian_2d(spec)
+        for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho"):
             t, f = getattr(truth, name), getattr(fit, name)
             worst = max(worst, abs(f - t) / max(abs(t), 1e-12))
     if worst > 1e-6:
@@ -433,44 +432,28 @@ def suite_fit_roundtrip(p: SuiteParams):
 
     # blur then deconvolve must restore the unblurred parameters
     res = ResolutionModel(r1_nm=0.14, rh_nm=0.15)
-    truth = GaussianFitParams(1000.0, 811.0, 740.2, 4.047, 3.733, -0.9702, 5.0)
-    s1b = math.hypot(units.fwhm_to_sigma(truth.fwhm1_nm), res.r1_nm)
-    shb = math.hypot(units.fwhm_to_sigma(truth.fwhmh_nm), res.rh_nm)
-    rho_b = (
-        truth.rho
-        * (units.fwhm_to_sigma(truth.fwhm1_nm) * units.fwhm_to_sigma(truth.fwhmh_nm))
-        / (s1b * shb)
+    truth = GaussianFitParams(
+        1000.0, 811.0, 740.2, units.fwhm_to_sigma(4.047), units.fwhm_to_sigma(3.733), -0.9702, 5.0
     )
-    blurred = GaussianFitParams(
-        truth.amplitude,
-        truth.center1_nm,
-        truth.centerh_nm,
-        units.sigma_to_fwhm(s1b),
-        units.sigma_to_fwhm(shb),
-        rho_b,
-        truth.offset,
-    )
+    s1b = math.hypot(truth.sigma1_nm, res.r1_nm)
+    shb = math.hypot(truth.sigmah_nm, res.rh_nm)
+    rho_b = truth.rho * (truth.sigma1_nm * truth.sigmah_nm) / (s1b * shb)
+    blurred = replace(truth, sigma1_nm=s1b, sigmah_nm=shb, rho=rho_b)
     lam1 = np.linspace(800, 822, 64)
     lamh = np.linspace(730, 750, 64)
     spec = Spectrum2D(lam1, lamh, gaussian2d_model(blurred, lam1, lamh))
-    rep = deconvolve_resolution(fit_gaussian_2d(spec), res)
-    dec = rep.deconvolved
+    raw = fit_gaussian_2d(spec)
+    dec = deconvolve_resolution(raw, res)
     dev = max(
-        abs(dec.fwhm1_nm - truth.fwhm1_nm) / truth.fwhm1_nm,
-        abs(dec.fwhmh_nm - truth.fwhmh_nm) / truth.fwhmh_nm,
+        abs(dec.sigma1_nm - truth.sigma1_nm) / truth.sigma1_nm,
+        abs(dec.sigmah_nm - truth.sigmah_nm) / truth.sigmah_nm,
         abs(dec.rho - truth.rho) / abs(truth.rho),
     )
     if dev > 1e-3:
         return False, f"blur/deconvolve round trip dev {dev:.2e} (limit 1e-3)"
 
-    cov_raw = (
-        units.fwhm_to_sigma(rep.raw.fwhm1_nm)
-        * units.fwhm_to_sigma(rep.raw.fwhmh_nm)
-        * rep.raw.rho
-    )
-    cov_dec = (
-        units.fwhm_to_sigma(dec.fwhm1_nm) * units.fwhm_to_sigma(dec.fwhmh_nm) * dec.rho
-    )
+    cov_raw = raw.sigma1_nm * raw.sigmah_nm * raw.rho
+    cov_dec = dec.sigma1_nm * dec.sigmah_nm * dec.rho
     cov_dev = abs(cov_raw - cov_dec) / abs(cov_raw)
     ok = cov_dev <= 1e-12
     return ok, (

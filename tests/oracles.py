@@ -22,6 +22,7 @@ other.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
@@ -194,10 +195,10 @@ def gaussian_jacobian(params, lambda1_nm, lambdah_nm) -> np.ndarray:
     and P the inverse of the covariance [[s1^2, rho s1 sh], [rho s1 sh,
     sh^2]], the surface is offset + amplitude exp(-q / 2) with q = d^T P d,
     and every shape derivative is -amplitude exp(-q / 2) / 2 times that
-    of q.  Widths enter as FWHM = FWHM-factor x sigma.
+    of q.  The width derivatives are by FWHM = FWHM-factor x sigma.
     """
-    s1 = params.fwhm1_nm / FWHM
-    sh = params.fwhmh_nm / FWHM
+    s1 = params.sigma1_nm
+    sh = params.sigmah_nm
     rho = params.rho
     m = 1.0 - rho**2
     d1 = np.asarray(lambda1_nm, dtype=float)[:, None] - params.center1_nm
@@ -253,7 +254,7 @@ def trf_fit(spec, start=None):
     lower, upper = analysis._fit_bounds(l1, lh)
     result = least_squares(
         lambda p: analysis._gaussian_residuals(p, l1, lh, counts)[0],
-        np.clip(analysis._to_vector(init if start is None else start), lower, upper),
+        np.clip(astuple(init if start is None else start), lower, upper),
         jac=lambda p: analysis._gaussian_residuals(p, l1, lh, counts)[1].T,
         bounds=(lower, upper),
         method="trf",
@@ -265,7 +266,7 @@ def trf_fit(spec, start=None):
     )
     if not result.success:
         raise analysis.FitConvergenceError(f"fit did not converge: {result.message}")
-    return analysis.FitReport(raw=analysis._from_vector(result.x))
+    return analysis.GaussianFitParams(*result.x.tolist())
 
 
 def trf_trials(spec, res, n_trials: int, seed: int, start):
@@ -289,13 +290,11 @@ def trf_trials(spec, res, n_trials: int, seed: int, start):
             spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
         )
         try:
-            report = trf_fit(resampled, start=start)
-            values = {f"raw_{k}": v for k, v in analysis.fit_values(report.raw).items()}
+            fit = trf_fit(resampled, start=start)
+            values = {f"raw_{k}": v for k, v in analysis.fit_values(fit).items()}
             if res is not None:
-                report = analysis.deconvolve_resolution(report, res)
-                values.update(
-                    {f"dec_{k}": v for k, v in analysis.fit_values(report.deconvolved).items()}
-                )
+                dec = analysis.deconvolve_resolution(fit, res)
+                values.update({f"dec_{k}": v for k, v in analysis.fit_values(dec).items()})
         except (
             analysis.DegenerateDataError,
             analysis.FitConvergenceError,

@@ -15,7 +15,6 @@ import pytest
 import timelens as tl
 from timelens import lens, units
 from timelens.analysis import (
-    FitReport,
     deconvolve_resolution,
     montecarlo_errorbars,
 )
@@ -158,23 +157,24 @@ def test_criterion_04_schmidt_identity(exp):
 
 def test_criterion_05_deconvolution_pipeline():
     start = time.perf_counter()
-    rep_in = deconvolve_resolution(FitReport(raw=RAW_INPUT), RES_INPUT)
-    rep_out = deconvolve_resolution(FitReport(raw=RAW_OUTPUT), RES_OUTPUT)
+    dec_in = deconvolve_resolution(RAW_INPUT, RES_INPUT)
+    dec_out = deconvolve_resolution(RAW_OUTPUT, RES_OUTPUT)
     elapsed = time.perf_counter() - start
-    dec_in, dec_out = rep_in.deconvolved, rep_out.deconvolved
-    assert dec_in.fwhm1_nm == pytest.approx(4.034, abs=0.006)
-    assert dec_in.fwhmh_nm == pytest.approx(3.716, abs=0.006)
-    assert dec_out.fwhm1_nm == pytest.approx(0.60, abs=0.01)
-    assert dec_out.fwhm1_nm == pytest.approx(0.596, abs=1e-3)
-    assert dec_out.fwhmh_nm == pytest.approx(2.47, abs=0.04)
-    assert dec_out.fwhmh_nm == pytest.approx(2.476, abs=1e-3)
+    fw1_in, fwh_in = (units.sigma_to_fwhm(s) for s in (dec_in.sigma1_nm, dec_in.sigmah_nm))
+    fw1_out, fwh_out = (units.sigma_to_fwhm(s) for s in (dec_out.sigma1_nm, dec_out.sigmah_nm))
+    assert fw1_in == pytest.approx(4.034, abs=0.006)
+    assert fwh_in == pytest.approx(3.716, abs=0.006)
+    assert fw1_out == pytest.approx(0.60, abs=0.01)
+    assert fw1_out == pytest.approx(0.596, abs=1e-3)
+    assert fwh_out == pytest.approx(2.47, abs=0.04)
+    assert fwh_out == pytest.approx(2.476, abs=1e-3)
     assert dec_in.rho == pytest.approx(-0.9776, abs=0.0009)
     assert dec_out.rho == pytest.approx(0.909, abs=0.005)
     assert dec_out.rho == pytest.approx(0.908, abs=1e-3)
     assert elapsed < 1.0
     print(
-        f"\nACCEPTANCE 05 PASS - 4.047->{dec_in.fwhm1_nm:.3f}, 3.733->{dec_in.fwhmh_nm:.3f}, "
-        f"0.621->{dec_out.fwhm1_nm:.3f}, 2.50->{dec_out.fwhmh_nm:.3f} nm; "
+        f"\nACCEPTANCE 05 PASS - 4.047->{fw1_in:.3f}, 3.733->{fwh_in:.3f}, "
+        f"0.621->{fw1_out:.3f}, 2.50->{fwh_out:.3f} nm; "
         f"rho {dec_in.rho:+.4f} / {dec_out.rho:+.4f}; {elapsed * 1e3:.0f} ms"
     )
 
@@ -269,9 +269,9 @@ def test_criterion_10_fit_montecarlo():
     # noiseless identity
     truth = RAW_INPUT
     spec = synth_spectrum(truth)
-    fit = tl.fit_gaussian_2d(spec).raw
+    fit = tl.fit_gaussian_2d(spec)
     worst = 0.0
-    for name in ("amplitude", "center1_nm", "centerh_nm", "fwhm1_nm", "fwhmh_nm", "rho"):
+    for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho"):
         t, f = getattr(truth, name), getattr(fit, name)
         worst = max(worst, abs(f - t) / abs(t))
     assert worst < 1e-6

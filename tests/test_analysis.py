@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from timelens import analysis, grid, lens
 from timelens.analysis import (
     DegenerateDataError,
     FitConvergenceError,
-    FitReport,
     GaussianFitParams,
     UnphysicalDeconvolutionError,
     contour_subsample,
@@ -43,8 +42,8 @@ RAW_INPUT = GaussianFitParams(
     amplitude=1000.0,
     center1_nm=811.006,
     centerh_nm=740.194,
-    fwhm1_nm=4.047,
-    fwhmh_nm=3.733,
+    sigma1_nm=units.fwhm_to_sigma(4.047),
+    sigmah_nm=units.fwhm_to_sigma(3.733),
     rho=-0.97024,
     offset=5.0,
 )
@@ -53,8 +52,8 @@ RAW_OUTPUT = GaussianFitParams(
     amplitude=800.0,
     center1_nm=396.113,
     centerh_nm=740.126,
-    fwhm1_nm=0.621,
-    fwhmh_nm=2.50,
+    sigma1_nm=units.fwhm_to_sigma(0.621),
+    sigmah_nm=units.fwhm_to_sigma(2.50),
     rho=0.863,
     offset=3.0,
 )
@@ -64,8 +63,7 @@ RES_OUTPUT = ResolutionModel(r1_nm=0.0741, rh_nm=0.148)
 
 
 def synth_spectrum(params, n1=48, nh=44, span=3.2):
-    s1 = units.fwhm_to_sigma(params.fwhm1_nm)
-    sh = units.fwhm_to_sigma(params.fwhmh_nm)
+    s1, sh = params.sigma1_nm, params.sigmah_nm
     lam1 = np.linspace(params.center1_nm - span * s1 * 2.5, params.center1_nm + span * s1 * 2.5, n1)
     lamh = np.linspace(params.centerh_nm - span * sh * 2.5, params.centerh_nm + span * sh * 2.5, nh)
     return Spectrum2D(lam1, lamh, gaussian2d_model(params, lam1, lamh))
@@ -123,8 +121,8 @@ class TestSpectrum2D:
 class TestFitGaussian2D:
     def test_noiseless_identity_table_values(self):
         spec = synth_spectrum(RAW_INPUT)
-        fit = fit_gaussian_2d(spec).raw
-        for name in ("amplitude", "center1_nm", "centerh_nm", "fwhm1_nm", "fwhmh_nm", "rho", "offset"):
+        fit = fit_gaussian_2d(spec)
+        for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho", "offset"):
             assert getattr(fit, name) == pytest.approx(
                 getattr(RAW_INPUT, name), rel=1e-6, abs=1e-9
             ), name
@@ -137,16 +135,16 @@ class TestFitGaussian2D:
                 amplitude=rng.uniform(100, 5000),
                 center1_nm=810.0 + rng.uniform(-2, 2),
                 centerh_nm=740.0 + rng.uniform(-2, 2),
-                fwhm1_nm=rng.uniform(0.1, 0.5) * span1,
-                fwhmh_nm=rng.uniform(0.1, 0.5) * spanh,
+                sigma1_nm=units.fwhm_to_sigma(rng.uniform(0.1, 0.5) * span1),
+                sigmah_nm=units.fwhm_to_sigma(rng.uniform(0.1, 0.5) * spanh),
                 rho=rng.choice([-1, 1]) * rng.uniform(0.1, 0.99),
                 offset=rng.uniform(0, 50),
             )
             lam1 = np.linspace(810.0 - span1 / 2, 810.0 + span1 / 2, 40)
             lamh = np.linspace(740.0 - spanh / 2, 740.0 + spanh / 2, 36)
             spec = Spectrum2D(lam1, lamh, gaussian2d_model(truth, lam1, lamh))
-            fit = fit_gaussian_2d(spec).raw
-            for name in ("amplitude", "center1_nm", "centerh_nm", "fwhm1_nm", "fwhmh_nm", "rho"):
+            fit = fit_gaussian_2d(spec)
+            for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho"):
                 assert getattr(fit, name) == pytest.approx(
                     getattr(truth, name), rel=1e-6
                 ), name
@@ -156,8 +154,8 @@ class TestFitGaussian2D:
         # the true optimum; on noiseless data the fit must land on the
         # generating parameters to well beyond the acceptance tolerance
         spec = synth_spectrum(RAW_INPUT, n1=20, nh=18)
-        fit = fit_gaussian_2d(spec).raw
-        for name in ("amplitude", "center1_nm", "centerh_nm", "fwhm1_nm", "fwhmh_nm", "rho"):
+        fit = fit_gaussian_2d(spec)
+        for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho"):
             assert getattr(fit, name) == pytest.approx(
                 getattr(RAW_INPUT, name), rel=1e-7
             ), name
@@ -167,10 +165,13 @@ class TestFitGaussian2D:
         # Jacobian of the oracle; widths enter the helper as sigma
         lam1 = np.linspace(800.0, 822.0, 30)
         lamh = np.linspace(730.0, 750.0, 26)
-        sets = [RAW_INPUT, replace(RAW_INPUT, rho=0.4, center1_nm=806.0, fwhmh_nm=6.1)]
+        sets = [
+            RAW_INPUT,
+            replace(RAW_INPUT, rho=0.4, center1_nm=806.0, sigmah_nm=units.fwhm_to_sigma(6.1)),
+        ]
         counts = np.random.default_rng(3).poisson(50.0, (2, 30, 26)).astype(float)
         r, jac_t = analysis._gaussian_residuals(
-            np.stack([analysis._to_vector(p) for p in sets]), lam1, lamh, counts
+            np.array([astuple(p) for p in sets]), lam1, lamh, counts
         )
         for i, params in enumerate(sets):
             want_r = (gaussian2d_model(params, lam1, lamh) - counts[i]).ravel()
@@ -203,11 +204,11 @@ class TestFitGaussian2D:
             spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
         else:
             spec = benchmark_histogram()
-        fit = fit_gaussian_2d(spec).raw
+        fit = fit_gaussian_2d(spec)
         x = analysis._levenberg_marquardt(
-            analysis._to_vector(fit), spec.lambda1_nm, spec.lambdah_nm, spec.counts[None]
+            np.array(astuple(fit)), spec.lambda1_nm, spec.lambdah_nm, spec.counts[None]
         )[0]
-        refit = analysis._from_vector(x)
+        refit = GaussianFitParams(*x.tolist())
         want = {k: "%.12g" % v for k, v in analysis.fit_values(fit).items()}
         assert {k: "%.12g" % v for k, v in analysis.fit_values(refit).items()} == want
 
@@ -240,8 +241,8 @@ class TestFitGaussian2D:
         truth = dict(
             signal_center_nm=RAW_INPUT.center1_nm,
             herald_center_nm=RAW_INPUT.centerh_nm,
-            signal_fwhm_nm=RAW_INPUT.fwhm1_nm,
-            herald_fwhm_nm=RAW_INPUT.fwhmh_nm,
+            signal_fwhm_nm=units.sigma_to_fwhm(RAW_INPUT.sigma1_nm),
+            herald_fwhm_nm=units.sigma_to_fwhm(RAW_INPUT.sigmah_nm),
             rho=RAW_INPUT.rho,
         )
         rng = np.random.default_rng(12345)
@@ -251,12 +252,12 @@ class TestFitGaussian2D:
             noisy = Spectrum2D(
                 spec.lambda1_nm, spec.lambdah_nm, rng.poisson(spec.counts).astype(float)
             )
-            fit = fit_gaussian_2d(noisy).raw
+            fit = fit_gaussian_2d(noisy)
             got = dict(
                 signal_center_nm=fit.center1_nm,
                 herald_center_nm=fit.centerh_nm,
-                signal_fwhm_nm=fit.fwhm1_nm,
-                herald_fwhm_nm=fit.fwhmh_nm,
+                signal_fwhm_nm=units.sigma_to_fwhm(fit.sigma1_nm),
+                herald_fwhm_nm=units.sigma_to_fwhm(fit.sigmah_nm),
                 rho=fit.rho,
             )
             for name in names:
@@ -268,49 +269,45 @@ class TestFitGaussian2D:
 
 class TestDeconvolution:
     def test_table_values_input(self):
-        rep = deconvolve_resolution(FitReport(raw=RAW_INPUT), RES_INPUT)
-        dec = rep.deconvolved
-        assert dec.fwhm1_nm == pytest.approx(
+        dec = deconvolve_resolution(RAW_INPUT, RES_INPUT)
+        assert units.sigma_to_fwhm(dec.sigma1_nm) == pytest.approx(
             oracles.quadrature_deconvolve(4.047, 0.136), rel=1e-12
         )
-        assert dec.fwhm1_nm == pytest.approx(4.034, abs=1e-3)
-        assert dec.fwhmh_nm == pytest.approx(3.716, abs=1e-3)
+        assert units.sigma_to_fwhm(dec.sigma1_nm) == pytest.approx(4.034, abs=1e-3)
+        assert units.sigma_to_fwhm(dec.sigmah_nm) == pytest.approx(3.716, abs=1e-3)
         # covariance-preserving rescaling of the raw correlation
-        ratio = (RAW_INPUT.fwhm1_nm * RAW_INPUT.fwhmh_nm) / (dec.fwhm1_nm * dec.fwhmh_nm)
+        ratio = (RAW_INPUT.sigma1_nm * RAW_INPUT.sigmah_nm) / (dec.sigma1_nm * dec.sigmah_nm)
         assert dec.rho == pytest.approx(RAW_INPUT.rho * ratio, rel=1e-12)
         # measured resolution-corrected value with its quoted error
         assert dec.rho == pytest.approx(-0.9776, abs=9e-4)
 
     def test_table_values_output(self):
-
-        rep = deconvolve_resolution(FitReport(raw=RAW_OUTPUT), RES_OUTPUT)
-        dec = rep.deconvolved
-        assert dec.fwhm1_nm == pytest.approx(0.596, abs=1e-3)
-        assert abs(dec.fwhm1_nm - 0.60) < 0.01
-        assert dec.fwhmh_nm == pytest.approx(2.476, abs=1e-3)
-        assert abs(dec.fwhmh_nm - 2.47) < 0.04
+        dec = deconvolve_resolution(RAW_OUTPUT, RES_OUTPUT)
+        fwhm1, fwhmh = units.sigma_to_fwhm(dec.sigma1_nm), units.sigma_to_fwhm(dec.sigmah_nm)
+        assert fwhm1 == pytest.approx(oracles.quadrature_deconvolve(0.621, 0.0741), rel=1e-12)
+        assert fwhmh == pytest.approx(oracles.quadrature_deconvolve(2.50, 0.148), rel=1e-12)
+        assert fwhm1 == pytest.approx(0.596, abs=1e-3)
+        assert abs(fwhm1 - 0.60) < 0.01
+        assert fwhmh == pytest.approx(2.476, abs=1e-3)
+        assert abs(fwhmh - 2.47) < 0.04
         assert dec.rho == pytest.approx(0.908, abs=1e-3)
         assert abs(dec.rho - 0.909) < 0.005
 
     def test_covariance_preserved(self):
-
-        rep = deconvolve_resolution(FitReport(raw=RAW_INPUT), RES_INPUT)
-        dec = rep.deconvolved
-        cov_raw = RAW_INPUT.fwhm1_nm * RAW_INPUT.fwhmh_nm * RAW_INPUT.rho
-        cov_dec = dec.fwhm1_nm * dec.fwhmh_nm * dec.rho
+        dec = deconvolve_resolution(RAW_INPUT, RES_INPUT)
+        cov_raw = RAW_INPUT.sigma1_nm * RAW_INPUT.sigmah_nm * RAW_INPUT.rho
+        cov_dec = dec.sigma1_nm * dec.sigmah_nm * dec.rho
         assert cov_dec == pytest.approx(cov_raw, rel=1e-12)
 
     def test_unphysical_resolution(self):
-
         wide = ResolutionModel(r1_nm=2.0, rh_nm=2.0)
         with pytest.raises(UnphysicalDeconvolutionError):
-            deconvolve_resolution(FitReport(raw=RAW_OUTPUT), wide)
+            deconvolve_resolution(RAW_OUTPUT, wide)
 
     def test_zero_resolution_identity(self):
-
-        rep = deconvolve_resolution(FitReport(raw=RAW_INPUT), ResolutionModel(0.0, 0.0))
-        assert rep.deconvolved.fwhm1_nm == RAW_INPUT.fwhm1_nm
-        assert rep.deconvolved.rho == RAW_INPUT.rho
+        dec = deconvolve_resolution(RAW_INPUT, ResolutionModel(0.0, 0.0))
+        assert dec.sigma1_nm == RAW_INPUT.sigma1_nm
+        assert dec.rho == RAW_INPUT.rho
 
     def test_derived_quantities(self):
         d = derived_quantities(RAW_INPUT)
@@ -381,7 +378,7 @@ class TestMonteCarlo:
         # the observed fit is one stack of one from the moments; every
         # trial is refit in a stack started from the observed fit
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
-        observed = fit_gaussian_2d(spec).raw
+        observed = fit_gaussian_2d(spec)
         stacks = []
         original = analysis._levenberg_marquardt
 
@@ -395,7 +392,7 @@ class TestMonteCarlo:
         assert len(fits) == 1
         assert [n for _, n in stacks] == [1, 10]
         for x0, _ in stacks[1:]:
-            np.testing.assert_array_equal(x0, analysis._to_vector(observed))
+            np.testing.assert_array_equal(x0, astuple(observed))
 
     def test_well_conditioned_refits_converge_in_few_steps(self, monkeypatch):
         # on the benchmark-shaped histogram the observed fit and every
@@ -418,14 +415,14 @@ class TestMonteCarlo:
         mc = montecarlo_errorbars(spec, res, n_trials=n_trials, seed=seed)
         assert len(fits) == 1
         np.testing.assert_allclose(
-            analysis._to_vector(mc.observed.raw),
-            analysis._to_vector(oracles.trf_fit(spec).raw),
+            astuple(mc.observed),
+            astuple(oracles.trf_fit(spec)),
             rtol=1e-6,
             atol=0.0,
         )
         trials = list(recorded)
         recorded.clear()
-        samples, failures = oracles.trf_trials(spec, res, n_trials, seed, mc.observed.raw)
+        samples, failures = oracles.trf_trials(spec, res, n_trials, seed, mc.observed)
         assert mc.failures == failures == {}
         assert len(trials) == len(recorded)
         for got, want in zip(trials, recorded):
@@ -439,7 +436,7 @@ class TestMonteCarlo:
         # with the correlation bound at the observed value, about half the
         # refits end on it, as the bounded trust-region refits do
         spec = synth_spectrum(RAW_INPUT, n1=24, nh=22)
-        cap = fit_gaussian_2d(spec).raw.rho
+        cap = fit_gaussian_2d(spec).rho
         original_bounds = analysis._fit_bounds
 
         def capped_bounds(l1, lh):
@@ -455,7 +452,7 @@ class TestMonteCarlo:
         assert 5 < sum(values["rho"] == cap for values in trials) < 25
         assert max(values["rho"] for values in trials) <= cap
         recorded.clear()
-        _, failures = oracles.trf_trials(spec, None, 30, 3, mc.observed.raw)
+        _, failures = oracles.trf_trials(spec, None, 30, 3, mc.observed)
         assert failures == {}
         for got, want in zip(trials, recorded, strict=True):
             for key, value in want.items():
@@ -479,7 +476,7 @@ class TestMonteCarlo:
         fits = count_fit_calls(monkeypatch)
         mc = montecarlo_errorbars(spec, res, n_trials=30, seed=3)
         assert len(fits) == 1
-        _, failures = oracles.trf_trials(spec, res, 30, 3, mc.observed.raw)
+        _, failures = oracles.trf_trials(spec, res, 30, 3, mc.observed)
         assert mc.failures == failures == {"UnphysicalDeconvolutionError": 6}
         assert mc.unreliable
 
@@ -509,7 +506,7 @@ class TestMonteCarlo:
         model = synth_spectrum(replace(RAW_INPUT, amplitude=2e4, offset=100.0), n1=32, nh=30)
         spec = Spectrum2D(model.lambda1_nm, model.lambdah_nm, rng.poisson(model.counts))
         mc = montecarlo_errorbars(spec, n_trials=n_trials, seed=5)
-        linear = oracles.linearized_errorbars(spec, fit_gaussian_2d(spec).raw)
+        linear = oracles.linearized_errorbars(spec, fit_gaussian_2d(spec))
         bound = 4.0 / math.sqrt(2.0 * (n_trials - 1))
         assert mc.failures == {}
         for key, sigma in linear.items():
@@ -572,15 +569,19 @@ class TestContourSubsample:
         # ceil(4096 / 128) = 32 alone would leave less than one bin across it
         lam1 = np.linspace(800.0, 800.0 + 4095 * 0.01, 4096)
         lamh = np.linspace(735.0, 745.0, 64)
-        params = replace(RAW_INPUT, center1_nm=820.0, fwhm1_nm=0.2, centerh_nm=740.0, fwhmh_nm=3.0)
+        fwhm1 = 0.2
+        params = replace(
+            RAW_INPUT, center1_nm=820.0, sigma1_nm=units.fwhm_to_sigma(fwhm1), centerh_nm=740.0,
+            sigmah_nm=units.fwhm_to_sigma(3.0),
+        )
         spec = Spectrum2D(lam1, lamh, gaussian2d_model(params, lam1, lamh))
         sub = contour_subsample(spec)
         stride = round((sub.lambda1_nm[1] - sub.lambda1_nm[0]) / 0.01)
-        assert params.fwhm1_nm / (math.ceil(lam1.size / 128) * 0.01) < 1
-        assert params.fwhm1_nm / (stride * 0.01) >= 8
+        assert fwhm1 / (math.ceil(lam1.size / 128) * 0.01) < 1
+        assert fwhm1 / (stride * 0.01) >= 8
         assert sub.counts.shape[1] == lamh.size
         np.testing.assert_array_equal(sub.counts, spec.counts[::stride])
-        assert_same_fit(fit_gaussian_2d(sub).raw, fit_gaussian_2d(spec).raw)
+        assert_same_fit(fit_gaussian_2d(sub), fit_gaussian_2d(spec))
 
     def test_degenerate_spectrum_raises(self):
         spec = Spectrum2D(np.arange(8.0), np.arange(8.0), np.ones((8, 8)))
@@ -590,11 +591,12 @@ class TestContourSubsample:
 
 def assert_same_fit(sub, full):
     """A subsample fit agrees with the full-resolution fit, its oracle."""
-    assert sub.fwhm1_nm == pytest.approx(full.fwhm1_nm, rel=1e-6)
-    assert sub.fwhmh_nm == pytest.approx(full.fwhmh_nm, rel=1e-6)
+    assert sub.sigma1_nm == pytest.approx(full.sigma1_nm, rel=1e-6)
+    assert sub.sigmah_nm == pytest.approx(full.sigmah_nm, rel=1e-6)
     assert sub.rho == pytest.approx(full.rho, abs=1e-6)
-    assert sub.center1_nm == pytest.approx(full.center1_nm, abs=1e-6 * full.fwhm1_nm)
-    assert sub.centerh_nm == pytest.approx(full.centerh_nm, abs=1e-6 * full.fwhmh_nm)
+    fwhm1, fwhmh = units.sigma_to_fwhm(full.sigma1_nm), units.sigma_to_fwhm(full.sigmah_nm)
+    assert sub.center1_nm == pytest.approx(full.center1_nm, abs=1e-6 * fwhm1)
+    assert sub.centerh_nm == pytest.approx(full.centerh_nm, abs=1e-6 * fwhmh)
 
 
 class TestG2:
@@ -697,10 +699,10 @@ class TestSpectrumFromField:
         assert spec.counts.max() == pytest.approx(1e4)
         lam_center = units.angular_to_wavelength(exp_state.omega1) * 1e9
         assert spec.lambda1_nm[0] < lam_center < spec.lambda1_nm[-1]
-        fit = fit_gaussian_2d(spec).raw
+        fit = fit_gaussian_2d(spec)
         assert fit.center1_nm == pytest.approx(lam_center, abs=1e-2)
         assert fit.rho == pytest.approx(exp_state.rho, abs=2e-3)
-        assert fit.fwhm1_nm == pytest.approx(
+        assert units.sigma_to_fwhm(fit.sigma1_nm) == pytest.approx(
             oracles.sigma_rad_to_fwhm_nm(exp_state.sigma1, lam_center), rel=2e-3
         )
 

@@ -110,6 +110,33 @@ def test_grid_below_16_samples_rejected_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_grid_off_closed_form_exit_3(command, fast_cfg, tmp_path, capsys):
+    # 32 input samples raise no coverage error, but leave the output
+    # moments 3e-3 (simulate) and 0.27 (sweep) off the closed form
+    out = tmp_path / "out"
+    assert main([command, "--config", str(fast_cfg), "--out", str(out), "--grid", "32"]) == 3
+    err = capsys.readouterr().err
+    assert "GridAccuracyError" in err and "on n = 32 input samples" in err
+    assert "signal sigma (" in err and "rho (" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, row", [("simulate", "grid-output"), ("sweep", "sweep row 0 (delay -1.000 ps)")]
+)
+def test_filterlimit_grid_512_off_closed_form_exit_3(command, row, tmp_path, capsys):
+    # 512 input samples leave the output signal width off by a factor of
+    # about 3 on this config, with no coverage error
+    out = tmp_path / "out"
+    argv = [command, "--config", "filterlimit.cfg", "--out", str(out), "--grid", "512"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"GridAccuracyError: {row}: the grid's signal sigma (" in err
+    assert "on n = 512 input samples" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "where, old, new",
     [
@@ -164,6 +191,20 @@ class TestSimulate:
         assert "phasematch_limited" in cf_row["flags"].split(";")
         assert grid_row["flags"] == ""
 
+    def test_closed_form_row_at_the_run_delay(self, tmp_path):
+        # the grid convolves at [delay] tau, and the closed-form row and
+        # the run-time check predict at that delay
+        cfg = tmp_path / "delayed.cfg"
+        cfg.write_text(FAST_SIM.replace("tau = 0 ps", "tau = 0.5 ps"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_stats(out / "stats.csv")
+        grid_row, cf_row = rows["grid-output"], rows["closed-form-output"]
+        for center, sigma in (("center_signal_rad_s", "sigma_signal_rad_s"),
+                              ("center_herald_rad_s", "sigma_herald_rad_s")):
+            gap = abs(float(grid_row[center]) - float(cf_row[center])) / float(cf_row[sigma])
+            assert gap < 1e-3, center
+
     @pytest.mark.parametrize("name", ["ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"])
     def test_bundled_grid_output_matches_closed_form(self, name, tmp_path):
         # one planner for simulate and sweep: the output grid follows the
@@ -210,9 +251,9 @@ class TestSimulate:
             return subsample(spec)
 
         def recording_fit(spec):
-            report = fit(spec)
-            fits.append((spec.counts.shape, report.raw))
-            return report
+            params = fit(spec)
+            fits.append((spec.counts.shape, params))
+            return params
 
         monkeypatch.setattr(cli, "contour_subsample", recording_subsample)
         monkeypatch.setattr(cli, "fit_gaussian_2d", recording_fit)
@@ -221,7 +262,7 @@ class TestSimulate:
         assert len(fits) == 2
         for spec, (shape, raw) in zip(full_spectra, fits):
             assert max(shape) <= 128
-            assert_same_fit(raw, fit_gaussian_2d(spec).raw)
+            assert_same_fit(raw, fit_gaussian_2d(spec))
 
     def test_subsample_contour_svgs_match_full_fit(self, fast_cfg, tmp_path, monkeypatch):
         sub, full = tmp_path / "sub", tmp_path / "full"
@@ -705,6 +746,11 @@ class TestFit:
 
     def test_fit_missing_file(self, tmp_path):
         assert main(["fit", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == 2
+
+    def test_fit_directory_exit_2(self, tmp_path, capsys):
+        # a directory passed an existence check and failed to open, exit 3
+        assert main(["fit", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert "not found or not a file" in capsys.readouterr().err
 
     def test_fit_non_finite_csv_cell_exit_3(self, tmp_path, capsys):
         from test_analysis import RAW_INPUT, synth_spectrum
