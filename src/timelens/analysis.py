@@ -83,14 +83,17 @@ class Spectrum2D:
 
 @dataclass(frozen=True)
 class ResolutionModel:
-    """Gaussian sigma of each spectrometer response, nm."""
+    """Gaussian sigma of each spectrometer response, nm: finite and at least 0."""
 
     r1_nm: float
     rh_nm: float
 
     def __post_init__(self):
-        if self.r1_nm < 0.0 or self.rh_nm < 0.0:
-            raise ValueError("resolutions must be non-negative")
+        for axis, r in (("signal", self.r1_nm), ("herald", self.rh_nm)):
+            if not 0.0 <= r < math.inf:
+                raise ValueError(
+                    f"the {axis} resolution must be finite and at least 0 nm, got {r:g}"
+                )
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,6 @@ EXIT_RUNTIME = 3
 # sweep renders a heatmap panel for each of the first delays, up to this many
 SWEEP_PANELS = 9
 
-# largest gap between a run's grid statistics and the closed form, the
-# contract of validate's cross-engine suite
-CLOSED_FORM_TOLERANCE = 1e-3
-
-
-class GridAccuracyError(RuntimeError):
-    """A run's grid statistics stray from the closed form by more than CLOSED_FORM_TOLERANCE."""
-
 
 def _resolve_config(path_arg: str) -> Path:
     path = Path(path_arg)
@@ -139,29 +131,6 @@ def _stats_row(engine: str, center1, centerh, sigma1, sigmah, rho, **extra) -> d
     }
 
 
-def _check_closed_form(row: str, n: int, pred, center1, centerh, sigma1, sigmah, rho) -> None:
-    """Raise GridAccuracyError if a grid output row strays from its closed-form prediction.
-
-    Widths are compared relative to the prediction, rho absolutely and
-    the centers in units of the predicted width.  The prediction is read
-    only after the grid has its numbers, so neither engine reads the other.
-    """
-    gaps = {
-        "signal sigma": abs(sigma1 - pred.sigma3) / pred.sigma3,
-        "herald sigma": abs(sigmah - pred.sigmah_f) / pred.sigmah_f,
-        "rho": abs(rho - pred.rho_f),
-        "signal center": abs(center1 - pred.omega3_center) / pred.sigma3,
-        "herald center": abs(centerh - pred.omegah_center) / pred.sigmah_f,
-    }
-    off = [f"{name} ({gap:.3g})" for name, gap in gaps.items() if not gap <= CLOSED_FORM_TOLERANCE]
-    if off:
-        raise GridAccuracyError(
-            f"{row}: the grid's {', '.join(off)} differ from the closed form by more than "
-            f"{CLOSED_FORM_TOLERANCE:g} on n = {n} input samples; a larger --grid or [grid] n "
-            "may resolve it"
-        )
-
-
 _STATS_COLUMNS = [
     "engine",
     "center_signal_rad_s",
@@ -196,10 +165,7 @@ def cmd_simulate(args) -> int:
     )
     output_stats = compute_stats(out_field)
     pred = lens.predict_output(lens_cfg, replace(state, delay=cfg.tau))
-    _check_closed_form(
-        "grid-output", eff_field.axis1.n, pred, output_stats.mean1, output_stats.meanh,
-        output_stats.sigma1, output_stats.sigmah, output_stats.rho,
-    )
+    validate.check_closed_form("grid-output", eff_field.axis1.n, pred, output_stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -298,23 +264,22 @@ def cmd_sweep(args) -> int:
     )
     for i, p in enumerate(sw.points):
         if not p.aperture_warning:
-            _check_closed_form(
+            validate.check_closed_form(
                 f"sweep row {i} (delay {p.tau * 1e12:+.3f} ps)", sw.input_samples,
-                lens.predict_output(cfg.lens, replace(cfg.state, delay=p.tau)),
-                p.omega3_center, p.omegah_center, p.sigma3, p.sigmah, p.rho_f,
+                lens.predict_output(cfg.lens, replace(cfg.state, delay=p.tau)), p.moments,
             )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         [
             p.tau * 1e12,
-            p.omega3_center,
-            p.omegah_center,
-            units.angular_to_wavelength(p.omega3_center) * 1e9,
-            units.angular_to_wavelength(p.omegah_center) * 1e9,
-            p.sigma3,
-            p.sigmah,
-            p.rho_f,
+            p.moments.mean1,
+            p.moments.meanh,
+            units.angular_to_wavelength(p.moments.mean1) * 1e9,
+            units.angular_to_wavelength(p.moments.meanh) * 1e9,
+            p.moments.sigma1,
+            p.moments.sigmah,
+            p.moments.rho,
             p.weight,
             int(p.aperture_warning),
         ]
@@ -377,15 +342,17 @@ def cmd_fit(args) -> int:
     # a command-line flag wins over its config key, which wins over the default
     config_path = _resolve_config(args.config) if args.config else None
     settings = parse_config(config_path).analysis if config_path else AnalysisSettings()
-    res = None
     if args.res_signal is not None or args.res_herald is not None:
         if args.res_signal is None or args.res_herald is None:
             raise ConfigError("give both --res-signal and --res-herald or neither")
-        res = ResolutionModel(r1_nm=args.res_signal, rh_nm=args.res_herald)
-    elif settings.resolution_signal_nm is not None:
-        res = ResolutionModel(
-            r1_nm=settings.resolution_signal_nm, rh_nm=settings.resolution_herald_nm
-        )
+        where, r1, rh = "--res-signal, --res-herald", args.res_signal, args.res_herald
+    else:
+        where = "[analysis] resolution_signal, resolution_herald"
+        r1, rh = settings.resolution_signal_nm, settings.resolution_herald_nm
+    try:
+        res = None if r1 is None else ResolutionModel(r1_nm=r1, rh_nm=rh)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     trials, seed = settings.trials, settings.seed
     if args.trials is not None:
         trials = at_least("--trials", args.trials, MIN_TRIALS, "Monte Carlo trials")

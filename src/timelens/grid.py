@@ -129,26 +129,18 @@ class IntensityMoments:
 
 
 @dataclass(frozen=True)
-class StatsReport:
+class StatsReport(IntensityMoments):
     """Intensity moments and Schmidt mode count of a sampled joint field."""
 
-    mean1: float
-    meanh: float
-    sigma1: float
-    sigmah: float
-    rho: float
     schmidt_k: float
-    norm: float
 
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One delay's output moments and conversion weight."""
+
     tau: float
-    omega3_center: float
-    omegah_center: float
-    sigma3: float
-    sigmah: float
-    rho_f: float
+    moments: IntensityMoments
     weight: float
     aperture_warning: bool
 
@@ -640,17 +632,8 @@ def delay_sweep(
 
     max_weight = max(w for _, _, w in points)
     rows = tuple(
-        SweepPoint(
-            tau=tau,
-            omega3_center=st.mean1,
-            omegah_center=st.meanh,
-            sigma3=st.sigma1,
-            sigmah=st.sigmah,
-            rho_f=st.rho,
-            weight=weight,
-            aperture_warning=weight < APERTURE_WEIGHT_RATIO * max_weight,
-        )
-        for tau, st, weight in points
+        SweepPoint(tau, moments, weight, weight < APERTURE_WEIGHT_RATIO * max_weight)
+        for tau, moments, weight in points
     )
     valid = np.array([not r.aperture_warning for r in rows])
     n_valid = int(valid.sum())
@@ -659,7 +642,7 @@ def delay_sweep(
             f"only {n_valid} of {len(rows)} sweep rows lie inside the temporal "
             "aperture; a slope needs at least two"
         )
-    centers = np.array([(r.omega3_center, r.omegah_center) for r in rows])
+    centers = np.array([(r.moments.mean1, r.moments.meanh) for r in rows])
     sig_slope, sig_icpt = np.polyfit(taus[valid], centers[valid, 0], 1)
     her_slope, her_icpt = np.polyfit(taus[valid], centers[valid, 1], 1)
     return SweepResult(

@@ -4,7 +4,9 @@ Each suite returns (ok, detail).  The cross-engine suites compare the
 closed-form lens predictions against the brute-force grid engine and are
 sensitive to sub-percent errors in either; the suite runner demonstrates
 that sensitivity by scaling the closed-form entry points named in
-PERTURBABLE for the length of a run.
+PERTURBABLE for the length of a run.  check_closed_form is the contract
+that the cross-engine suite, ``simulate`` and ``sweep`` share.  A NaN
+deviation always fails.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .analysis import (
 )
 from .config import parse_config_text
 from .grid import (
+    IntensityMoments,
     compute_stats,
     default_output_grid,
     grids_for_state,
@@ -37,7 +40,7 @@ from .grid import (
     sfg_convolve,
     to_time_domain,
 )
-from .lens import LensConfig
+from .lens import LensConfig, OutputStatePrediction
 from .states import (
     EscortPulse,
     GaussianJSA,
@@ -49,6 +52,54 @@ from .states import (
 # closed-form entry points that run_suites may scale to show that the
 # cross-engine comparisons detect a wrong closed form
 PERTURBABLE = ("output_sigma3", "output_correlation")
+
+# largest gap between a grid output's moments and the closed form
+CLOSED_FORM_TOLERANCE = 1e-3
+
+
+class GridAccuracyError(RuntimeError):
+    """A run's grid statistics stray from the closed form by more than CLOSED_FORM_TOLERANCE."""
+
+
+def _worst(*devs) -> float:
+    """Largest deviation, NaN if any is NaN (the builtin max drops a NaN after the first)."""
+    return float(np.max(devs))
+
+
+def closed_form_gaps(pred: OutputStatePrediction, moments: IntensityMoments) -> dict[str, float]:
+    """Gaps of a grid output's moments from their closed-form prediction.
+
+    Widths are relative to the prediction, rho absolute and the centers
+    in units of the predicted width.
+    """
+    return {
+        "signal sigma": abs(moments.sigma1 - pred.sigma3) / pred.sigma3,
+        "herald sigma": abs(moments.sigmah - pred.sigmah_f) / pred.sigmah_f,
+        "rho": abs(moments.rho - pred.rho_f),
+        "signal center": abs(moments.mean1 - pred.omega3_center) / pred.sigma3,
+        "herald center": abs(moments.meanh - pred.omegah_center) / pred.sigmah_f,
+    }
+
+
+def _off_closed_form(gaps: dict[str, float]) -> list[str]:
+    """The gaps beyond CLOSED_FORM_TOLERANCE, each as "name (gap)"; a NaN gap is off."""
+    return [f"{name} ({gap:.3g})" for name, gap in gaps.items() if not gap <= CLOSED_FORM_TOLERANCE]
+
+
+def check_closed_form(row: str, n: int, pred, moments: IntensityMoments) -> None:
+    """Raise GridAccuracyError if a grid output row strays from its closed-form prediction.
+
+    pred is the row's lens.predict_output, moments the grid's own record
+    of the row and n its input sample count.  The prediction is read only
+    after the grid has its numbers, so neither engine reads the other.
+    """
+    off = _off_closed_form(closed_form_gaps(pred, moments))
+    if off:
+        raise GridAccuracyError(
+            f"{row}: the grid's {', '.join(off)} differ from the closed form by more than "
+            f"{CLOSED_FORM_TOLERANCE:g} on n = {n} input samples; a larger --grid or [grid] n "
+            "may resolve it"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,12 +160,12 @@ def suite_units_roundtrip(p: SuiteParams):
     for _ in range(200):
         lam = rng.uniform(3e-7, 2e-6)
         back = units.angular_to_wavelength(units.wavelength_to_angular(lam))
-        worst = max(worst, abs(back - lam) / lam)
-    if worst > 1e-12:
+        worst = _worst(worst, abs(back - lam) / lam)
+    if not worst <= 1e-12:
         return False, f"wavelength round trip error {worst:.2e} exceeds 1e-12"
     sig = units.fwhm_nm_to_sigma_rad(5.53, 774.6)
     rel = abs(sig - 7.38e12) / 7.38e12
-    if rel > 2e-3:
+    if not rel <= 2e-3:
         return False, f"escort width consistency off by {rel:.2e} (limit 2e-3)"
     return True, f"round trip {worst:.1e}; escort consistency {rel:.1e}"
 
@@ -143,7 +194,7 @@ def suite_jsa_normalization(p: SuiteParams):
         wh = np.linspace(-6 * state.sigmah, 6 * state.sigmah, 801) + state.omegah
         intensity = np.abs(jsa_amplitude(state, w1[:, None], wh[None, :])) ** 2
         total = _simpson(_simpson(intensity, wh), w1)
-        worst = max(worst, abs(total - 1.0))
+        worst = _worst(worst, abs(total - 1.0))
     ok = worst <= 1e-6
     return ok, f"max |integral - 1| = {worst:.2e} (limit 1e-6)"
 
@@ -165,7 +216,7 @@ def suite_phase_invariance(p: SuiteParams):
         abs(bare.rho - phased.rho),
         abs(bare.norm - phased.norm),
     ]
-    worst = max(devs)
+    worst = _worst(*devs)
     return worst <= 1e-12, f"max moment change under phases {worst:.2e} (limit 1e-12)"
 
 
@@ -180,7 +231,7 @@ def suite_imaging_consistency(p: SuiteParams):
             continue
         ao = lens.solve_imaging(signal_chirp=a1, escort_chirp=ae)
         m_spec, m_temp = lens.magnification(a1, ae)
-        worst = max(worst, abs(m_spec - (-a1 / ao)), abs(m_spec * m_temp - 1.0))
+        worst = _worst(worst, abs(m_spec - (-a1 / ao)), abs(m_spec * m_temp - 1.0))
     return worst <= 1e-12, f"max |M - (-A1/Ao)| = {worst:.2e} over {n} draws"
 
 
@@ -202,7 +253,7 @@ def suite_limit_consistency(p: SuiteParams):
         s3 = lens.output_sigma3(cfg, state)
         rf = lens.output_correlation(cfg, state)
         s3_lim, rf_lim = lens.limit_infinite_escort(state, a1, ae)
-        worst_inf = max(worst_inf, abs(s3 - s3_lim) / s3_lim, abs(rf - rf_lim))
+        worst_inf = _worst(worst_inf, abs(s3 - s3_lim) / s3_lim, abs(rf - rf_lim))
 
     # unit-negative-magnification limit: measured operating point with the
     # chirps scaled tenfold so the large-chirp criterion holds strongly
@@ -216,7 +267,7 @@ def suite_limit_consistency(p: SuiteParams):
         s3b = lens.output_sigma3(cfg_m1, state)
         rfb = lens.output_correlation(cfg_m1, state)
         s3b_lim, rfb_lim = lens.limit_m_minus1(state, sigmae)
-        worst_m1 = max(worst_m1, abs(s3b - s3b_lim) / s3b_lim, abs(rfb - rfb_lim))
+        worst_m1 = _worst(worst_m1, abs(s3b - s3b_lim) / s3b_lim, abs(rfb - rfb_lim))
     ok = worst_inf <= 1e-3 and worst_m1 <= 5e-3
     return ok, (
         f"broad-escort limit dev {worst_inf:.2e} (limit 1e-3); "
@@ -270,15 +321,9 @@ def suite_rho_symmetry(p: SuiteParams):
     for _ in range(100):
         state, cfg = _random_state_and_lens(rng)
         flipped = replace(state, rho=-state.rho)
-        worst = max(
-            worst,
-            abs(lens.output_sigma3(cfg, state) - lens.output_sigma3(cfg, flipped))
-            / lens.output_sigma3(cfg, state),
-            abs(
-                abs(lens.output_correlation(cfg, state))
-                - abs(lens.output_correlation(cfg, flipped))
-            ),
-        )
+        s3, s3_flipped = lens.output_sigma3(cfg, state), lens.output_sigma3(cfg, flipped)
+        rf, rf_flipped = lens.output_correlation(cfg, state), lens.output_correlation(cfg, flipped)
+        worst = _worst(worst, abs(s3 - s3_flipped) / s3, abs(abs(rf) - abs(rf_flipped)))
     return worst <= 1e-12, f"max asymmetry under rho sign flip {worst:.2e}"
 
 
@@ -292,27 +337,28 @@ def suite_tunability_linearity(p: SuiteParams):
             got = lens.tunability(scaled_cfg, state, regime)
             for b, g in zip(base, got):
                 if b == 0.0:
-                    worst = max(worst, abs(g))
+                    worst = _worst(worst, abs(g))
                 else:
-                    worst = max(worst, abs(g - b / k) / abs(b / k))
+                    worst = _worst(worst, abs(g - b / k) / abs(b / k))
     return worst <= 1e-12, f"slopes scale as 1/A1 to {worst:.1e} relative"
 
 
 def suite_cross_engine(p: SuiteParams):
     rng = np.random.default_rng(p.seed + 6)
-    worst_s = 0.0
-    worst_r = 0.0
+    gaps = []
     for _ in range(p.cross_configs):
         state, cfg = _random_state_and_lens(rng)
-        st = intensity_moments(_upconverted(cfg, state, p.grid_n)[1])
-        s3 = lens.output_sigma3(cfg, state)
-        rf = lens.output_correlation(cfg, state)
-        worst_s = max(worst_s, abs(st.sigma1 - s3) / s3)
-        worst_r = max(worst_r, abs(st.rho - rf))
-    ok = worst_s <= 1e-3 and worst_r <= 1e-3
-    return ok, (
-        f"{p.cross_configs} configs at {p.grid_n}^2: max width dev {worst_s:.2e} rel, "
-        f"max correlation dev {worst_r:.2e} abs (limits 1e-3)"
+        moments = intensity_moments(_upconverted(cfg, state, p.grid_n)[1])
+        # the width and correlation through the perturbable entry points
+        s3, rf = lens.output_sigma3(cfg, state), lens.output_correlation(cfg, state)
+        pred = replace(lens.predict_output(cfg, state), sigma3=s3, rho_f=rf)
+        gaps.append(closed_form_gaps(pred, moments))
+    worst = {name: _worst(*(g[name] for g in gaps)) for name in gaps[0]}
+    return not _off_closed_form(worst), (
+        f"{p.cross_configs} configs at {p.grid_n}^2: max width dev {worst['signal sigma']:.2e} "
+        f"rel, max correlation dev {worst['rho']:.2e} abs, max herald width dev "
+        f"{worst['herald sigma']:.2e} rel, max center devs {worst['signal center']:.2e} and "
+        f"{worst['herald center']:.2e} sigma (limits {CLOSED_FORM_TOLERANCE:g})"
     )
 
 
@@ -322,7 +368,7 @@ def suite_grid_refinement(p: SuiteParams):
     base = max(512, p.grid_n)
     state, cfg = experimental_setup()
     a, b = (compute_stats(_upconverted(cfg, state, n, nh=base)[1]) for n in (base, 2 * base))
-    worst = max(
+    worst = _worst(
         abs(a.mean1 - b.mean1) / abs(b.mean1),
         abs(a.sigma1 - b.sigma1) / b.sigma1,
         abs(a.sigmah - b.sigmah) / b.sigmah,
@@ -359,7 +405,7 @@ def suite_schmidt_consistency(p: SuiteParams):
         )
         g1, gh = grids_for_state(state, n=p.grid_n)
         st = compute_stats(sample_jsa(state, g1, gh))
-        worst = max(worst, abs(st.schmidt_k - schmidt_number(rho)) / schmidt_number(rho))
+        worst = _worst(worst, abs(st.schmidt_k - schmidt_number(rho)) / schmidt_number(rho))
     # single-arm phases are local unitaries and leave the Schmidt
     # spectrum exactly alone; the upconverted field instead carries a
     # non-factorable joint phase, so its mode count exceeds the
@@ -403,7 +449,7 @@ def suite_convolution_paths(p: SuiteParams):
     a, wa = sfg_convolve(field, escort, tau=0.7e-12, out_grid=out_grid, method="direct")
     b, wb = sfg_convolve(field, escort, tau=0.7e-12, out_grid=out_grid, method="fft")
     dev = float(np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values)))
-    dev = max(dev, abs(wa - wb) / wa)
+    dev = _worst(dev, abs(wa - wb) / wa)
     return dev <= 1e-9, f"direct vs fft path max deviation {dev:.2e} (limit 1e-9)"
 
 
@@ -426,8 +472,8 @@ def suite_fit_roundtrip(p: SuiteParams):
         fit = fit_gaussian_2d(spec)
         for name in ("amplitude", "center1_nm", "centerh_nm", "sigma1_nm", "sigmah_nm", "rho"):
             t, f = getattr(truth, name), getattr(fit, name)
-            worst = max(worst, abs(f - t) / max(abs(t), 1e-12))
-    if worst > 1e-6:
+            worst = _worst(worst, abs(f - t) / max(abs(t), 1e-12))
+    if not worst <= 1e-6:
         return False, f"noiseless identity dev {worst:.2e} (limit 1e-6)"
 
     # blur then deconvolve must restore the unblurred parameters
@@ -444,12 +490,12 @@ def suite_fit_roundtrip(p: SuiteParams):
     spec = Spectrum2D(lam1, lamh, gaussian2d_model(blurred, lam1, lamh))
     raw = fit_gaussian_2d(spec)
     dec = deconvolve_resolution(raw, res)
-    dev = max(
+    dev = _worst(
         abs(dec.sigma1_nm - truth.sigma1_nm) / truth.sigma1_nm,
         abs(dec.sigmah_nm - truth.sigmah_nm) / truth.sigmah_nm,
         abs(dec.rho - truth.rho) / abs(truth.rho),
     )
-    if dev > 1e-3:
+    if not dev <= 1e-3:
         return False, f"blur/deconvolve round trip dev {dev:.2e} (limit 1e-3)"
 
     cov_raw = raw.sigma1_nm * raw.sigmah_nm * raw.rho
@@ -475,7 +521,7 @@ def suite_g2_properties(p: SuiteParams):
     indep = abs(g2_cross_correlation(uncorrelated) - 1.0)
     doubled = replace(base, rep_rate=2 * base.rep_rate)
     linear = abs(g2_cross_correlation(doubled) - 2 * g2_cross_correlation(base))
-    worst = max(sym, indep, linear)
+    worst = _worst(sym, indep, linear)
     return worst <= 1e-12, f"exchange/independence/linearity max dev {worst:.1e}"
 
 

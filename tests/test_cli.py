@@ -660,6 +660,39 @@ class TestFit:
         assert "give both resolution_signal and resolution_herald" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, analysis, where",
+        [
+            (["--res-signal", "nan"], "", "--res-signal"),
+            (["--res-signal", "-0.1"], "", "--res-signal"),
+            (["--res-signal", "inf"], "", "--res-signal"),
+            ([], "resolution_signal = -0.1 nm", "[analysis] resolution_signal"),
+        ],
+        ids=["flag-nan", "flag-negative", "flag-inf", "config-negative"],
+    )
+    def test_fit_resolution_not_finite_or_negative_exit_2(
+        self, tmp_path, capsys, flags, analysis, where
+    ):
+        # every resolution passes ResolutionModel's one rule, finite and at
+        # least 0, before any fit; nan used to write nan deconvolved rows
+        from test_analysis import RAW_INPUT, synth_spectrum
+
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(FAST_SIM + f"\n[analysis]\n{analysis}\nresolution_herald = 0.148 nm\n")
+        hist = tmp_path / "hist.csv"
+        write_spectrum_csv(synth_spectrum(RAW_INPUT, n1=24, nh=22), hist)
+        out = tmp_path / "fit"
+        argv = ["fit", str(hist), "--trials", "5", "--out", str(out)]
+        if flags:
+            argv += flags + ["--res-herald", "0.148"]
+        else:
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {where}" in err
+        assert "the signal resolution must be finite and at least 0 nm" in err
+        assert not out.exists()
+
     def test_fit_trials_and_seed_from_config(self, tmp_path, capsys):
         from test_analysis import RAW_INPUT, synth_spectrum
 
@@ -790,6 +823,8 @@ class TestValidateCommand:
     def test_mutation_detected(self):
         assert main(["validate", "--quick", "--mutate", "output_correlation=1.01"]) == 1
         assert main(["validate", "--quick", "--mutate", "output_sigma3=1.01"]) == 1
+        assert main(["validate", "--quick", "--mutate", "output_correlation=nan"]) == 1
+        assert main(["validate", "--quick", "--mutate", "output_sigma3=nan"]) == 1
 
     def test_mutation_hook_restored(self):
         from timelens import lens

@@ -451,8 +451,8 @@ class TestCrossEngineRandom:
                 abs(st0.sigmah - pred0.sigmah_f) / pred0.sigmah_f,
             ]
             for pred, point in zip((pred0, pred1), sw.points):
-                errors.append(abs(point.omega3_center - pred.omega3_center) / pred.sigma3)
-                errors.append(abs(point.omegah_center - pred.omegah_center) / pred.sigmah_f)
+                errors.append(abs(point.moments.mean1 - pred.omega3_center) / pred.sigma3)
+                errors.append(abs(point.moments.meanh - pred.omegah_center) / pred.sigmah_f)
             worst = max(worst, *errors)
         assert worst < 1e-3
 
@@ -532,7 +532,7 @@ class TestDelaySweep:
         sw = delay_sweep(exp_lens, exp_state, taus, n=512)
         mid = sw.points[2]
         assert mid.tau == 0.0
-        assert sw.signal_intercept == pytest.approx(mid.omega3_center, rel=1e-9)
+        assert sw.signal_intercept == pytest.approx(mid.moments.mean1, rel=1e-9)
 
     def test_slopes_match_oracle(self, exp_state, exp_lens):
         taus = np.linspace(-1e-12, 1e-12, 5)
@@ -563,7 +563,7 @@ class TestDelaySweep:
         assert flagged == [True, False, False, False, False, True]
         assert sw.slope_rows == 4
         valid = ~np.array(flagged)
-        centers = np.array([(p.omega3_center, p.omegah_center) for p in sw.points])
+        centers = np.array([(p.moments.mean1, p.moments.meanh) for p in sw.points])
         sig_slope, sig_icpt = np.polyfit(taus[valid], centers[valid, 0], 1)
         her_slope, _ = np.polyfit(taus[valid], centers[valid, 1], 1)
         assert sw.signal_slope == pytest.approx(sig_slope, rel=1e-12)
@@ -593,7 +593,8 @@ class TestDelaySweep:
         assert len(fields) == 2
         for point, field in zip(sw.points, fields):
             mo = intensity_moments(field)
-            assert (mo.mean1, mo.sigma1, mo.rho) == (point.omega3_center, point.sigma3, point.rho_f)
+            got = point.moments
+            assert (mo.mean1, mo.sigma1, mo.rho) == (got.mean1, got.sigma1, got.rho)
 
     def test_rows_and_fields_match_direct_per_delay(self, exp_state, exp_lens):
         # the sweep puts the delay phase on the kernel and the output of one
@@ -610,11 +611,11 @@ class TestDelaySweep:
             assert np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values)) < 1e-9
             assert point.weight == pytest.approx(weight, rel=1e-9)
             mo = intensity_moments(want)
-            assert abs(point.omega3_center - mo.mean1) < 1e-9 * mo.sigma1
-            assert abs(point.omegah_center - mo.meanh) < 1e-9 * mo.sigmah
-            assert point.sigma3 == pytest.approx(mo.sigma1, rel=1e-9)
-            assert point.sigmah == pytest.approx(mo.sigmah, rel=1e-9)
-            assert point.rho_f == pytest.approx(mo.rho, abs=1e-9)
+            assert abs(point.moments.mean1 - mo.mean1) < 1e-9 * mo.sigma1
+            assert abs(point.moments.meanh - mo.meanh) < 1e-9 * mo.sigmah
+            assert point.moments.sigma1 == pytest.approx(mo.sigma1, rel=1e-9)
+            assert point.moments.sigmah == pytest.approx(mo.sigmah, rel=1e-9)
+            assert point.moments.rho == pytest.approx(mo.rho, abs=1e-9)
 
     @pytest.mark.parametrize("offset", [-1.0e12, 3.0e12])
     def test_off_nominal_acceptance_intercepts(self, offset):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,61 @@ def test_mutation_breaks_cross_engine(key):
     assert dev and float(dev.group(1)) > 1e-3, detail
     # entry points restored afterwards
     assert getattr(lens, key) is original
+
+
+@pytest.mark.parametrize("key", PERTURBABLE)
+def test_nan_mutation_fails_every_closed_form_suite(key):
+    # a NaN deviation is never read as agreement: builtin max(worst, nan)
+    # keeps worst, so every worst-case tracker propagates the NaN
+    suites = ["cross-engine", "limit-consistency", "rho-symmetry"]
+    report, all_ok = run_suites(
+        SuiteParams(quick=True), names=suites, perturbations={key: float("nan")}
+    )
+    assert not all_ok
+    for name in suites:
+        assert not report[name]["ok"], report[name]
+        assert "nan" in report[name]["detail"]
+
+
+@pytest.mark.parametrize(
+    "change, dev",
+    [
+        (lambda m: replace(m, sigmah=1.01 * m.sigmah), r"max herald width dev (\S+) rel"),
+        (lambda m: replace(m, meanh=m.meanh + 2e-3 * m.sigmah), r"and (\S+) sigma"),
+    ],
+    ids=["herald-width-1.01", "herald-center-2e-3-sigma"],
+)
+def test_cross_engine_checks_herald_width_and_centers(change, dev, monkeypatch):
+    # the suite holds the grid to all five closed-form gaps, not only the
+    # signal width and the correlation
+    monkeypatch.setattr(
+        validate, "intensity_moments", lambda field: change(grid.intensity_moments(field))
+    )
+    report, all_ok = run_suites(SuiteParams(quick=True), names=["cross-engine"])
+    assert not all_ok
+    detail = report["cross-engine"]["detail"]
+    found = re.search(dev, detail)
+    assert found and float(found.group(1)) > 1e-3, detail
+
+
+@pytest.mark.parametrize(
+    "gap, value",
+    [("rho", float("nan")), ("rho", 2e-3), ("signal center", 1.1e-3)],
+    ids=["rho-nan", "rho-2e-3", "signal-center-1.1e-3"],
+)
+def test_check_closed_form_refuses_nan_and_large_gaps(exp_state, exp_lens, gap, value):
+    pred = lens.predict_output(exp_lens, exp_state)
+    exact = grid.IntensityMoments(
+        mean1=pred.omega3_center, meanh=pred.omegah_center, sigma1=pred.sigma3,
+        sigmah=pred.sigmah_f, rho=pred.rho_f, norm=1.0,
+    )
+    validate.check_closed_form("row", 512, pred, exact)
+    if gap == "rho":
+        moments = replace(exact, rho=exact.rho + value)
+    else:
+        moments = replace(exact, mean1=exact.mean1 + value * pred.sigma3)
+    with pytest.raises(validate.GridAccuracyError, match=rf"^row: the grid's {gap} \("):
+        validate.check_closed_form("row", 512, pred, moments)
 
 
 ENGINE_SUITES = ("cross-engine", "grid-refinement", "schmidt-consistency", "center-conservation")
