@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, gridio, lens, svgplot, units, validate
 from .analysis import (
+    CONTOUR_MIN_BINS_PER_FWHM,
     DegenerateDataError,
     FitConvergenceError,
     ResolutionModel,
@@ -96,6 +97,25 @@ def _input_samples(args, cfg) -> int | None:
     if args.grid is None:
         return cfg.grid.n
     return at_least("--grid", args.grid, MIN_GRID_SAMPLES, "samples")
+
+
+def _display_shape(field, moments) -> tuple[int, int]:
+    """Samples per axis of a field's heatmap panel, from its intensity moments.
+
+    An axis of n samples gets min(n, max(P, ceil(8 (n - 1) / fwhm_bins) + 1)),
+    P being the plot box's pixels on that axis and fwhm_bins the
+    moments' FWHM in field samples: at most one sample per pixel, unless
+    a peak needs more to keep CONTOUR_MIN_BINS_PER_FWHM bins across it.
+    """
+    shape = []
+    for axis, sigma, pixels in (
+        (field.axis1, moments.sigma1, svgplot.PLOT_WIDTH),
+        (field.axis_h, moments.sigmah, svgplot.PLOT_HEIGHT),
+    ):
+        fwhm_bins = units.sigma_to_fwhm(sigma) / axis.step
+        need = math.ceil(CONTOUR_MIN_BINS_PER_FWHM * (axis.n - 1) / fwhm_bins) + 1
+        shape.append(min(axis.n, max(pixels, need)))
+    return shape[0], shape[1]
 
 
 def _heatmap_svg(spec, title: str, contour_fit=None) -> str:
@@ -200,18 +220,22 @@ def cmd_simulate(args) -> int:
         gridio.write_field_csv(out_field, out_dir / "jsi_output.csv")
         outputs += ["jsi_input.csv", "jsi_output.csv"]
 
-    for field, name, title in (
-        (input_field, "jsi_input.svg", "input joint spectral intensity"),
-        (out_field, "jsi_output.svg", "upconverted joint spectral intensity"),
+    for field, stats, name, title in (
+        (input_field, input_stats, "jsi_input.svg", "input joint spectral intensity"),
+        (out_field, output_stats, "jsi_output.svg", "upconverted joint spectral intensity"),
     ):
         spec = spectrum_from_field(field)
         try:
             # the ellipse is drawn to a thousandth of a pixel; a subsample
-            # places it as the full fit does at a fraction of the cost
+            # of the full-resolution spectrum places it as the full fit
+            # does at a fraction of the cost
             fit = fit_gaussian_2d(contour_subsample(spec))
         except (DegenerateDataError, FitConvergenceError) as exc:
             print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
             fit = None
+        shape = _display_shape(field, stats)
+        if shape != spec.counts.shape:
+            spec = spectrum_from_field(field, shape)
         (out_dir / name).write_text(
             _heatmap_svg(spec, title, contour_fit=fit), encoding="utf-8", newline="\n"
         )
@@ -236,10 +260,11 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_panel(svgs: list[str], index: int, tau: float, field) -> None:
+def _sweep_panel(svgs: list[str], index: int, tau: float, field, moments) -> None:
     """delay_sweep's panel: the heatmap SVG text of each of the first SWEEP_PANELS delays."""
     if index < SWEEP_PANELS:
-        svgs.append(_heatmap_svg(spectrum_from_field(field), f"delay {tau * 1e12:+.3f} ps"))
+        spec = spectrum_from_field(field, _display_shape(field, moments))
+        svgs.append(_heatmap_svg(spec, f"delay {tau * 1e12:+.3f} ps"))
 
 
 def cmd_sweep(args) -> int:

@@ -39,6 +39,8 @@ class ConfigError(ValueError):
 
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
+# the same units in nm, so that a value given in nm is read bit for bit
+NM_UNITS = {"nm": 1.0, "um": 1e3, "m": 1e9}
 TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0}
 CHIRP_UNITS = {"fs^2": 1e-30, "ps^2": 1e-24, "s^2": 1.0}
 # least sample count of a grid axis, and least Monte Carlo trial count
@@ -323,7 +325,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key in ("resolution_signal", "resolution_herald"):
             if parser.has_option("analysis", key):
                 raw = parser.get("analysis", key)
-                kw[f"{key}_nm"] = _dimensional("analysis", key, raw, LENGTH_UNITS, "length") * 1e9
+                kw[f"{key}_nm"] = _dimensional("analysis", key, raw, NM_UNITS, "length")
         if ("resolution_signal_nm" in kw) != ("resolution_herald_nm" in kw):
             raise ConfigError(
                 "[analysis]: give both resolution_signal and resolution_herald or neither"

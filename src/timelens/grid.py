@@ -33,11 +33,10 @@ GRID_BYTES_LIMIT = 2**30
 # default cells per row block of row_blocks: 1 MB of complex128, so a
 # block and its temporaries stay near the 2 MB L2 cache
 _BLOCK_CELLS = 2**16
-# bytes per field cell of a heatmap panel: the wavelength counts (8) and
-# the most that is alive beside them, simulate's contour start (17: the
-# counts less the background, its mask and the weights; the field's
-# intensity takes 8, the render's RGB image, PNG rows and join 9), plus
-# 1 for the per-axis vectors
+# bytes per cell of a heatmap panel's spectrum: the wavelength counts (8)
+# and the most that is alive beside them, simulate's contour start (17: the
+# counts less the background, its mask and the weights; the render's RGB
+# image, PNG rows and join take 9), plus 1 for the per-axis vectors
 _PANEL_BYTES = 26
 
 
@@ -488,24 +487,34 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     one is sampled; a sweep releases its one input once transformed.  On
     top comes the largest of three moments.  One is a delay's convolution:
     the input's transform, _next_fast_len(n + n_out - 1) x nh, which a
-    sweep holds for all of its delays; the one output; and the larger of
-    the block's product with the kernel spectrum, about _BLOCK_CELLS
+    sweep holds for all of its delays; the one output; and the largest
+    of the block's product with the kernel spectrum, about _BLOCK_CELLS
     cells (all nh rows when fewer) and transformed in place through
-    numpy's out=, and the output's heatmap panel, _PANEL_BYTES per
-    output cell, which also covers the half-output intensity of the
-    weight and moments.  The other two are simulate's: the Schmidt
-    number of its input, a conjugate copy and the Gram matrix on its
-    smaller side, and the heatmap panel of its input, _PANEL_BYTES per
-    input cell, drawn while the output is alive.  pocketfft's working
+    numpy's out=, the output's intensity and its |v| temporary for the
+    weight and moments, and a heatmap panel.  A panel is drawn at
+    display resolution, at most the plot box, _PANEL_BYTES per display
+    cell and at least one row block of cells for the resampling's and
+    colormap's block temporaries; a peak narrower than 8 display bins
+    asks for more samples, up to the field's own, and that is not
+    counted.  The other two are simulate's: the Schmidt number of its
+    input, a conjugate copy and the Gram matrix on its smaller side,
+    and a full-resolution spectrum of its input or output, whose
+    contour start takes _PANEL_BYTES per field cell, and then that
+    field's panel, all while the output is alive.  pocketfft's working
     buffer, about one transform row, is allocated outside numpy and is
     not counted.
     """
+    # svgplot imports this module, so the plot box is read at call time
+    from .svgplot import PLOT_HEIGHT, PLOT_WIDTH
+
     size = _next_fast_len(n + n_out - 1)
     block = 16 * row_blocks(nh, size)[0].stop * size
-    convolution = 16 * nh * (size + n_out) + max(block, _PANEL_BYTES * nh * n_out)
+    display = min(n_out, PLOT_WIDTH) * min(nh, PLOT_HEIGHT)
+    panel = _PANEL_BYTES * max(display, _BLOCK_CELLS)
+    convolution = 16 * nh * (size + n_out) + max(block, 16 * nh * n_out, panel)
     input_stats = 16 * nh * n + 16 * min(n, nh) ** 2
-    input_panel = 16 * nh * n_out + _PANEL_BYTES * nh * n
-    return 32 * nh * n + max(convolution, input_stats, input_panel)
+    contour = 16 * nh * n_out + _PANEL_BYTES * nh * max(n, n_out) + panel
+    return 32 * nh * n + max(convolution, input_stats, contour)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
@@ -573,7 +582,7 @@ def delay_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
-    panel: Callable[[int, float, GridField2D], None] | None = None,
+    panel: Callable[[int, float, GridField2D, IntensityMoments], None] | None = None,
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
@@ -587,9 +596,10 @@ def delay_sweep(
     aperture, and the reported slopes and intercepts come from
     unweighted least-squares lines through the unflagged rows only;
     fewer than two of them raise ValueError.  panel, when given, is
-    called as panel(index, tau, field) on each delay's normalized
-    output field before the next delay is convolved, so one output
-    field is alive at a time however many delays there are.
+    called as panel(index, tau, field, moments) on each delay's
+    normalized output field and its intensity moments before the next
+    delay is convolved, so one output field is alive at a time however
+    many delays there are.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 2:
@@ -624,9 +634,10 @@ def delay_sweep(
                     f"{auto} to resolve the delay phase up to {max_tau * 1e12:.3g} ps"
                 )
             raise CoverageError(f"at delay {tau * 1e12:+.3f} ps: {exc}{note}") from exc
-        points.append((float(tau), intensity_moments(out), weight))
+        moments = intensity_moments(out)
+        points.append((float(tau), moments, weight))
         if panel is not None:
-            panel(index, float(tau), out)
+            panel(index, float(tau), out, moments)
         # free this delay's output before the next one is convolved
         del out
 

@@ -4,8 +4,9 @@ The intensity over signal and herald wavelength (nm) is rendered as a
 base64-embedded PNG (written with the standard library, no filtering,
 maximum deflate level, so identical inputs give identical bytes) under a
 fixed five-anchor color ramp.  Axis extents are drawn as five tick labels
-and also embedded at full precision in a metadata block so downstream
-checks can match the image against the exported grids exactly.
+and also embedded at full precision, with the sample counts, in a
+metadata block so downstream checks can match the image's extents
+against the exported grids exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ _MARGIN_L = 90
 _MARGIN_R = 30
 _MARGIN_T = 50
 _MARGIN_B = 70
+# the plot box in pixels: a heatmap panel needs no more samples than these
+PLOT_WIDTH = _WIDTH - _MARGIN_L - _MARGIN_R
+PLOT_HEIGHT = _HEIGHT - _MARGIN_T - _MARGIN_B
 
 
 def colormap(values: np.ndarray, peak: float) -> np.ndarray:
@@ -113,8 +117,7 @@ def render_heatmap(
     rgb = colormap(matrix.T[::-1, :], peak if peak > 0 else 1.0)
     png = base64.b64encode(_png_encode(rgb)).decode("ascii")
 
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    plot_w, plot_h = PLOT_WIDTH, PLOT_HEIGHT
     x_lo, x_hi = float(x_axis[0]), float(x_axis[-1])
     y_lo, y_hi = float(y_axis[0]), float(y_axis[-1])
 

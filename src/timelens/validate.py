@@ -298,19 +298,20 @@ def suite_sign_law(p: SuiteParams):
         state = GaussianJSA(
             omega1=2.3e15, omegah=2.5e15, sigma1=sigma1, sigmah=1.1e12, rho=rho
         )
+        draw = f"rho={rho:.3f}, u1={4 * a1 * sigma1**2:.2f}, ue={4 * ae * sigma1**2:.2f}"
         _, rf_limit = lens.limit_infinite_escort(state, a1, ae)
+        # copysign reads a NaN's sign bit, so a NaN is named before any sign
+        if not math.isfinite(rf_limit):
+            return False, f"broad-escort output correlation is {rf_limit} at {draw}"
         if math.copysign(1.0, rf_limit) != expected:
-            return False, (
-                f"broad-escort sign law violated at rho={rho:.3f}, "
-                f"u1={4 * a1 * sigma1**2:.2f}, ue={4 * ae * sigma1**2:.2f}"
-            )
+            return False, f"broad-escort sign law violated at {draw}"
         escort = EscortPulse(center=2.4e15, sigma=rng.uniform(2.0, 4.0) * sigma1, chirp=ae)
+        draw += f", se={escort.sigma / sigma1:.2f} sigma1"
         rf = lens.output_correlation(LensConfig(signal_chirp=a1, escort=escort), state)
+        if not math.isfinite(rf):
+            return False, f"output correlation is {rf} at {draw}"
         if math.copysign(1.0, rf) != expected:
-            return False, (
-                f"sign law violated at rho={rho:.3f}, u1={4 * a1 * sigma1**2:.2f}, "
-                f"ue={4 * ae * sigma1**2:.2f}, se={escort.sigma / sigma1:.2f} sigma1"
-            )
+            return False, f"sign law violated at {draw}"
         checked += 1
     return checked > 20, f"sign law held on {checked} large-chirp broad-escort draws"
 

@@ -332,17 +332,19 @@ def bilinear_reference(values, grid1, gridh, x1, xh) -> np.ndarray:
     return interp(np.stack(np.meshgrid(x1, xh, indexing="ij"), axis=-1))
 
 
-def spectrum_from_field_reference(field):
+def spectrum_from_field_reference(field, shape=None):
     """(lambda1_nm, lambdah_nm, counts) of a field resampled by bilinear_reference.
 
-    The wavelength axes, Jacobian and 1e4 peak scaling of
-    timelens.analysis.spectrum_from_field, with the intensity
-    interpolated over a full meshgrid of query points.
+    The wavelength axes (shape samples, default the field's own counts),
+    Jacobian and 1e4 peak scaling of timelens.analysis.spectrum_from_field,
+    with the whole intensity interpolated over a full meshgrid of query
+    points.
     """
     w1 = field.axis1.points
     wh = field.axis_h.points
-    lam1 = np.linspace(TWO_PI * C_LIGHT / w1[-1] * 1e9, TWO_PI * C_LIGHT / w1[0] * 1e9, w1.size)
-    lamh = np.linspace(TWO_PI * C_LIGHT / wh[-1] * 1e9, TWO_PI * C_LIGHT / wh[0] * 1e9, wh.size)
+    m1, mh = (w1.size, wh.size) if shape is None else shape
+    lam1 = np.linspace(TWO_PI * C_LIGHT / w1[-1] * 1e9, TWO_PI * C_LIGHT / w1[0] * 1e9, m1)
+    lamh = np.linspace(TWO_PI * C_LIGHT / wh[-1] * 1e9, TWO_PI * C_LIGHT / wh[0] * 1e9, mh)
     wq1 = TWO_PI * C_LIGHT / (lam1 * 1e-9)
     wqh = TWO_PI * C_LIGHT / (lamh * 1e-9)
     intensity = bilinear_reference(field.intensity(), w1, wh, wq1, wqh)

@@ -647,9 +647,9 @@ def simulated_fields(name: str, nh: int):
     ]
 
 
-def assert_spectrum_matches_reference(field):
-    spec = spectrum_from_field(field)
-    lam1, lamh, counts = oracles.spectrum_from_field_reference(field)
+def assert_spectrum_matches_reference(field, shape=None):
+    spec = spectrum_from_field(field, shape)
+    lam1, lamh, counts = oracles.spectrum_from_field_reference(field, shape)
     assert np.array_equal(spec.lambda1_nm, lam1)
     assert np.array_equal(spec.lambdah_nm, lamh)
     assert np.array_equal(spec.counts, counts)
@@ -670,19 +670,35 @@ class TestSpectrumFromField:
         assert field.axis1.n > block and field.axis1.n % block != 0
         assert_spectrum_matches_reference(field)
 
+    @pytest.mark.parametrize("name", ["experimental", "ideal", "filterlimit", "longcrystal"])
+    def test_display_counts_match_reference_bitwise(self, name):
+        # fewer wavelength samples than the field has, on the same extents;
+        # 400 rows of 200 gathered herald samples take two row blocks
+        input_field, output_field = simulated_fields(name, nh=200)
+        assert grid.row_blocks(400, 200)[0].stop < 400
+        for shape in ((400, 150), (17, 200)):
+            assert_spectrum_matches_reference(input_field, shape)
+        assert_spectrum_matches_reference(output_field, (40, 33))
+        full, shown = spectrum_from_field(input_field), spectrum_from_field(input_field, (400, 150))
+        assert shown.lambda1_nm[[0, -1]].tolist() == full.lambda1_nm[[0, -1]].tolist()
+        assert shown.lambdah_nm[[0, -1]].tolist() == full.lambdah_nm[[0, -1]].tolist()
+
     def test_off_grid_points_match_reference(self):
         # query points below, on and above both grid ends, on interior
         # knots and between them.  A NaN sample in range is not zeroed,
         # and a query on a knot reads the cell above it, as the reference
-        # does, so the NaN at (11.0, -2.5) stays out of (11.5, -2.5)
+        # does, so the NaN at (11.0, -2.5) stays out of (11.5, -2.5).  The
+        # resampled quantity is the intensity of complex amplitudes
         grid1 = 10.0 + 0.5 * np.arange(7)
         gridh = -3.0 + 0.25 * np.arange(5)
-        values = np.random.default_rng(3).uniform(0.5, 2.0, (7, 5))
-        values[2, 2] = np.nan
+        rng = np.random.default_rng(3)
+        amplitude = rng.uniform(0.5, 2.0, (7, 5)) * np.exp(2j * np.pi * rng.random((7, 5)))
+        amplitude[2, 2] = np.nan
+        values = np.abs(amplitude) ** 2
         x1 = np.array([9.0, np.nextafter(10.0, 0.0), 10.0, 10.2, 11.2, 11.5, 12.75, 13.0,
                        np.nextafter(13.0, 14.0), 14.0])
         xh = np.array([-4.0, -3.0, -2.9, -2.5, -2.0, np.nextafter(-2.0, 0.0), -1.0])
-        got = analysis._bilinear_on_axes(values, grid1, gridh, x1, xh)
+        got = analysis._bilinear_intensity(amplitude, grid1, gridh, x1, xh)
         want = oracles.bilinear_reference(values, grid1, gridh, x1, xh)
         assert np.array_equal(got, want, equal_nan=True)
         off1 = (x1 < grid1[0]) | (x1 > grid1[-1])

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 import oracles
-from timelens import cli, grid
-from timelens.analysis import FitConvergenceError, fit_gaussian_2d
+from timelens import cli, grid, svgplot
+from timelens.analysis import (
+    CONTOUR_MIN_BINS_PER_FWHM,
+    FitConvergenceError,
+    fit_gaussian_2d,
+    spectrum_from_field,
+)
 from timelens.cli import build_parser, main
 from timelens import gridio, units
 from timelens.analysis import write_spectrum_csv
@@ -160,6 +165,40 @@ def test_non_finite_number_exit_2(tmp_path, capsys, where, old, new):
     assert not out.exists()
 
 
+def display_shape(n, nh, fwhm_bins, fwhmh_bins):
+    """cli._display_shape of an n x nh field whose peak spans the given FWHMs in samples."""
+    step = 1e10
+    field = grid.GridField2D(
+        grid.Grid1D(start=2e15, step=step, n=n), grid.Grid1D(start=2.5e15, step=step, n=nh),
+        np.broadcast_to(np.complex128(0.0), (n, nh)),
+    )
+    moments = grid.IntensityMoments(
+        mean1=2e15, meanh=2.5e15, sigma1=units.fwhm_to_sigma(fwhm_bins * step),
+        sigmah=units.fwhm_to_sigma(fwhmh_bins * step), rho=0.0, norm=1.0,
+    )
+    return cli._display_shape(field, moments)
+
+
+class TestDisplayShape:
+    def test_capped_at_the_plot_box(self):
+        # ideal.cfg's sweep output: 4737 x 512 samples, peaks of about 812
+        # and 100 samples, drawn one sample per pixel of the 520 x 440 box
+        assert (svgplot.PLOT_WIDTH, svgplot.PLOT_HEIGHT) == (520, 440)
+        assert display_shape(4737, 512, 811.6, 100.3) == (520, 440)
+
+    def test_never_above_the_field(self):
+        assert display_shape(256, 128, 40.0, 30.0) == (256, 128)
+        # a 2-sample herald peak would need 2045 samples; 512 is all there is
+        assert display_shape(600, 512, 100.0, 2.0) == (520, 512)
+
+    def test_narrow_peak_keeps_eight_bins_across(self):
+        # 8 bins across a 20-sample FWHM on 4000 samples need a display
+        # step of at most 2.5 samples: ceil(8 * 3999 / 20) + 1 = 1601
+        m1, mh = display_shape(4000, 512, 20.0, 100.0)
+        assert (m1, mh) == (1601, 440)
+        assert 20.0 * (m1 - 1) / (4000 - 1) >= CONTOUR_MIN_BINS_PER_FWHM
+
+
 class TestSimulate:
     def test_outputs_and_values(self, fast_cfg, tmp_path):
         out = tmp_path / "sim"
@@ -228,17 +267,25 @@ class TestSimulate:
         assert float(read_stats(out / "stats.csv")["grid-output"]["schmidt_k"]) > 1.0
 
     def test_one_spectrum_per_panel(self, fast_cfg, tmp_path, monkeypatch):
-        # the contour fit and the heatmap of a panel share one spectrum
+        # each panel's contour is fitted on one full-resolution spectrum,
+        # and its heatmap drawn from one display spectrum; when the display
+        # keeps every sample (256 x 128), the two are the same spectrum
         calls = []
         original = cli.spectrum_from_field
 
-        def counting(field, *args, **kwargs):
-            calls.append(field)
-            return original(field, *args, **kwargs)
+        def counting(field, shape=None):
+            calls.append(shape)
+            return original(field, shape)
 
         monkeypatch.setattr(cli, "spectrum_from_field", counting)
-        assert main(["simulate", "--config", str(fast_cfg), "--out", str(tmp_path / "sim")]) == 0
-        assert len(calls) == 2
+        for grid_args, shapes in (
+            ([], [None, None]),
+            (["--grid", "1024"], [None, (520, 128), None, (520, 128)]),
+        ):
+            calls.clear()
+            out = tmp_path / f"sim{len(grid_args)}"
+            assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)] + grid_args) == 0
+            assert calls == shapes
 
     def test_contour_fit_on_subsample(self, tmp_path, monkeypatch):
         # the 512 x 512 panels of the measured operating point are fitted on
@@ -385,6 +432,23 @@ class TestSimulate:
         assert meta["x_start"] == pytest.approx(lam_lo, rel=1e-12)
         assert meta["x_stop"] == pytest.approx(lam_hi, rel=1e-12)
         assert meta["x_n"] == 256
+
+    def test_svg_display_keeps_full_resolution_extents(self, fast_cfg, tmp_path):
+        # 1024 signal samples are drawn on the 520-pixel plot box; the
+        # wavelength extents are those of the full-resolution spectrum
+        out = tmp_path / "sim"
+        args = ["--grid", "1024", "--format", "bin"]
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)] + args) == 0
+        for name in ("jsi_input", "jsi_output"):
+            svg = (out / f"{name}.svg").read_text()
+            meta = json.loads(re.search(r"<metadata>(.*?)</metadata>", svg).group(1))
+            full = spectrum_from_field(gridio.read_field_binary(out / f"{name}.bin"))
+            assert full.counts.shape[0] > svgplot.PLOT_WIDTH
+            assert (meta["x_n"], meta["y_n"]) == (svgplot.PLOT_WIDTH, full.counts.shape[1])
+            assert meta["x_start"] == full.lambda1_nm[0]
+            assert meta["x_stop"] == full.lambda1_nm[-1]
+            assert meta["y_start"] == full.lambdah_nm[0]
+            assert meta["y_stop"] == full.lambdah_nm[-1]
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2

@@ -170,6 +170,21 @@ def test_resolutions_come_in_pairs(dropped):
         parse_config_text(text)
 
 
+def test_resolutions_in_nm_read_bit_for_bit():
+    # a resolution given in nm is the value --res-signal reads from the same
+    # digits; an nm -> m -> nm round trip read 0.0741 as 0.07410000000000001
+    text = (resources.files("timelens") / "configs" / "experimental.cfg").read_text()
+    assert "resolution_signal = 0.0741 nm" in text and "resolution_herald = 0.148 nm" in text
+    analysis = parse_config_text(text).analysis
+    assert analysis.resolution_signal_nm == 0.0741
+    assert analysis.resolution_herald_nm == 0.148
+    text = GOOD.replace("resolution_signal = 0.136 nm", "resolution_signal = 0.14 nm")
+    text = text.replace("resolution_herald = 0.148 nm", "resolution_herald = 0.0741 um")
+    analysis = parse_config_text(text).analysis
+    assert analysis.resolution_signal_nm == 0.14
+    assert analysis.resolution_herald_nm == pytest.approx(74.1, rel=1e-15)
+
+
 def test_auto_grid():
     text = GOOD.replace("n = 256", "n = auto")
     assert parse_config_text(text).grid.n is None

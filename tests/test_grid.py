@@ -54,7 +54,7 @@ def kept_fields(count):
     """A delay_sweep panel that keeps the output fields of the first count delays, and that list."""
     fields = []
 
-    def panel(index, tau, field):
+    def panel(index, tau, field, moments):
         if index < count:
             fields.append(field)
 
@@ -585,7 +585,7 @@ class TestDelaySweep:
         calls = []
         delay_sweep(
             exp_lens, exp_state, taus, n=512, nh=64,
-            panel=lambda index, tau, field: calls.append((index, tau)),
+            panel=lambda index, tau, field, moments: calls.append((index, tau)),
         )
         assert calls == list(enumerate(taus))
         panel, fields = kept_fields(2)
@@ -723,21 +723,28 @@ class TestGridBytes:
         bound = grid_bytes(*plans[0])
         assert 0.5 * bound < peak <= bound
 
-    @pytest.mark.parametrize("panels", [0, 1, 3])
-    def test_bounds_one_sweep(self, exp_state, exp_lens, panels):
+    @pytest.mark.parametrize(
+        "panels, n, nh, n_out",
+        [pytest.param(p, 512, 64, 512, id=f"{p}") for p in (0, 1, 3)]
+        + [pytest.param(p, 256, 16, 2048, id=f"256x16-to-2048-{p}") for p in (0, 1, 3)],
+    )
+    def test_bounds_one_sweep(self, exp_state, exp_lens, panels, n, nh, n_out):
         # the CLI's panel callable renders the first panels delays while
-        # each output is alive
+        # each output is alive.  On 16 herald rows one row block holds the
+        # whole panel, so its block temporaries are not per cell
         taus = [-1e-12, 0.0, 1e-12]
         svgs = []
 
-        def panel(index, tau, field):
+        def panel(index, tau, field, moments):
             if index < panels:
-                cli._sweep_panel(svgs, index, tau, field)
+                cli._sweep_panel(svgs, index, tau, field, moments)
 
         peak = self.traced_peak(
-            lambda: delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, panel=panel)
+            lambda: delay_sweep(
+                exp_lens, exp_state, taus, n=n, nh=nh, n_out=n_out, panel=panel
+            )
         )
-        _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=512, nh=64)
-        bound = grid_bytes(512, 64, out_grid.n)
+        _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=n, nh=nh, n_out=n_out)
+        bound = grid_bytes(n, nh, out_grid.n)
         assert len(svgs) == panels
         assert 0.5 * bound < peak <= bound

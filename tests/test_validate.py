@@ -43,8 +43,12 @@ def test_mutation_breaks_cross_engine(key):
 @pytest.mark.parametrize("key", PERTURBABLE)
 def test_nan_mutation_fails_every_closed_form_suite(key):
     # a NaN deviation is never read as agreement: builtin max(worst, nan)
-    # keeps worst, so every worst-case tracker propagates the NaN
+    # keeps worst, so every worst-case tracker propagates the NaN.  The
+    # sign law reads output_correlation, and names its NaN rather than a
+    # sign, which copysign would take from the NaN's sign bit
     suites = ["cross-engine", "limit-consistency", "rho-symmetry"]
+    if key == "output_correlation":
+        suites.append("sign-law")
     report, all_ok = run_suites(
         SuiteParams(quick=True), names=suites, perturbations={key: float("nan")}
     )
@@ -52,6 +56,8 @@ def test_nan_mutation_fails_every_closed_form_suite(key):
     for name in suites:
         assert not report[name]["ok"], report[name]
         assert "nan" in report[name]["detail"]
+    if key == "output_correlation":
+        assert report["sign-law"]["detail"].startswith("output correlation is nan at rho=")
 
 
 @pytest.mark.parametrize(
