@@ -192,11 +192,9 @@ def _width_rad(section: str, parser, prefix: str, center_rad: float) -> float:
     where = f"[{section}] {name_bw}"
     if unit == "THz":
         return _checked(where, units.fwhm_thz_to_sigma_rad, value)
-    if unit in LENGTH_UNITS:
+    if unit in NM_UNITS:
         center_nm = _checked(where, units.angular_to_wavelength, center_rad) * 1e9
-        return _checked(
-            where, units.fwhm_nm_to_sigma_rad, value * LENGTH_UNITS[unit] * 1e9, center_nm
-        )
+        return _checked(where, units.fwhm_nm_to_sigma_rad, value * NM_UNITS[unit], center_nm)
     raise ConfigError(f"[{section}] {name_bw}: unknown bandwidth unit {unit!r}")
 
 

@@ -33,6 +33,12 @@ GRID_BYTES_LIMIT = 2**30
 # default cells per row block of row_blocks: 1 MB of complex128, so a
 # block and its temporaries stay near the 2 MB L2 cache
 _BLOCK_CELLS = 2**16
+# compute_stats zeroes the Gram's factor parts below the square root of
+# the smallest normal double, so no product of two kept parts is subnormal
+_GRAM_FLOOR = math.sqrt(np.finfo(float).tiny)
+# cells per column tile of compute_stats' Gram: its fastest on 512 and 1024
+# columns with one OpenBLAS thread on a 2-vCPU Xeon
+_GRAM_TILE_CELLS = 2**15
 # bytes per cell of a heatmap panel's spectrum: the wavelength counts (8)
 # and the most that is alive beside them, simulate's contour start (17: the
 # counts less the background, its mask and the weights; the render's RGB
@@ -405,14 +411,44 @@ def compute_stats(field: GridField2D) -> StatsReport:
     from the singular values of the amplitude matrix A.  The squared
     singular values are the eigenvalues of the Gram matrix G, so
     K = tr(G)^2 / ||G||_F^2 with no decomposition; G is taken on the
-    smaller side, A^H A for a tall or square A and A A^H for a wide one.
+    smaller side, B^H B with B = A for a tall or square A and B = A^T
+    (giving the conjugate of A A^H, same K) for a wide one.
+
+    G is summed over row blocks of B.  In each block's copy, a real or
+    imaginary part below _GRAM_FLOOR is zeroed first, so no product of
+    two kept parts is subnormal; a zeroed part moves an entry of G by
+    less than _GRAM_FLOOR times the largest |B| per summed row, some
+    1e-140 of G's diagonal on the bundled states, far below K's
+    rounding.  G is Hermitian, so only the column tiles on and above its
+    diagonal are formed, each as a product with the block's leading
+    columns; no full-size copy of A or n x n product is made.
     """
     moments = intensity_moments(field)
     a = field.values
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    trace = float(np.trace(gram).real)
-    frobenius_sq = float(np.vdot(gram, gram).real)
+    tall = a.shape[0] >= a.shape[1]
+    side = min(a.shape)
+    tiles = row_blocks(side, side, _GRAM_TILE_CELLS)
+    # upper[j] holds rows :stop of tile j's columns: its diagonal block last
+    upper = [np.zeros((cols.stop, cols.stop - cols.start), dtype=complex) for cols in tiles]
+    for rows in row_blocks(max(a.shape), side):
+        _add_block_gram(upper, tiles, a[rows] if tall else a[:, rows].T)
+    trace = frobenius_sq = 0.0
+    for tile, cols in zip(upper, tiles):
+        above, diagonal = tile[: cols.start], tile[cols.start :]
+        trace += float(np.trace(diagonal).real)
+        frobenius_sq += 2.0 * float(np.vdot(above, above).real)
+        frobenius_sq += float(np.vdot(diagonal, diagonal).real)
     return StatsReport(**asdict(moments), schmidt_k=trace**2 / frobenius_sq)
+
+
+def _add_block_gram(upper: list[np.ndarray], tiles: list[slice], rows: np.ndarray) -> None:
+    """Add the tiles on and above the diagonal of rows^H rows, rows floored in a copy, to upper."""
+    block = np.array(rows, order="C")
+    parts = block.view(float)
+    np.copyto(parts, 0.0, where=np.abs(parts) < _GRAM_FLOOR)
+    conj = block.conj()
+    for tile, cols in zip(upper, tiles):
+        tile += conj[:, : cols.stop].T @ block[:, cols]
 
 
 def _axis_to_time(grid: Grid1D, values: np.ndarray, axis: int) -> tuple[Grid1D, np.ndarray]:
@@ -497,8 +533,10 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     colormap's block temporaries; a peak narrower than 8 display bins
     asks for more samples, up to the field's own, and that is not
     counted.  The other two are simulate's: the Schmidt number of its
-    input, a conjugate copy and the Gram matrix on its smaller side,
-    and a full-resolution spectrum of its input or output, whose
+    input, first its intensity and |v| temporary for the moments, then
+    compute_stats' upper Gram tiles on the smaller side with one row
+    block, its conjugate and floor mask (34 bytes a cell), and one tile
+    product; and a full-resolution spectrum of its input or output, whose
     contour start takes _PANEL_BYTES per field cell, and then that
     field's panel, all while the output is alive.  pocketfft's working
     buffer, about one transform row, is allocated outside numpy and is
@@ -512,7 +550,11 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     display = min(n_out, PLOT_WIDTH) * min(nh, PLOT_HEIGHT)
     panel = _PANEL_BYTES * max(display, _BLOCK_CELLS)
     convolution = 16 * nh * (size + n_out) + max(block, 16 * nh * n_out, panel)
-    input_stats = 16 * nh * n + 16 * min(n, nh) ** 2
+    side = min(n, nh)
+    tiles = row_blocks(side, side, _GRAM_TILE_CELLS)
+    gram = 16 * sum(cols.stop * (cols.stop - cols.start) for cols in tiles)
+    gram_block = 34 * row_blocks(max(n, nh), side)[0].stop * side
+    input_stats = max(16 * nh * n, gram + gram_block + 16 * side * tiles[0].stop)
     contour = 16 * nh * n_out + _PANEL_BYTES * nh * max(n, n_out) + panel
     return 32 * nh * n + max(convolution, input_stats, contour)
 

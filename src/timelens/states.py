@@ -107,9 +107,13 @@ def jsa_amplitude(state: GaussianJSA, omega1, omegah):
     """Complex joint spectral amplitude at (omega1, omegah); broadcasts.
 
     Normalized so the squared magnitude integrates to one over the plane.
-    The intensity Pearson correlation equals state.rho.
+    The intensity Pearson correlation equals state.rho.  The spectral
+    phase depends on omega1 alone, so the amplitude is a real Gaussian
+    per cell times one complex factor per signal sample: on a broadcast
+    grid, omega1 a column, that is one complex exponential per row.
     """
-    d1 = np.asarray(omega1, dtype=float) - state.omega1
+    w1 = np.asarray(omega1, dtype=float)
+    d1 = w1 - state.omega1
     dh = np.asarray(omegah, dtype=float) - state.omegah
     m = 1.0 - state.rho**2
     prefactor = 1.0 / math.sqrt(2.0 * math.pi * state.sigma1 * state.sigmah) / m**0.25
@@ -118,8 +122,8 @@ def jsa_amplitude(state: GaussianJSA, omega1, omegah):
         - dh**2 / (4.0 * state.sigmah**2)
         + state.rho * d1 * dh / (2.0 * state.sigma1 * state.sigmah)
     ) / m
-    phase = state.chirp * d1**2 - np.asarray(omega1, dtype=float) * state.delay
-    return prefactor * np.exp(quad + 1j * phase)
+    phase = state.chirp * d1**2 - w1 * state.delay
+    return np.exp(quad) * (prefactor * np.exp(1j * phase))
 
 
 def escort_amplitude(escort: EscortPulse, omega):

@@ -8,13 +8,15 @@ normalization checks from composite Simpson quadrature, expected
 deconvolutions from direct quadrature subtraction, heatmap colors
 from fancy-indexing whole rows of the color ramp, the FFT convolution
 at zero delay from one full-width transform of the whole input,
-Schmidt numbers from a full singular value decomposition, field CSV
-files from one formatted tuple per grid point, wavelength resampling
-from scipy's RegularGridInterpolator on a full meshgrid of query
-points, Gaussian fits from scipy's bounded trust-region least squares,
-and Monte Carlo error bars from the linearized least-squares covariance
-and from a trial loop that refits each trial with that trust-region fit,
-from the intensity moments or from the observed fit.  Tests compare the
+Schmidt numbers from a full singular value decomposition and from one
+unfloored Gram matrix summed exactly, joint amplitudes with one complex
+exponential per cell, field CSV files from one formatted tuple per
+grid point, wavelength resampling from scipy's RegularGridInterpolator
+on a full meshgrid of query points, Gaussian fits from scipy's bounded
+trust-region least squares, and Monte Carlo error bars from the
+linearized least-squares covariance and from a trial loop that refits
+each trial with that trust-region fit, from the intensity moments or
+from the observed fit.  Tests compare the
 package against numbers produced here, and the two engines against each
 other.
 """
@@ -163,6 +165,35 @@ def svd_schmidt_number(values: np.ndarray) -> float:
     s = np.linalg.svd(values, compute_uv=False)
     lam = s**2 / np.sum(s**2)
     return float(1.0 / np.sum(lam**2))
+
+
+def gram_schmidt_number(values: np.ndarray) -> float:
+    """K = tr(G)^2 / ||G||_F^2 from one unfloored Gram G, its sums rounded once.
+
+    G is the full product on the smaller side; its trace and squared
+    Frobenius norm are summed with math.fsum, so the only rounding left
+    is the product's own.
+    """
+    a = values
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    trace = math.fsum(np.diagonal(gram).real)
+    frobenius_sq = math.fsum((gram.real**2).ravel()) + math.fsum((gram.imag**2).ravel())
+    return trace**2 / frobenius_sq
+
+
+def jsa_amplitude(state, omega1, omegah):
+    """Joint spectral amplitude with one complex exponential per cell."""
+    d1 = np.asarray(omega1, dtype=float) - state.omega1
+    dh = np.asarray(omegah, dtype=float) - state.omegah
+    m = 1.0 - state.rho**2
+    prefactor = 1.0 / math.sqrt(2.0 * math.pi * state.sigma1 * state.sigmah) / m**0.25
+    quad = (
+        -(d1**2) / (4.0 * state.sigma1**2)
+        - dh**2 / (4.0 * state.sigmah**2)
+        + state.rho * d1 * dh / (2.0 * state.sigma1 * state.sigmah)
+    ) / m
+    phase = state.chirp * d1**2 - np.asarray(omega1, dtype=float) * state.delay
+    return prefactor * np.exp(quad + 1j * phase)
 
 
 def write_field_csv_rows(field, path, header: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timelens import units
 from timelens.config import ConfigError, parse_config_text
 
 import oracles
@@ -183,6 +184,15 @@ def test_resolutions_in_nm_read_bit_for_bit():
     analysis = parse_config_text(text).analysis
     assert analysis.resolution_signal_nm == 0.14
     assert analysis.resolution_herald_nm == pytest.approx(74.1, rel=1e-15)
+
+
+@pytest.mark.parametrize("fwhm_nm", [3.0, 0.14])
+def test_bandwidth_in_nm_read_bit_for_bit(fwhm_nm):
+    # an nm -> m -> nm round trip read 3 nm as 3.0000000000000004
+    text = GOOD.replace("signal_bandwidth = 1.840 THz", f"signal_bandwidth = {fwhm_nm} nm")
+    state = parse_config_text(text).state
+    center_nm = units.angular_to_wavelength(state.omega1) * 1e9
+    assert state.sigma1 == units.fwhm_nm_to_sigma_rad(fwhm_nm, center_nm)
 
 
 def test_auto_grid():

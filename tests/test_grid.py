@@ -172,6 +172,32 @@ class TestComputeStats:
         assert expected > 1.5
         assert compute_stats(field).schmidt_k == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["chirped", "plain", "wide"])
+    def test_floored_tiled_gram_matches_single_gram(self, exp_state, exp_lens, kind):
+        # the experimental input's tails reach the subnormal range, and
+        # compute_stats zeroes the Gram factors' parts there; K must not move
+        if kind == "wide":
+            field = sample_jsa(exp_state, *grids_for_state(exp_state, n=256, nh=512))
+        else:
+            field, _ = prepare_sweep(exp_lens, exp_state, [0.0], n=512, nh=512)
+            if kind == "plain":
+                field = sample_jsa(exp_state, field.axis1, field.axis_h)
+        a = field.values
+        assert np.any((0.0 < np.abs(a)) & (np.abs(a) < np.finfo(float).tiny))
+        expected = oracles.gram_schmidt_number(a)
+        assert compute_stats(field).schmidt_k == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_schmidt_number_holds_no_full_size_copy(self, exp_state):
+        # a conjugate copy of the input and a full Gram took 8 MiB on 512 x 512
+        field = sample_jsa(exp_state, *grids_for_state(exp_state, n=512))
+        tracemalloc.start()
+        try:
+            compute_stats(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2 * 16 * 512**2
+
     def test_moments_bits_match_compute_stats(self):
         state = mild_state(rho=-0.8, chirp=2e-25)
         field = sample_jsa(state, *grids_for_state(state, n=256, nh=96))

@@ -81,6 +81,37 @@ class TestGaussianJSA:
         b = np.abs(jsa_amplitude(phased, w1[:, None], wh[None, :]))
         assert np.allclose(a, b, rtol=1e-13)
 
+    @pytest.mark.parametrize("rho", [0.97, -0.97])
+    @pytest.mark.parametrize("full", [False, True], ids=["broadcast", "full"])
+    def test_matches_per_cell_exponential(self, rho, full):
+        # one complex factor per signal sample times a real Gaussian per
+        # cell, against exp(quad + i phase) per cell; a +-9 sigma grid
+        # reaches cells whose exponent is below -708, where both are
+        # subnormal or zero and may differ by a subnormal spacing or two
+        state = make_state(rho=rho, chirp=3e-25, delay=1.5e-12)
+        g1, gh = grids_for_state(state, n=301, nh=257, span_sigmas=9.0)
+        w1, wh = g1.points[:, None], gh.points[None, :]
+        if full:
+            w1, wh = np.broadcast_arrays(w1, wh)
+        d1, dh = w1 - state.omega1, wh - state.omegah
+        quad = (
+            -(d1**2) / (4.0 * state.sigma1**2)
+            - dh**2 / (4.0 * state.sigmah**2)
+            + rho * d1 * dh / (2.0 * state.sigma1 * state.sigmah)
+        ) / (1.0 - rho**2)
+        assert np.count_nonzero(quad < -708.0) > 1000
+        got = jsa_amplitude(state, w1, wh)
+        ref = oracles.jsa_amplitude(state, w1, wh)
+        subnormal = (0.0 < np.abs(ref)) & (np.abs(ref) < np.finfo(float).tiny)
+        assert np.any(subnormal) and np.any(ref == 0.0)
+        assert got.shape == ref.shape == (301, 257)
+        np.testing.assert_allclose(
+            got, ref, rtol=1e-14, atol=2 * np.finfo(float).smallest_subnormal
+        )
+        cell = g1.step * gh.step
+        norm = np.sum(np.abs(got) ** 2) * cell
+        assert norm == pytest.approx(np.sum(np.abs(ref) ** 2) * cell, rel=1e-12)
+
 
 class TestEscort:
     def test_validation(self):
