@@ -2,14 +2,18 @@ import os
 import re
 import signal
 import struct
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from timelens import GaussianJSA, Grid1D, GridField2D, grids_for_state, sample_jsa
 from timelens import gridio
+from timelens.cli import main
 
 
 @pytest.fixture
@@ -28,6 +32,24 @@ def test_binary_round_trip(small_field, tmp_path):
     assert back.axis1 == small_field.axis1
     assert back.axis_h == small_field.axis_h
     assert np.array_equal(back.values, small_field.values)
+
+
+def test_binary_read_holds_one_body(tmp_path):
+    # the body is read into one array that the field views; a complex
+    # copy of it, or the buffered read joined to the rest, doubled the peak
+    field = _random_field(256, 128, seed=5)
+    path = tmp_path / "field.bin"
+    gridio.write_field_binary(field, path)
+    tracemalloc.start()
+    try:
+        back = gridio.read_field_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = field.values.nbytes
+    assert peak < 1.25 * body
+    assert np.array_equal(back.values, field.values)
+    assert not back.values.flags.writeable
 
 
 def test_binary_magic_detection(small_field, tmp_path):
@@ -200,4 +222,98 @@ def test_csv_helper_leaves_parent_stdio_alone(tmp_path, capfd, deadline):
         print("buffered before the write", end="")
         gridio.write_field_csv(_random_field(16, 16, seed=4), tmp_path / "f.csv")
     assert capfd.readouterr().out == "buffered before the write"
+    _assert_no_child_left()
+
+
+def _g17_lines(values: np.ndarray) -> bytes:
+    # the formatter's text of each value, one per line
+    out = np.zeros((values.size, gridio._G17_WORDS + 1), dtype=np.uint64)
+    gridio._format_g17(values, out[:, :-1])
+    out[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
+
+
+def _assert_g17_matches_percent(values: np.ndarray) -> None:
+    got = _g17_lines(values)
+    want = ("%.17g\n" * values.size % tuple(values.tolist())).encode("ascii")
+    if got != want:
+        pairs = zip(values.tolist(), got.split(b"\n"), want.split(b"\n"))
+        bad = next((v, g, w) for v, g, w in pairs if g != w)
+        pytest.fail(f"%.17g of {bad[0]!r}: formatter wrote {bad[1]!r}, Python {bad[2]!r}")
+
+
+def test_g17_matches_percent_on_random_bit_patterns():
+    # 2**20 uniform bit patterns hold every exponent, about 500 subnormals
+    # and about 500 NaNs; more subnormals and both infinities are set by hand
+    rng = np.random.default_rng(25)
+    bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+    bits[:4096] &= np.uint64(0x800FFFFFFFFFFFFF)  # subnormal or zero, either sign
+    values = bits.view(np.float64)
+    values[4096:4106] = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+    assert np.sum(np.isnan(values)) > 100 and np.sum(np.isinf(values)) == 2
+    assert np.sum((values != 0) & (np.abs(values) < np.finfo(float).tiny)) > 4000
+    for chunk in np.split(values, 16):
+        _assert_g17_matches_percent(chunk)
+
+
+def test_g17_named_values():
+    tie = np.nextafter(1e15, 0.0)
+    assert "%.17g" % tie == "999999999999999.88"  # ...999.875, rounded half to even
+    named = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, tie, 0.5, 1.0, np.pi]
+    for k in range(-300, 301):
+        named.append(10.0**k)
+    # the %g switch points: fixed notation for decimal exponents -4..16
+    named += [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 99999999999999999.0]
+    named += [1.5e16, 2.5e16, 123456789012345678.0]
+    named = np.array(named)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        values = np.concatenate([named, np.nextafter(named, 0.0), np.nextafter(named, np.inf)])
+    _assert_g17_matches_percent(np.concatenate([values, -values]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_matches_percent_on_any_float(values):
+    _assert_g17_matches_percent(np.array(values, dtype=np.float64))
+
+
+@pytest.fixture(scope="module")
+def experimental_dumps(tmp_path_factory):
+    # the fields of simulate experimental.cfg, sampled as simulate samples them
+    out = tmp_path_factory.mktemp("experimental")
+    argv = ["simulate", "--config", "experimental.cfg", "--out", str(out), "--format", "bin"]
+    assert main(argv) == 0
+    return [gridio.read_field_binary(out / f"{name}.bin") for name in ("jsi_input", "jsi_output")]
+
+
+def test_experimental_csv_bytes_match_per_point_writer(experimental_dumps, tmp_path, deadline):
+    # the input's far tails are exact zeros and subnormals, and whole
+    # columns of its phase are zero
+    field_in = experimental_dumps[0]
+    intensity = field_in.intensity()
+    assert field_in.values.shape == (512, 512)
+    assert np.sum(intensity == 0.0) > 10000
+    assert np.sum((intensity > 0.0) & (intensity < np.finfo(float).tiny)) > 1000
+    assert np.any(np.all(np.angle(field_in.values) == 0.0, axis=0))
+    for field in experimental_dumps:
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        gridio.write_field_csv(field, new)
+        oracles.write_field_csv_rows(field, ref, gridio.CSV_HEADER)
+        assert new.read_bytes() == ref.read_bytes()
+    _assert_no_child_left()
+
+
+def test_csv_writer_peak_is_columns_and_one_block(experimental_dumps, tmp_path, deadline):
+    # this process holds the intensity and phase columns (16 B a cell)
+    # and one row block's buffers: its NUL-padded lines (112 B a cell on
+    # these axes), their bytes and the formatter's word temporaries
+    for field in experimental_dumps:
+        tracemalloc.start()
+        try:
+            gridio.write_field_csv(field, tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * field.values.size + 512 * gridio._CSV_BLOCK_CELLS
     _assert_no_child_left()
