@@ -24,9 +24,11 @@ from .analysis import (
     montecarlo_errorbars,
 )
 from .grid import (
+    ApertureError,
     CoverageError,
     Grid1D,
     GridField2D,
+    GridIntensity2D,
     IntensityMoments,
     StatsReport,
     SweepResult,
@@ -66,6 +68,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ApertureError",
     "CalibrationError",
     "CalibrationResult",
     "CountRates",
@@ -75,6 +78,7 @@ __all__ = [
     "GaussianJSA",
     "Grid1D",
     "GridField2D",
+    "GridIntensity2D",
     "IntensityMoments",
     "LensConfig",
     "MonteCarloResult",

@@ -22,7 +22,14 @@ import numpy as np
 from . import units
 # sfg_convolve is unused here but stays bound: perfbench/selftest.py
 # checks that its traced wrapper reaches this module
-from .grid import GridField2D, delay_sweep, row_blocks, sfg_convolve, weighted_moments  # noqa: F401
+from .grid import (  # noqa: F401
+    GridField2D,
+    GridIntensity2D,
+    delay_sweep,
+    row_blocks,
+    sfg_convolve,
+    weighted_moments,
+)
 from .lens import LensConfig, gaussian_output
 from .states import (
     GaussianJSA,
@@ -509,15 +516,16 @@ def _linear_weights(grid: np.ndarray, x: np.ndarray):
 
 
 def _bilinear_intensity(values, grid1, gridh, x1, xh) -> np.ndarray:
-    """Bilinear resampling of the intensity |values|^2 on the rectilinear grid (x1, xh).
+    """Bilinear resampling of the intensity on the rectilinear grid (x1, xh).
 
-    Each axis is searched once.  Output rows are filled in row blocks of
-    about 64K gathered cells (1 MB of complex128, near the 2 MB L2
-    cache): the block's lower and upper neighbour rows are gathered and
-    squared, so the intensity is taken only on the rows the output
-    reads, then the four corners by column, and the terms are summed in
-    the order v00, v01, v10, v11.  Off-grid points are 0, and a
-    non-finite value in range stays so.
+    values holds complex amplitudes, whose intensity is |values|^2, or a
+    real intensity.  Each axis is searched once.  Output rows are filled
+    in row blocks of about 64K gathered cells (1 MB of complex128, near
+    the 2 MB L2 cache): the block's lower and upper neighbour rows are
+    gathered, and squared when complex, so the intensity is taken only
+    on the rows the output reads, then the four corners by column, and
+    the terms are summed in the order v00, v01, v10, v11.  Off-grid
+    points are 0, and a non-finite value in range stays so.
     """
     i1, a1, b1, in1 = _linear_weights(grid1, x1)
     ih, ah, bh, inh = _linear_weights(gridh, xh)
@@ -528,11 +536,13 @@ def _bilinear_intensity(values, grid1, gridh, x1, xh) -> np.ndarray:
         block = out[rows]
         t = term[: len(block)]
         a, b = a1[rows, None], b1[rows, None]
-        lower = np.abs(values.take(i1[rows], axis=0))
-        upper = np.abs(values.take(i1[rows] + 1, axis=0))
-        # squared in place as np.abs(v) ** 2 squares, so the intensity is bit-equal
-        lower *= lower
-        upper *= upper
+        lower = values.take(i1[rows], axis=0)
+        upper = values.take(i1[rows] + 1, axis=0)
+        if np.iscomplexobj(values):
+            lower, upper = np.abs(lower), np.abs(upper)
+            # squared in place as np.abs(v) ** 2 squares, so the intensity is bit-equal
+            lower *= lower
+            upper *= upper
         # the indices are in range; mode="clip" lets take write into block and t unbuffered
         lower.take(ih, axis=1, out=block, mode="clip")
         block *= a
@@ -554,8 +564,10 @@ def _bilinear_intensity(values, grid1, gridh, x1, xh) -> np.ndarray:
     return out
 
 
-def spectrum_from_field(field: GridField2D, shape: tuple[int, int] | None = None) -> Spectrum2D:
-    """Resample a spectral grid field onto uniform wavelength axes.
+def spectrum_from_field(
+    field: GridField2D | GridIntensity2D, shape: tuple[int, int] | None = None
+) -> Spectrum2D:
+    """Resample a spectral grid field, or its intensity, onto uniform wavelength axes.
 
     The wavelength axes span the field's band, end to end, with shape
     samples per axis (default: the field's own counts).  The intensity
@@ -564,6 +576,9 @@ def spectrum_from_field(field: GridField2D, shape: tuple[int, int] | None = None
     it is then multiplied by the frequency-to-wavelength Jacobian and
     scaled so the peak bin holds 1e4 counts.  Simulated spectra
     therefore carry float 'counts' usable directly as Poisson means.
+    Values stored herald-major (F-ordered, as a delay sweep's intensity
+    is) are resampled through their transpose, so each gather reads
+    contiguous rows.
     """
     w1 = field.axis1.points
     wh = field.axis_h.points
@@ -580,7 +595,12 @@ def spectrum_from_field(field: GridField2D, shape: tuple[int, int] | None = None
     )
     wq1 = units.TWO_PI * units.C_LIGHT / (lam1 * 1e-9)
     wqh = units.TWO_PI * units.C_LIGHT / (lamh * 1e-9)
-    counts = _bilinear_intensity(field.values, w1, wh, wq1, wqh)
+    values = field.values
+    if values.flags.f_contiguous and not values.flags.c_contiguous:
+        # back to row-major, as the Jacobian's row blocks and the render read it
+        counts = np.ascontiguousarray(_bilinear_intensity(values.T, wh, w1, wqh, wq1).T)
+    else:
+        counts = _bilinear_intensity(values, w1, wh, wq1, wqh)
     jac1, jach = wq1 / lam1, wqh / lamh
     for rows in row_blocks(jac1.size, jach.size):
         counts[rows] *= jac1[rows, None] * jach

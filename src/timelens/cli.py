@@ -260,10 +260,10 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_panel(svgs: list[str], index: int, tau: float, field, moments) -> None:
+def _sweep_panel(svgs: list[str], index: int, tau: float, intensity, moments) -> None:
     """delay_sweep's panel: the heatmap SVG text of each of the first SWEEP_PANELS delays."""
     if index < SWEEP_PANELS:
-        spec = spectrum_from_field(field, _display_shape(field, moments))
+        spec = spectrum_from_field(intensity, _display_shape(intensity, moments))
         svgs.append(_heatmap_svg(spec, f"delay {tau * 1e12:+.3f} ps"))
 
 
@@ -274,7 +274,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("configuration has no [delay] sweep_start/sweep_stop/sweep_points")
     start, stop, npts = cfg.sweep
     taus = np.linspace(start, stop, npts)
-    # each panel is rendered while its output field is alive, and its
+    # each panel is rendered while its output intensity is alive, and its
     # text is written with the other files once the whole sweep succeeded
     svgs = []
     sw = delay_sweep(

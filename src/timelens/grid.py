@@ -50,6 +50,10 @@ class CoverageError(ValueError):
     """Grid does not hold the requested feature to the required mass."""
 
 
+class ApertureError(ValueError):
+    """Too few delay-sweep rows lie inside the temporal aperture to fit a slope."""
+
+
 class NormalizationError(ValueError):
     """Field norm differs from unity beyond tolerance."""
 
@@ -93,8 +97,8 @@ class Grid1D:
 
 
 @dataclass(frozen=True, eq=False)
-class GridField2D:
-    """Complex amplitude sampled on a 2D grid (first axis x herald axis)."""
+class _Sampled2D:
+    """Values on a 2D grid (first axis x herald axis), held as a read-only view."""
 
     axis1: Grid1D
     axis_h: Grid1D
@@ -113,6 +117,21 @@ class GridField2D:
     @property
     def cell(self) -> float:
         return self.axis1.step * self.axis_h.step
+
+
+@dataclass(frozen=True, eq=False)
+class GridIntensity2D(_Sampled2D):
+    """Joint intensity sampled on a 2D grid (first axis x herald axis).
+
+    A delay sweep hands each delay's output to its panel as this record,
+    scaled to discrete norm one: values[i1, ih] is a transposed view of
+    the herald-major array the sweep writes, so it is F-ordered.
+    """
+
+
+@dataclass(frozen=True, eq=False)
+class GridField2D(_Sampled2D):
+    """Complex amplitude sampled on a 2D grid (first axis x herald axis)."""
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -236,7 +255,6 @@ def sfg_convolve(
     *,
     out_grid: Grid1D,
     method: str = "direct",
-    input_spectrum: np.ndarray | None = None,
 ) -> tuple[GridField2D, float]:
     """Upconvert the sampled input field with a chirped escort.
 
@@ -252,23 +270,15 @@ def sfg_convolve(
     method="direct" evaluates the kernel sum exactly per output sample,
     with the delay phase applied to the input.  method="fft" is a fast
     path requiring equal steps on the input and output axes
-    (ResamplingRequiredError otherwise).  It takes a circular
-    convolution of length next_fast_len(n_in + n_out - 1) along the
-    input axis; the n_out rows it keeps never wrap at that length, so
-    the result is the linear one.  There the delay phase is split as
-    exp(-i w1 tau) = exp(i (w3 - w1) tau) exp(-i w3 tau): the first
-    factor goes onto the escort kernel and the second onto the output,
-    so the input's transform does not depend on tau.  input_spectrum is
-    that transform, _input_spectrum(field, out_grid.n); a delay sweep
-    computes it once for all of its delays, and it is computed here
-    when not given.  Both paths agree to better than 1e-9.
+    (ResamplingRequiredError otherwise).  It takes the input's transform,
+    _input_spectrum, and the circular convolution of _fft_blocks, then
+    multiplies each block's kept rows by the output factor
+    step * exp(-i w3 tau).  Both paths agree to better than 1e-9.
     """
     w3 = out_grid.points
     step = field.axis1.step
     nh = field.axis_h.n
     if method == "direct":
-        if input_spectrum is not None:
-            raise ValueError("input_spectrum is a transform for method='fft' only")
         w1 = field.axis1.points
         values = field.values
         if tau != 0.0:
@@ -281,30 +291,15 @@ def sfg_convolve(
                 f"fft path needs equal steps, got output {out_grid.step} "
                 f"vs input {step}; resample or use method='direct'"
             )
-        n1, n3 = field.axis1.n, out_grid.n
-        if input_spectrum is None:
-            input_spectrum = _input_spectrum(field, n3)
-        size = _next_fast_len(n1 + n3 - 1)
-        if input_spectrum.shape != (nh, size):
-            raise ValueError(
-                f"input_spectrum has shape {input_spectrum.shape}, expected {(nh, size)} "
-                f"for {n1} input and {n3} output samples"
-            )
-        offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * step
-        kvec = escort_amplitude(escort, offsets)
+        # held through the intensity pass below, as grid_bytes counts it
+        spectrum = _input_spectrum(field, out_grid.n)
         factor = step
         if tau != 0.0:
-            kvec *= np.exp(1j * offsets * tau)
             factor = step * np.exp(-1j * w3 * tau)[:, None]
-        kspec = np.fft.fft(kvec, n=size)
-        # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
-        # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
-        out_values = np.empty((n3, nh), dtype=complex)
-        for rows in row_blocks(nh, size):
-            circular = input_spectrum[rows] * kspec
-            np.fft.ifft(circular, out=circular)
-            np.multiply(circular[:, n1 - 1 : n1 - 1 + n3].T, factor, out=out_values[:, rows])
-        del circular  # not held through the intensity pass below
+        out_values = np.empty((out_grid.n, nh), dtype=complex)
+        for rows, kept in _fft_blocks(spectrum, field.axis1, escort, tau, out_grid):
+            np.multiply(kept.T, factor, out=out_values[:, rows])
+        del kept  # the last block's workspace is not held through the intensity pass
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
@@ -317,19 +312,63 @@ def sfg_convolve(
     intensity = out.intensity()
     total = np.sum(intensity)
     weight = float(total * out.cell)
-    if weight <= 0.0:
-        raise CoverageError("conversion weight is zero; no overlap on the grid")
     edge = intensity[:2, :].sum() + intensity[-2:, :].sum()
     edge += intensity[:, :2].sum() + intensity[:, -2:].sum()
+    _check_output(weight, edge, total)
+    # out views out_values, so this normalizes it with no second copy
+    out_values /= math.sqrt(weight)
+    return out, weight
+
+
+def _check_output(weight: float, edge: float, total: float) -> None:
+    """CoverageError for a zero conversion weight or edge bands above EDGE_MASS_LIMIT.
+
+    edge is the intensity summed over the two-sample bands along the
+    output grid's four edges, and total over the whole grid.
+    """
+    if weight <= 0.0:
+        raise CoverageError("conversion weight is zero; no overlap on the grid")
     frac = edge / total
     if frac > EDGE_MASS_LIMIT:
         raise CoverageError(
             f"output grid clips the field: edge bands hold {frac:.2e} of the "
             f"intensity (limit {EDGE_MASS_LIMIT:.0e}); widen or recenter the output grid"
         )
-    # out views out_values, so this normalizes it with no second copy
-    out_values /= math.sqrt(weight)
-    return out, weight
+
+
+def _fft_blocks(
+    spectrum: np.ndarray, axis1: Grid1D, escort: EscortPulse, tau: float, out_grid: Grid1D
+):
+    """The FFT path's convolution, one block of herald rows at a time.
+
+    spectrum is the input's transform, _input_spectrum(field, out_grid.n).
+    The circular convolution has length next_fast_len(n_in + n_out - 1)
+    along the input axis; the n_out rows kept never wrap at that length,
+    so they are the linear convolution.  The delay phase is split as
+    exp(-i w1 tau) = exp(i (w3 - w1) tau) exp(-i w3 tau): the first factor
+    goes onto the escort kernel here, and the second, with the step, is
+    the output factor the caller applies, so the input's transform does
+    not depend on tau and a sweep computes it once.  Yields (rows, kept)
+    per block of about _BLOCK_CELLS cells: kept[j, k] is herald row
+    rows[j] at output sample k, before the output factor, a view of the
+    block's workspace that the next block overwrites.
+    """
+    n1, n3 = axis1.n, out_grid.n
+    size = spectrum.shape[1]
+    offsets = out_grid.start - axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * axis1.step
+    kvec = escort_amplitude(escort, offsets)
+    if tau != 0.0:
+        kvec *= np.exp(1j * offsets * tau)
+    kspec = np.fft.fft(kvec, n=size)
+    # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
+    # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
+    blocks = row_blocks(spectrum.shape[0], size)
+    workspace = np.empty((blocks[0].stop, size), dtype=complex)
+    for rows in blocks:
+        circular = workspace[: rows.stop - rows.start]
+        np.multiply(spectrum[rows], kspec, out=circular)
+        np.fft.ifft(circular, out=circular)
+        yield rows, circular[:, n1 - 1 : n1 - 1 + n3]
 
 
 def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
@@ -364,14 +403,30 @@ def _next_fast_len(n: int) -> int:
 def weighted_moments(weights: np.ndarray, x1: np.ndarray, xh: np.ndarray) -> tuple:
     """(mean1, meanh, var1, varh, cov) of a nonnegative, unnormalized 2D weight."""
     total = weights.sum()
-    p1 = weights.sum(axis=1) / total
-    ph = weights.sum(axis=0) / total
-    mean1 = float(p1 @ x1)
-    meanh = float(ph @ xh)
-    var1 = float(p1 @ (x1 - mean1) ** 2)
-    varh = float(ph @ (xh - meanh) ** 2)
+    mean1, var1 = _marginal_moments(weights.sum(axis=1) / total, x1)
+    meanh, varh = _marginal_moments(weights.sum(axis=0) / total, xh)
     cov = float((x1 - mean1) @ weights @ (xh - meanh)) / total
     return mean1, meanh, var1, varh, cov
+
+
+def _marginal_moments(p: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the normalized 1D weight p on the points x."""
+    mean = float(p @ x)
+    return mean, float(p @ (x - mean) ** 2)
+
+
+def _moments_record(mean1, meanh, var1, varh, cov, norm: float) -> IntensityMoments:
+    """IntensityMoments of weighted_moments' five numbers and the norm."""
+    if var1 <= 0.0 or varh <= 0.0:
+        raise ValueError("zero marginal variance; correlation undefined")
+    return IntensityMoments(
+        mean1=mean1,
+        meanh=meanh,
+        sigma1=math.sqrt(var1),
+        sigmah=math.sqrt(varh),
+        rho=cov / math.sqrt(var1 * varh),
+        norm=norm,
+    )
 
 
 def intensity_moments(field: GridField2D) -> IntensityMoments:
@@ -388,19 +443,8 @@ def intensity_moments(field: GridField2D) -> IntensityMoments:
             "normalize before computing statistics"
         )
     intensity *= field.cell
-    mean1, meanh, var1, varh, cov = weighted_moments(
-        intensity, field.axis1.points, field.axis_h.points
-    )
-    if var1 <= 0.0 or varh <= 0.0:
-        raise ValueError("zero marginal variance; correlation undefined")
-    return IntensityMoments(
-        mean1=mean1,
-        meanh=meanh,
-        sigma1=math.sqrt(var1),
-        sigmah=math.sqrt(varh),
-        rho=cov / math.sqrt(var1 * varh),
-        norm=norm,
-    )
+    moments = weighted_moments(intensity, field.axis1.points, field.axis_h.points)
+    return _moments_record(*moments, norm=norm)
 
 
 def compute_stats(field: GridField2D) -> StatsReport:
@@ -527,7 +571,10 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     of the block's product with the kernel spectrum, about _BLOCK_CELLS
     cells (all nh rows when fewer) and transformed in place through
     numpy's out=, the output's intensity and its |v| temporary for the
-    weight and moments, and a heatmap panel.  A panel is drawn at
+    weight and moments, and a heatmap panel.  A sweep's delay forms no
+    complex output: beside the transform it holds the output's intensity
+    (8 bytes a cell) and the larger of one block and its panel, which
+    this moment bounds.  A panel is drawn at
     display resolution, at most the plot box, _PANEL_BYTES per display
     cell and at least one row block of cells for the resampling's and
     colormap's block temporaries; a peak narrower than 8 display bins
@@ -621,6 +668,62 @@ def prepare_sweep(
     return sample_jsa(effective, g1, gh), out_grid
 
 
+def _output_intensity(
+    spectrum: np.ndarray,
+    axis1: Grid1D,
+    axis_h: Grid1D,
+    escort: EscortPulse,
+    pm: PhasematchingModel,
+    tau: float,
+    out_grid: Grid1D,
+) -> tuple[GridIntensity2D, IntensityMoments, float]:
+    """One delay of a sweep as output intensity only: its record, moments and weight.
+
+    spectrum is the input's transform on the grids axis1 x axis_h.  The
+    FFT path's blocks (_fft_blocks) are taken as sfg_convolve takes them,
+    but the output factor step * exp(-i w3 tau) has modulus step, so each
+    block's kept rows enter as |kept|^2, times the acceptance squared
+    when finite, written into one herald-major array.  While a block is
+    in cache its herald-row totals, its w3 marginal and each herald row's
+    first moment along w3 are summed.  From those sums come the
+    conversion weight, step^2 * cell times the total (sfg_convolve's
+    weight), the same CoverageErrors, and the moments; the array is then
+    scaled to unit discrete norm.  No complex output is formed, and the
+    intensity is taken once.
+    """
+    w3, wh = out_grid.points, axis_h.points
+    acceptance = None
+    if not pm.is_infinite:
+        acceptance = pm.amplitude(w3, axis1.center + escort.center) ** 2
+    # first moments about the grid center, so the covariance cancels little
+    d3 = w3 - out_grid.center
+    intensity = np.empty((axis_h.n, out_grid.n))
+    row_total = np.empty(axis_h.n)
+    row_first = np.empty(axis_h.n)
+    marginal3 = np.zeros(out_grid.n)
+    for rows, kept in _fft_blocks(spectrum, axis1, escort, tau, out_grid):
+        block = intensity[rows]
+        np.abs(kept, out=block)
+        block *= block
+        if acceptance is not None:
+            block *= acceptance
+        row_total[rows] = block.sum(axis=1)
+        row_first[rows] = block @ d3
+        marginal3 += block.sum(axis=0)
+    total = row_total.sum()
+    cell = out_grid.step * axis_h.step
+    weight = float(axis1.step**2 * total * cell)
+    edge = marginal3[:2].sum() + marginal3[-2:].sum() + row_total[:2].sum() + row_total[-2:].sum()
+    _check_output(weight, edge, total)
+    mean1, var1 = _marginal_moments(marginal3 / total, w3)
+    meanh, varh = _marginal_moments(row_total / total, wh)
+    cov = float((wh - meanh) @ (row_first - (mean1 - out_grid.center) * row_total)) / total
+    scale = axis1.step**2 / weight
+    intensity *= scale
+    moments = _moments_record(mean1, meanh, var1, varh, cov, norm=float(total * scale * cell))
+    return GridIntensity2D(out_grid, axis_h, intensity.T), moments, weight
+
+
 def delay_sweep(
     cfg: LensConfig,
     state: GaussianJSA,
@@ -629,24 +732,26 @@ def delay_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
-    panel: Callable[[int, float, GridField2D, IntensityMoments], None] | None = None,
+    panel: Callable[[int, float, GridIntensity2D, IntensityMoments], None] | None = None,
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
     The input state is augmented with the lens signal chirp, sampled
     once on the grids of :func:`prepare_sweep`, transformed once, and
     convolved per delay on the FFT path from that one transform; the
-    sampled values are released once transformed.  Centers are
-    intensity-weighted means.  A CoverageError at one delay is raised
-    again naming that delay.  Rows whose conversion weight falls below
-    1e-3 of the sweep maximum are flagged as outside the temporal
-    aperture, and the reported slopes and intercepts come from
-    unweighted least-squares lines through the unflagged rows only;
-    fewer than two of them raise ValueError.  panel, when given, is
-    called as panel(index, tau, field, moments) on each delay's
-    normalized output field and its intensity moments before the next
-    delay is convolved, so one output field is alive at a time however
-    many delays there are.
+    sampled values are released once transformed.  Each delay is taken
+    as output intensity only (_output_intensity): no complex output
+    field is formed.  Centers are intensity-weighted means.  A
+    CoverageError at one delay is raised again naming that delay.  Rows
+    whose conversion weight falls below 1e-3 of the sweep maximum are
+    flagged as outside the temporal aperture, and the reported slopes
+    and intercepts come from unweighted least-squares lines through the
+    unflagged rows only; fewer than two of them raise ApertureError.
+    panel, when given, is called as panel(index, tau, intensity,
+    moments) on each delay's GridIntensity2D, normalized to unit
+    discrete norm, and its moments before the next delay is convolved,
+    so one output intensity is alive at a time however many delays
+    there are.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 2:
@@ -654,21 +759,16 @@ def delay_sweep(
     field, out_grid = prepare_sweep(
         cfg, state, taus, n=n, nh=nh, n_out=n_out, span_sigmas=span_sigmas
     )
-
+    axis1, axis_h = field.axis1, field.axis_h
     # the FFT path puts the delay phase on the kernel, so one transform
-    # of the input serves every delay.  Given that transform, sfg_convolve
-    # reads only the input's grids, so the sampled values are swapped for
-    # zeros broadcast to their shape, which take no memory
+    # of the input serves every delay
     spectrum = _input_spectrum(field, out_grid.n)
-    field = GridField2D(
-        field.axis1, field.axis_h, np.broadcast_to(np.complex128(0.0), field.values.shape)
-    )
+    del field
     points = []
     for index, tau in enumerate(taus):
         try:
-            out, weight = sfg_convolve(
-                field, cfg.escort, cfg.phasematching, float(tau), out_grid=out_grid,
-                method="fft", input_spectrum=spectrum,
+            intensity, moments, weight = _output_intensity(
+                spectrum, axis1, axis_h, cfg.escort, cfg.phasematching, float(tau), out_grid
             )
         except CoverageError as exc:
             note = ""
@@ -681,12 +781,11 @@ def delay_sweep(
                     f"{auto} to resolve the delay phase up to {max_tau * 1e12:.3g} ps"
                 )
             raise CoverageError(f"at delay {tau * 1e12:+.3f} ps: {exc}{note}") from exc
-        moments = intensity_moments(out)
         points.append((float(tau), moments, weight))
         if panel is not None:
-            panel(index, float(tau), out, moments)
+            panel(index, float(tau), intensity, moments)
         # free this delay's output before the next one is convolved
-        del out
+        del intensity
 
     max_weight = max(w for _, _, w in points)
     rows = tuple(
@@ -696,7 +795,7 @@ def delay_sweep(
     valid = np.array([not r.aperture_warning for r in rows])
     n_valid = int(valid.sum())
     if n_valid < 2:
-        raise ValueError(
+        raise ApertureError(
             f"only {n_valid} of {len(rows)} sweep rows lie inside the temporal "
             "aperture; a slope needs at least two"
         )
@@ -710,5 +809,5 @@ def delay_sweep(
         signal_intercept=float(sig_icpt),
         herald_intercept=float(her_icpt),
         slope_rows=n_valid,
-        input_samples=field.axis1.n,
+        input_samples=axis1.n,
     )

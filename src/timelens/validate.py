@@ -12,6 +12,7 @@ deviation always fails.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -571,6 +572,9 @@ def run_suites(
 ):
     """Run the requested suites, returning (report dict, all_ok).
 
+    The report maps each suite's name to its ok flag, its detail text and
+    elapsed_s, the suite's wall time in seconds.
+
     perturbations maps names in PERTURBABLE to factors: for the length of
     the run each named ``lens`` attribute is replaced by a wrapper that
     scales its result, and the originals are restored afterwards.
@@ -590,11 +594,13 @@ def run_suites(
                 raise ValueError(f"unknown perturbation hook {key!r}")
             setattr(lens, key, _scaled(saved[key], factor))
         for name in selected:
+            start = time.perf_counter()
             try:
                 ok, detail = SUITES[name](params)
             except Exception as exc:  # suite crash is a failure, not an abort
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            report[name] = {"ok": bool(ok), "detail": detail}
+            elapsed = time.perf_counter() - start
+            report[name] = {"ok": bool(ok), "detail": detail, "elapsed_s": elapsed}
     finally:
         for name, fn in saved.items():
             setattr(lens, name, fn)

@@ -552,7 +552,7 @@ class TestSweep:
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "only 1 of 3 sweep rows" in capsys.readouterr().err
+        assert "ApertureError: only 1 of 3 sweep rows" in capsys.readouterr().err
 
     def test_output_grid_below_zero_frequency_rejected_before_sampling(
         self, tmp_path, monkeypatch, capsys
@@ -883,6 +883,18 @@ class TestValidateCommand:
         assert main(["validate", "--quick", "--out", str(out)]) == 0
         report = json.loads((out / "validation.json").read_text())
         assert all(entry["ok"] for entry in report.values())
+
+    def test_report_records_each_suite_time(self, tmp_path, capsys):
+        # the JSON report times every suite; stdout keeps its ok/detail lines
+        out = tmp_path / "val"
+        assert main(["validate", "--quick", "--out", str(out)]) == 0
+        report = json.loads((out / "validation.json").read_text())
+        for entry in report.values():
+            assert isinstance(entry["elapsed_s"], float) and entry["elapsed_s"] >= 0.0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines[: len(report)]) == sorted(
+            f"ok   {name}: {entry['detail']}" for name, entry in report.items()
+        )
 
     def test_mutation_detected(self):
         assert main(["validate", "--quick", "--mutate", "output_correlation=1.01"]) == 1

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timelens import (
+    ApertureError,
     CoverageError,
     EscortPulse,
     GaussianJSA,
     Grid1D,
     GridField2D,
+    GridIntensity2D,
     LensConfig,
     PhasematchingModel,
     compute_stats,
@@ -36,8 +38,9 @@ from timelens.grid import (
     grid_bytes,
     prepare_sweep,
     row_blocks,
+    weighted_moments,
 )
-from timelens import cli, grid, units
+from timelens import analysis, cli, grid, units
 from timelens.config import parse_config
 from timelens.lens import gaussian_output
 
@@ -51,12 +54,12 @@ def planned_output(cfg, state, **grid):
 
 
 def kept_fields(count):
-    """A delay_sweep panel that keeps the output fields of the first count delays, and that list."""
+    """A delay_sweep panel that keeps the output intensities of the first count delays, and that list."""
     fields = []
 
-    def panel(index, tau, field, moments):
+    def panel(index, tau, intensity, moments):
         if index < count:
-            fields.append(field)
+            fields.append(intensity)
 
     return panel, fields
 
@@ -361,16 +364,6 @@ class TestSfgConvolve:
         assert np.array_equal(out.values, want)
         assert weight == want_weight
 
-    def test_given_input_spectrum_is_checked(self, exp_state, exp_lens):
-        field, out_grid = prepare_sweep(exp_lens, exp_state, [0.0], n=512, nh=64)
-        spectrum = grid._input_spectrum(field, out_grid.n)
-        for method, given in (("fft", spectrum[1:]), ("direct", spectrum)):
-            with pytest.raises(ValueError, match="input_spectrum"):
-                sfg_convolve(
-                    field, exp_lens.escort, out_grid=out_grid, method=method,
-                    input_spectrum=given,
-                )
-
     def test_fft_requires_matching_step(self):
         state = mild_state()
         escort = EscortPulse(center=2.43e15, sigma=1.2e12)
@@ -465,9 +458,8 @@ class TestCrossEngineRandom:
                 phasematching=PhasematchingModel(sigma=sigma_phi, center=center),
             )
             tau = 0.3e-12
-            panel, fields = kept_fields(1)
-            sw = delay_sweep(cfg, state, [0.0, tau], n=512, nh=128, panel=panel)
-            st0 = compute_stats(fields[0])
+            sw = delay_sweep(cfg, state, [0.0, tau], n=512, nh=128)
+            st0 = sw.points[0].moments
             s3 = output_sigma3(cfg, state)
             pred0 = predict_output(cfg, state)
             pred1 = predict_output(cfg, replace(state, delay=tau))
@@ -603,7 +595,7 @@ class TestDelaySweep:
         assert sw.herald_slope == pytest.approx(ref[4], rel=1e-6)
 
     def test_needs_two_unflagged_rows(self, exp_state, exp_lens):
-        with pytest.raises(ValueError, match="aperture"):
+        with pytest.raises(ApertureError, match="aperture"):
             delay_sweep(exp_lens, exp_state, [-40e-12, 0.0, 40e-12], n=1024, nh=64, span_sigmas=8.0)
 
     def test_keep_fields(self, exp_state, exp_lens):
@@ -617,10 +609,20 @@ class TestDelaySweep:
         panel, fields = kept_fields(2)
         sw = delay_sweep(exp_lens, exp_state, taus, n=512, nh=64, panel=panel)
         assert len(fields) == 2
-        for point, field in zip(sw.points, fields):
-            mo = intensity_moments(field)
+        for point, kept in zip(sw.points, fields):
+            # each panel gets its own read-only intensity with unit discrete norm
+            assert isinstance(kept, GridIntensity2D) and not kept.values.flags.writeable
+            assert float(np.sum(kept.values) * kept.cell) == pytest.approx(1.0, abs=1e-12)
+            assert point.moments.norm == pytest.approx(1.0, abs=1e-12)
+            mean1, meanh, var1, varh, cov = weighted_moments(
+                kept.values, kept.axis1.points, kept.axis_h.points
+            )
             got = point.moments
-            assert (mo.mean1, mo.sigma1, mo.rho) == (got.mean1, got.sigma1, got.rho)
+            assert mean1 == pytest.approx(got.mean1, rel=1e-12)
+            assert meanh == pytest.approx(got.meanh, rel=1e-12)
+            assert math.sqrt(var1) == pytest.approx(got.sigma1, rel=1e-12)
+            assert math.sqrt(varh) == pytest.approx(got.sigmah, rel=1e-12)
+            assert cov / math.sqrt(var1 * varh) == pytest.approx(got.rho, abs=1e-12)
 
     def test_rows_and_fields_match_direct_per_delay(self, exp_state, exp_lens):
         # the sweep puts the delay phase on the kernel and the output of one
@@ -634,7 +636,9 @@ class TestDelaySweep:
                 field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
                 method="direct",
             )
-            assert np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values)) < 1e-9
+            # the panel's intensity is the direct output's, normalized by the weight
+            direct = np.abs(want.values) ** 2 * weight / point.weight
+            assert np.max(np.abs(got.values - direct)) / np.max(direct) < 1e-9
             assert point.weight == pytest.approx(weight, rel=1e-9)
             mo = intensity_moments(want)
             assert abs(point.moments.mean1 - mo.mean1) < 1e-9 * mo.sigma1
@@ -642,6 +646,26 @@ class TestDelaySweep:
             assert point.moments.sigma1 == pytest.approx(mo.sigma1, rel=1e-9)
             assert point.moments.sigmah == pytest.approx(mo.sigmah, rel=1e-9)
             assert point.moments.rho == pytest.approx(mo.rho, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma_pm", [math.inf, 3e12])
+    def test_panel_spectrum_matches_complex_field(self, exp_state, exp_lens, sigma_pm):
+        # a panel resampled from the sweep's herald-major intensity reads as
+        # one resampled from sfg_convolve's complex output at that delay
+        cfg = replace(exp_lens, phasematching=PhasematchingModel(sigma=sigma_pm))
+        taus = [-0.5e-12, 0.7e-12]
+        panel, kept = kept_fields(2)
+        delay_sweep(cfg, exp_state, taus, n=512, nh=96, panel=panel)
+        field, out_grid = prepare_sweep(cfg, exp_state, taus, n=512, nh=96)
+        for tau, intensity in zip(taus, kept):
+            out, _ = sfg_convolve(
+                field, cfg.escort, cfg.phasematching, tau, out_grid=out_grid, method="fft"
+            )
+            for shape in (None, (300, 70)):
+                got = analysis.spectrum_from_field(intensity, shape)
+                want = analysis.spectrum_from_field(out, shape)
+                assert np.array_equal(got.lambda1_nm, want.lambda1_nm)
+                assert np.array_equal(got.lambdah_nm, want.lambdah_nm)
+                assert np.max(np.abs(got.counts - want.counts)) < 1e-12 * want.counts.max()
 
     @pytest.mark.parametrize("offset", [-1.0e12, 3.0e12])
     def test_off_nominal_acceptance_intercepts(self, offset):
@@ -748,6 +772,18 @@ class TestGridBytes:
         peak = self.traced_peak(simulate)
         bound = grid_bytes(*plans[0])
         assert 0.5 * bound < peak <= bound
+
+    def test_sweep_holds_no_complex_output(self, exp_state, exp_lens):
+        # a sweep holds the input's transform and one delay's intensity (8
+        # bytes per output cell) at a time; a complex n_out x herald_n
+        # output beside the transform would reach the bound asserted here
+        n, nh, taus = 256, 128, [-0.5e-12, 0.5e-12]
+        _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=n, nh=nh, n_out=4096)
+        spectrum = 16 * nh * grid._next_fast_len(n + out_grid.n - 1)
+        peak = self.traced_peak(
+            lambda: delay_sweep(exp_lens, exp_state, taus, n=n, nh=nh, n_out=4096)
+        )
+        assert peak < spectrum + 16 * out_grid.n * nh
 
     @pytest.mark.parametrize(
         "panels, n, nh, n_out",
