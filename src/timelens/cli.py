@@ -424,23 +424,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    perturbations = {}
-    for spec in args.mutate or []:
-        if "=" not in spec:
-            raise ConfigError(f"--mutate expects KEY=FACTOR, got {spec!r}")
-        key, _, factor = spec.partition("=")
-        if key not in validate.PERTURBABLE:
-            raise ConfigError(
-                f"--mutate key must be one of {', '.join(validate.PERTURBABLE)}, got {key!r}"
-            )
-        try:
-            perturbations[key] = float(factor)
-        except ValueError:
-            raise ConfigError(f"--mutate factor must be a number, got {factor!r}") from None
-
     seed = at_least("--seed", args.seed, 0, "for a seed")
     params = validate.SuiteParams(seed=seed, quick=args.quick)
-    report, all_ok = validate.run_suites(params, perturbations=perturbations or None)
+    report, all_ok = validate.run_suites(params)
     for name, entry in report.items():
         status = "ok  " if entry["ok"] else "FAIL"
         print(f"{status} {name}: {entry['detail']}")
@@ -496,13 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--out", default=None, help="directory for the JSON report")
     p_val.add_argument("--seed", type=int, default=2024)
     p_val.add_argument("--quick", action="store_true", help="reduced rounds and grids")
-    p_val.add_argument(
-        "--mutate",
-        action="append",
-        metavar="KEY=FACTOR",
-        help=f"self-check: scale a closed-form entry point ({' or '.join(validate.PERTURBABLE)}) "
-        "for the run and expect the suites to notice",
-    )
     p_val.set_defaults(func=cmd_validate)
     return parser
 

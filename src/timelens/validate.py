@@ -2,11 +2,9 @@
 
 Each suite returns (ok, detail).  The cross-engine suites compare the
 closed-form lens predictions against the brute-force grid engine and are
-sensitive to sub-percent errors in either; the suite runner demonstrates
-that sensitivity by scaling the closed-form entry points named in
-PERTURBABLE for the length of a run.  check_closed_form is the contract
-that the cross-engine suite, ``simulate`` and ``sweep`` share.  A NaN
-deviation always fails.
+sensitive to sub-percent errors in either.  check_closed_form is the
+contract that the cross-engine suite, ``simulate`` and ``sweep`` share.
+A NaN deviation always fails.
 """
 
 from __future__ import annotations
@@ -49,10 +47,6 @@ from .states import (
     jsa_amplitude,
     schmidt_number,
 )
-
-# closed-form entry points that run_suites may scale to show that the
-# cross-engine comparisons detect a wrong closed form
-PERTURBABLE = ("output_sigma3", "output_correlation")
 
 # largest gap between a grid output's moments and the closed form
 CLOSED_FORM_TOLERANCE = 1e-3
@@ -351,10 +345,7 @@ def suite_cross_engine(p: SuiteParams):
     for _ in range(p.cross_configs):
         state, cfg = _random_state_and_lens(rng)
         moments = intensity_moments(_upconverted(cfg, state, p.grid_n)[1])
-        # the width and correlation through the perturbable entry points
-        s3, rf = lens.output_sigma3(cfg, state), lens.output_correlation(cfg, state)
-        pred = replace(lens.predict_output(cfg, state), sigma3=s3, rho_f=rf)
-        gaps.append(closed_form_gaps(pred, moments))
+        gaps.append(closed_form_gaps(lens.predict_output(cfg, state), moments))
     worst = {name: _worst(*(g[name] for g in gaps)) for name in gaps[0]}
     return not _off_closed_form(worst), (
         f"{p.cross_configs} configs at {p.grid_n}^2: max width dev {worst['signal sigma']:.2e} "
@@ -419,9 +410,11 @@ def suite_schmidt_consistency(p: SuiteParams):
     local_invariant = abs(k_chirped - k_plain) / k_plain <= 1e-6
     st = compute_stats(out)
     excess = st.schmidt_k > schmidt_number(st.rho) + 0.05
-    ok = worst <= 0.01 and local_invariant and excess
+    # the input-K gap measured at most 7.3e-9 over seeds 0-29 and 2024,
+    # quick and full; 1e-6 is about 140 times that, and a 1% error in K fails
+    ok = worst <= 1e-6 and local_invariant and excess
     return ok, (
-        f"SVD vs formula dev {worst:.2e} (limit 1e-2); local chirp leaves K "
+        f"SVD vs formula dev {worst:.2e} (limit 1e-6); local chirp leaves K "
         f"unchanged: {local_invariant}; upconverted K {st.schmidt_k:.3f} exceeds "
         f"phase-free {schmidt_number(st.rho):.3f}: {excess}"
     )
@@ -558,27 +551,11 @@ SUITES = {
 }
 
 
-def _scaled(fn, factor: float):
-    def scaled(*args, **kwargs):
-        return fn(*args, **kwargs) * factor
-
-    return scaled
-
-
-def run_suites(
-    params: SuiteParams | None = None,
-    names=None,
-    perturbations: dict[str, float] | None = None,
-):
+def run_suites(params: SuiteParams | None = None, names=None):
     """Run the requested suites, returning (report dict, all_ok).
 
     The report maps each suite's name to its ok flag, its detail text and
     elapsed_s, the suite's wall time in seconds.
-
-    perturbations maps names in PERTURBABLE to factors: for the length of
-    the run each named ``lens`` attribute is replaced by a wrapper that
-    scales its result, and the originals are restored afterwards.
-    Unknown names raise ValueError.
     """
     params = params or SuiteParams()
     selected = list(SUITES) if names is None else list(names)
@@ -587,22 +564,13 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
 
     report = {}
-    saved = {name: getattr(lens, name) for name in PERTURBABLE}
-    try:
-        for key, factor in (perturbations or {}).items():
-            if key not in saved:
-                raise ValueError(f"unknown perturbation hook {key!r}")
-            setattr(lens, key, _scaled(saved[key], factor))
-        for name in selected:
-            start = time.perf_counter()
-            try:
-                ok, detail = SUITES[name](params)
-            except Exception as exc:  # suite crash is a failure, not an abort
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            elapsed = time.perf_counter() - start
-            report[name] = {"ok": bool(ok), "detail": detail, "elapsed_s": elapsed}
-    finally:
-        for name, fn in saved.items():
-            setattr(lens, name, fn)
+    for name in selected:
+        start = time.perf_counter()
+        try:
+            ok, detail = SUITES[name](params)
+        except Exception as exc:  # suite crash is a failure, not an abort
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+        report[name] = {"ok": bool(ok), "detail": detail, "elapsed_s": elapsed}
     all_ok = all(entry["ok"] for entry in report.values())
     return report, all_ok

@@ -17,6 +17,11 @@ its own definition, as a name, an attribute or an ``__all__`` entry, so no
 function lives in the package for the tests alone.  Dunder methods are
 called by Python itself, and the functions perfbench traces
 (``perfbench/spans.TRACED``) are pinned by the benchmark, so both pass.
+
+A third test keeps test hooks out of the package: no module in
+src/timelens calls the builtin ``setattr`` or ``delattr``, the tools that
+swap a module's functions for a run.  ``object.__setattr__`` in a frozen
+dataclass's ``__post_init__`` is an attribute call and passes.
 """
 
 from __future__ import annotations
@@ -145,3 +150,15 @@ def test_every_package_function_has_a_package_caller():
             ):
                 uncalled.append(f"{module}:{fn.lineno} {fn.name}")
     assert uncalled == [], "functions nothing in src/timelens refers to: " + ", ".join(uncalled)
+
+
+def test_package_swaps_no_attributes():
+    calls = [
+        f"{module.name}:{node.lineno} {node.func.id}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("setattr", "delattr")
+    ]
+    assert calls == [], "builtin setattr/delattr calls in src/timelens: " + ", ".join(calls)

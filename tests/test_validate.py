@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from timelens import grid, lens, validate
-from timelens.validate import PERTURBABLE, SUITES, SuiteParams, run_suites
+from timelens.validate import SUITES, SuiteParams, run_suites
 from timelens.svgplot import _png_encode, colormap
 
 import oracles
@@ -18,67 +18,88 @@ def test_all_suites_green_quick():
     assert set(report) == set(SUITES)
 
 
-# the cross-engine deviation that each perturbable entry point moves
-DEVIATION = {"output_sigma3": "width", "output_correlation": "correlation"}
+NAN = float("nan")
+
+# Each row replaces a name where the suites look it up, by a wrapper that
+# alters its result, and lists every suite of a quick run that must fail,
+# each with a pattern for its detail text.  The pattern's group is the
+# deviation the suite reports, which must be NaN or above 1e-3: the suite
+# fails on its comparison and does not crash.  Rows patch the closed-form
+# core in ``lens`` or a grid name that ``validate`` imported, never a
+# ``timelens`` re-export, which the suites do not read.
+MUTATIONS = [
+    pytest.param(
+        lens, "gaussian_output", lambda out: replace(out, sigma3=1.01 * out.sigma3),
+        {
+            "cross-engine": r"max width dev (\S+) rel",
+            "limit-consistency": r"broad-escort limit dev (\S+) ",
+        },
+        id="sigma3-x1.01",
+    ),
+    pytest.param(
+        lens, "gaussian_output", lambda out: replace(out, rho_f=1.01 * out.rho_f),
+        {
+            "cross-engine": r"max correlation dev (\S+) abs",
+            "limit-consistency": r"broad-escort limit dev (\S+) ",
+        },
+        id="rho_f-x1.01",
+    ),
+    # every worst-case tracker propagates NaN, so a NaN never reads as
+    # agreement
+    pytest.param(
+        lens, "gaussian_output", lambda out: replace(out, sigma3=NAN),
+        {
+            "cross-engine": r"max width dev (\S+) rel",
+            "limit-consistency": r"broad-escort limit dev (\S+) ",
+            "rho-symmetry": r"under rho sign flip (\S+)$",
+        },
+        id="sigma3-nan",
+    ),
+    # the sign law names a NaN correlation rather than reading a sign,
+    # which copysign would take from the NaN's sign bit
+    pytest.param(
+        lens, "gaussian_output", lambda out: replace(out, rho_f=NAN),
+        {
+            "cross-engine": r"max correlation dev (\S+) abs",
+            "limit-consistency": r"broad-escort limit dev (\S+) ",
+            "rho-symmetry": r"under rho sign flip (\S+)$",
+            "sign-law": r"^output correlation is (nan) at rho=",
+        },
+        id="rho_f-nan",
+    ),
+    # the cross-engine suite holds the grid to all five closed-form gaps,
+    # not only the signal width and the correlation
+    pytest.param(
+        validate, "intensity_moments", lambda m: replace(m, sigmah=1.01 * m.sigmah),
+        {"cross-engine": r"max herald width dev (\S+) rel"},
+        id="herald-width-x1.01",
+    ),
+    pytest.param(
+        validate, "intensity_moments", lambda m: replace(m, meanh=m.meanh + 2e-3 * m.sigmah),
+        {"cross-engine": r"and (\S+) sigma"},
+        id="herald-center-2e-3-sigma",
+    ),
+    pytest.param(
+        validate, "compute_stats", lambda st: replace(st, schmidt_k=1.01 * st.schmidt_k),
+        {"schmidt-consistency": r"SVD vs formula dev (\S+) "},
+        id="schmidt-k-x1.01",
+    ),
+]
 
 
-@pytest.mark.parametrize("key", PERTURBABLE)
-def test_mutation_breaks_cross_engine(key):
-    original = getattr(lens, key)
-    report, all_ok = run_suites(
-        SuiteParams(quick=True),
-        names=["cross-engine"],
-        perturbations={key: 1.01},
-    )
+@pytest.mark.parametrize("module, name, change, failing", MUTATIONS)
+def test_mutation_matrix(module, name, change, failing, monkeypatch):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
+    report, all_ok = run_suites(SuiteParams(quick=True))
     assert not all_ok
-    # the suite fails on its comparison: the scaled quantity deviates by
-    # about 1e-2, above the 1e-3 limit
-    detail = report["cross-engine"]["detail"]
-    dev = re.search(rf"max {DEVIATION[key]} dev (\S+)", detail)
-    assert dev and float(dev.group(1)) > 1e-3, detail
-    # entry points restored afterwards
-    assert getattr(lens, key) is original
-
-
-@pytest.mark.parametrize("key", PERTURBABLE)
-def test_nan_mutation_fails_every_closed_form_suite(key):
-    # a NaN deviation is never read as agreement: builtin max(worst, nan)
-    # keeps worst, so every worst-case tracker propagates the NaN.  The
-    # sign law reads output_correlation, and names its NaN rather than a
-    # sign, which copysign would take from the NaN's sign bit
-    suites = ["cross-engine", "limit-consistency", "rho-symmetry"]
-    if key == "output_correlation":
-        suites.append("sign-law")
-    report, all_ok = run_suites(
-        SuiteParams(quick=True), names=suites, perturbations={key: float("nan")}
-    )
-    assert not all_ok
-    for name in suites:
-        assert not report[name]["ok"], report[name]
-        assert "nan" in report[name]["detail"]
-    if key == "output_correlation":
-        assert report["sign-law"]["detail"].startswith("output correlation is nan at rho=")
-
-
-@pytest.mark.parametrize(
-    "change, dev",
-    [
-        (lambda m: replace(m, sigmah=1.01 * m.sigmah), r"max herald width dev (\S+) rel"),
-        (lambda m: replace(m, meanh=m.meanh + 2e-3 * m.sigmah), r"and (\S+) sigma"),
-    ],
-    ids=["herald-width-1.01", "herald-center-2e-3-sigma"],
-)
-def test_cross_engine_checks_herald_width_and_centers(change, dev, monkeypatch):
-    # the suite holds the grid to all five closed-form gaps, not only the
-    # signal width and the correlation
-    monkeypatch.setattr(
-        validate, "intensity_moments", lambda field: change(grid.intensity_moments(field))
-    )
-    report, all_ok = run_suites(SuiteParams(quick=True), names=["cross-engine"])
-    assert not all_ok
-    detail = report["cross-engine"]["detail"]
-    found = re.search(dev, detail)
-    assert found and float(found.group(1)) > 1e-3, detail
+    failed = {suite: entry["detail"] for suite, entry in report.items() if not entry["ok"]}
+    assert set(failed) == set(failing), failed
+    for suite, pattern in failing.items():
+        found = re.search(pattern, failed[suite])
+        assert found and not float(found.group(1)) <= 1e-3, failed[suite]
+    monkeypatch.undo()
+    assert getattr(module, name) is original
 
 
 @pytest.mark.parametrize(
@@ -130,15 +151,6 @@ def test_engine_suites_convolve_on_the_shipped_route(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(names=["no-such-suite"])
-
-
-def test_unknown_perturbation_rejected():
-    original = lens.output_sigma3
-    with pytest.raises(ValueError):
-        run_suites(
-            names=["units-roundtrip"], perturbations={"output_sigma3": 2.0, "bogus": 2.0}
-        )
-    assert lens.output_sigma3 is original
 
 
 def test_png_encoder_deterministic():
