@@ -327,31 +327,6 @@ def fit_gaussian_2d(spec: Spectrum2D) -> GaussianFitParams:
     return GaussianFitParams(*x.tolist())
 
 
-# bins kept per axis by contour_subsample, and bins it keeps across a peak
-CONTOUR_MAX_BINS = 128
-CONTOUR_MIN_BINS_PER_FWHM = 8
-
-
-def contour_subsample(spec: Spectrum2D) -> Spectrum2D:
-    """Strided copy of a spectrum, small enough for a cheap contour fit.
-
-    Each axis keeps every s-th bin, s = max(1, min(ceil(n / 128),
-    floor(fwhm_bins / 8))), where fwhm_bins is that axis's moment FWHM
-    in bins on the full spectrum: at most about 128 bins per axis, and
-    never fewer than 8 across the peak, so a narrow peak on a wide grid
-    does not fall between samples.  Raises DegenerateDataError where the
-    moments do.
-    """
-    init = _moment_initialization(spec.lambda1_nm, spec.lambdah_nm, spec.counts)
-    strides = []
-    for axis, sigma in ((spec.lambda1_nm, init.sigma1_nm), (spec.lambdah_nm, init.sigmah_nm)):
-        fwhm_bins = units.sigma_to_fwhm(sigma) / (axis[1] - axis[0])
-        cap = math.ceil(axis.size / CONTOUR_MAX_BINS)
-        strides.append(max(1, min(cap, math.floor(fwhm_bins / CONTOUR_MIN_BINS_PER_FWHM))))
-    s1, sh = strides
-    return Spectrum2D(spec.lambda1_nm[::s1], spec.lambdah_nm[::sh], spec.counts[::s1, ::sh])
-
-
 def deconvolve_resolution(params: GaussianFitParams, res: ResolutionModel) -> GaussianFitParams:
     """Correct the fitted widths for the spectrometer response.
 

@@ -24,12 +24,7 @@ import numpy as np
 
 from . import __version__, gridio, lens, svgplot, units, validate
 from .analysis import (
-    CONTOUR_MIN_BINS_PER_FWHM,
-    DegenerateDataError,
-    FitConvergenceError,
     ResolutionModel,
-    contour_subsample,
-    fit_gaussian_2d,
     fit_values,
     montecarlo_errorbars,
     read_spectrum_csv,
@@ -52,6 +47,8 @@ EXIT_RUNTIME = 3
 
 # sweep renders a heatmap panel for each of the first delays, up to this many
 SWEEP_PANELS = 9
+# a heatmap panel keeps at least this many display bins across a peak's FWHM
+CONTOUR_MIN_BINS_PER_FWHM = 8
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -118,21 +115,27 @@ def _display_shape(field, moments) -> tuple[int, int]:
     return shape[0], shape[1]
 
 
-def _heatmap_svg(spec, title: str, contour_fit=None) -> str:
-    """SVG text of the heatmap of a spectrum, with the fitted contour when given."""
-    contour = None
-    if contour_fit is not None:
-        s1, sh = contour_fit.sigma1_nm, contour_fit.sigmah_nm
-        cov = np.array(
-            [
-                [s1**2, contour_fit.rho * s1 * sh],
-                [contour_fit.rho * s1 * sh, sh**2],
-            ]
-        )
-        # 25 percent contour of the fitted peak: quadratic form equals 2 ln 4
-        contour = (contour_fit.center1_nm, contour_fit.centerh_nm, cov, 2.0 * math.log(4.0))
+def _heatmap_svg(field, moments, title: str, contour: bool) -> str:
+    """SVG text of a field's heatmap, resampled once at its display shape.
+
+    With contour, the panel carries the 25 percent contour of the
+    Gaussian with the field's intensity moments, as stats.csv reports
+    them, mapped to wavelength: each center through lambda = 2 pi c /
+    omega, each width to first order, sigma_lambda = lambda sigma_omega
+    / omega, and rho with its sign, since both axes reverse.
+    """
+    spec = spectrum_from_field(field, _display_shape(field, moments))
+    ellipse = None
+    if contour:
+        c1 = units.angular_to_wavelength(moments.mean1) * 1e9
+        ch = units.angular_to_wavelength(moments.meanh) * 1e9
+        s1 = c1 * moments.sigma1 / moments.mean1
+        sh = ch * moments.sigmah / moments.meanh
+        cov = np.array([[s1**2, moments.rho * s1 * sh], [moments.rho * s1 * sh, sh**2]])
+        # 25 percent of the peak: the quadratic form equals 2 ln 4
+        ellipse = (c1, ch, cov, 2.0 * math.log(4.0))
     return svgplot.render_heatmap(
-        spec.counts, spec.lambda1_nm, spec.lambdah_nm, title=title, contour=contour
+        spec.counts, spec.lambda1_nm, spec.lambdah_nm, title=title, contour=ellipse
     )
 
 
@@ -224,21 +227,8 @@ def cmd_simulate(args) -> int:
         (input_field, input_stats, "jsi_input.svg", "input joint spectral intensity"),
         (out_field, output_stats, "jsi_output.svg", "upconverted joint spectral intensity"),
     ):
-        spec = spectrum_from_field(field)
-        try:
-            # the ellipse is drawn to a thousandth of a pixel; a subsample
-            # of the full-resolution spectrum places it as the full fit
-            # does at a fraction of the cost
-            fit = fit_gaussian_2d(contour_subsample(spec))
-        except (DegenerateDataError, FitConvergenceError) as exc:
-            print(f"simulate: no contour on {name}: {exc}", file=sys.stderr)
-            fit = None
-        shape = _display_shape(field, stats)
-        if shape != spec.counts.shape:
-            spec = spectrum_from_field(field, shape)
-        (out_dir / name).write_text(
-            _heatmap_svg(spec, title, contour_fit=fit), encoding="utf-8", newline="\n"
-        )
+        svg = _heatmap_svg(field, stats, title, contour=True)
+        (out_dir / name).write_text(svg, encoding="utf-8", newline="\n")
         outputs.append(name)
 
     _write_manifest(out_dir, config_path, outputs)
@@ -263,8 +253,8 @@ _SWEEP_COLUMNS = [
 def _sweep_panel(svgs: list[str], index: int, tau: float, intensity, moments) -> None:
     """delay_sweep's panel: the heatmap SVG text of each of the first SWEEP_PANELS delays."""
     if index < SWEEP_PANELS:
-        spec = spectrum_from_field(intensity, _display_shape(intensity, moments))
-        svgs.append(_heatmap_svg(spec, f"delay {tau * 1e12:+.3f} ps"))
+        title = f"delay {tau * 1e12:+.3f} ps"
+        svgs.append(_heatmap_svg(intensity, moments, title, contour=False))
 
 
 def cmd_sweep(args) -> int:
@@ -362,6 +352,12 @@ def cmd_fit(args) -> int:
     if gridio.is_field_binary(path):
         spec = spectrum_from_field(gridio.read_field_binary(path))
     else:
+        with open(path, "rb") as fh:
+            if fh.readline().strip() == gridio.CSV_HEADER.encode("ascii"):
+                raise ConfigError(
+                    f"{path} is a simulate field dump (CSV); fit reads histogram CSVs "
+                    "and simulate --format bin dumps"
+                )
         spec = read_spectrum_csv(path)
 
     # a command-line flag wins over its config key, which wins over the default

@@ -39,10 +39,10 @@ _GRAM_FLOOR = math.sqrt(np.finfo(float).tiny)
 # cells per column tile of compute_stats' Gram: its fastest on 512 and 1024
 # columns with one OpenBLAS thread on a 2-vCPU Xeon
 _GRAM_TILE_CELLS = 2**15
-# bytes per cell of a heatmap panel's spectrum: the wavelength counts (8)
-# and the most that is alive beside them, simulate's contour start (17: the
-# counts less the background, its mask and the weights; the render's RGB
-# image, PNG rows and join take 9), plus 1 for the per-axis vectors
+# bytes per display cell of a heatmap panel: the wavelength counts (8),
+# the render's RGB image, PNG rows and join beside them (9) and the
+# per-axis vectors (1) make 18; the other 8 go to the resampling's and the
+# render's row-block temporaries, which outweigh the cells on small displays
 _PANEL_BYTES = 26
 
 
@@ -565,27 +565,26 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     are counted throughout, simulate's sampled and unchirped fields
     (both normalized in place), plus half an input, its intensity, while
     one is sampled; a sweep releases its one input once transformed.  On
-    top comes the largest of three moments.  One is a delay's convolution:
+    top comes the larger of two moments.  One is a delay's convolution:
     the input's transform, _next_fast_len(n + n_out - 1) x nh, which a
     sweep holds for all of its delays; the one output; and the largest
     of the block's product with the kernel spectrum, about _BLOCK_CELLS
     cells (all nh rows when fewer) and transformed in place through
     numpy's out=, the output's intensity and its |v| temporary for the
-    weight and moments, and a heatmap panel.  A sweep's delay forms no
-    complex output: beside the transform it holds the output's intensity
-    (8 bytes a cell) and the larger of one block and its panel, which
-    this moment bounds.  A panel is drawn at
-    display resolution, at most the plot box, _PANEL_BYTES per display
-    cell and at least one row block of cells for the resampling's and
-    colormap's block temporaries; a peak narrower than 8 display bins
-    asks for more samples, up to the field's own, and that is not
-    counted.  The other two are simulate's: the Schmidt number of its
-    input, first its intensity and |v| temporary for the moments, then
-    compute_stats' upper Gram tiles on the smaller side with one row
-    block, its conjugate and floor mask (34 bytes a cell), and one tile
-    product; and a full-resolution spectrum of its input or output, whose
-    contour start takes _PANEL_BYTES per field cell, and then that
-    field's panel, all while the output is alive.  Simulate's field CSV
+    weight and moments, and a heatmap panel.  Simulate draws its two
+    panels beside the output once the transform is freed, which this
+    moment bounds.  A sweep's delay forms no complex output: beside the
+    transform it holds the output's intensity (8 bytes a cell) and the
+    larger of one block and its panel, which this moment bounds.  A
+    panel is drawn at display resolution, at most the plot box,
+    _PANEL_BYTES per display cell and at least one row block of cells
+    for the resampling's and colormap's block temporaries; a peak
+    narrower than 8 display bins asks for more samples, up to the
+    field's own, and that is not counted.  The other moment is the
+    Schmidt number of simulate's input: first its intensity and |v|
+    temporary for the moments, then compute_stats' upper Gram tiles on
+    the smaller side with one row block, its conjugate and floor mask
+    (34 bytes a cell), and one tile product.  Simulate's field CSV
     moment is not counted: the output, the written field's intensity and
     phase (16 bytes a cell) and one row block's text buffers, at most
     4 MiB, stay below the convolution moment on every bundled config
@@ -607,8 +606,7 @@ def grid_bytes(n: int, nh: int, n_out: int) -> int:
     gram = 16 * sum(cols.stop * (cols.stop - cols.start) for cols in tiles)
     gram_block = 34 * row_blocks(max(n, nh), side)[0].stop * side
     input_stats = max(16 * nh * n, gram + gram_block + 16 * side * tiles[0].stop)
-    contour = 16 * nh * n_out + _PANEL_BYTES * nh * max(n, n_out) + panel
-    return 32 * nh * n + max(convolution, input_stats, contour)
+    return 32 * nh * n + max(convolution, input_stats)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):

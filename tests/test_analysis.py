@@ -27,7 +27,6 @@ from timelens.analysis import (
     FitConvergenceError,
     GaussianFitParams,
     UnphysicalDeconvolutionError,
-    contour_subsample,
     derived_quantities,
     gaussian2d_model,
     read_spectrum_csv,
@@ -561,42 +560,6 @@ def benchmark_histogram():
     model = synth_spectrum(RAW_INPUT, n1=56, nh=48, span=1.6)
     counts = np.random.default_rng(1).poisson(model.counts)
     return Spectrum2D(model.lambda1_nm, model.lambdah_nm, counts)
-
-
-class TestContourSubsample:
-    def test_narrow_peak_keeps_eight_bins_per_fwhm(self):
-        # a FWHM of about 20 bins on a 4096-bin axis: a stride of
-        # ceil(4096 / 128) = 32 alone would leave less than one bin across it
-        lam1 = np.linspace(800.0, 800.0 + 4095 * 0.01, 4096)
-        lamh = np.linspace(735.0, 745.0, 64)
-        fwhm1 = 0.2
-        params = replace(
-            RAW_INPUT, center1_nm=820.0, sigma1_nm=units.fwhm_to_sigma(fwhm1), centerh_nm=740.0,
-            sigmah_nm=units.fwhm_to_sigma(3.0),
-        )
-        spec = Spectrum2D(lam1, lamh, gaussian2d_model(params, lam1, lamh))
-        sub = contour_subsample(spec)
-        stride = round((sub.lambda1_nm[1] - sub.lambda1_nm[0]) / 0.01)
-        assert fwhm1 / (math.ceil(lam1.size / 128) * 0.01) < 1
-        assert fwhm1 / (stride * 0.01) >= 8
-        assert sub.counts.shape[1] == lamh.size
-        np.testing.assert_array_equal(sub.counts, spec.counts[::stride])
-        assert_same_fit(fit_gaussian_2d(sub), fit_gaussian_2d(spec))
-
-    def test_degenerate_spectrum_raises(self):
-        spec = Spectrum2D(np.arange(8.0), np.arange(8.0), np.ones((8, 8)))
-        with pytest.raises(DegenerateDataError):
-            contour_subsample(spec)
-
-
-def assert_same_fit(sub, full):
-    """A subsample fit agrees with the full-resolution fit, its oracle."""
-    assert sub.sigma1_nm == pytest.approx(full.sigma1_nm, rel=1e-6)
-    assert sub.sigmah_nm == pytest.approx(full.sigmah_nm, rel=1e-6)
-    assert sub.rho == pytest.approx(full.rho, abs=1e-6)
-    fwhm1, fwhmh = units.sigma_to_fwhm(full.sigma1_nm), units.sigma_to_fwhm(full.sigmah_nm)
-    assert sub.center1_nm == pytest.approx(full.center1_nm, abs=1e-6 * fwhm1)
-    assert sub.centerh_nm == pytest.approx(full.centerh_nm, abs=1e-6 * fwhmh)
 
 
 class TestG2:

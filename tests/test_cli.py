@@ -13,18 +13,12 @@ import numpy as np
 import pytest
 
 import oracles
-from timelens import cli, grid, svgplot
-from timelens.analysis import (
-    CONTOUR_MIN_BINS_PER_FWHM,
-    FitConvergenceError,
-    fit_gaussian_2d,
-    spectrum_from_field,
-)
-from timelens.cli import build_parser, main
+from timelens import analysis, cli, grid, svgplot
+from timelens.analysis import fit_gaussian_2d, spectrum_from_field
+from timelens.cli import CONTOUR_MIN_BINS_PER_FWHM, build_parser, main
 from timelens import gridio, units
 from timelens.analysis import write_spectrum_csv
 from timelens.config import parse_config
-from test_analysis import assert_same_fit
 
 # mild chirps so a 256-point grid is fully converged; the measured
 # operating point (bundled experimental.cfg) is exercised separately
@@ -200,6 +194,17 @@ class TestDisplayShape:
         assert 20.0 * (m1 - 1) / (4000 - 1) >= CONTOUR_MIN_BINS_PER_FWHM
 
 
+def ellipse_geometry(svg: str) -> np.ndarray:
+    """Center x, center y, rx and ry in pixels, and rotation in degrees, of an SVG's ellipse."""
+    match = re.search(
+        r'<ellipse cx="0" cy="0" rx="([^"]+)" ry="([^"]+)" .*?'
+        r'transform="translate\(([^ ]+) ([^)]+)\) rotate\(([^)]+)\)"',
+        svg,
+    )
+    rx, ry, x, y, angle = (float(v) for v in match.groups())
+    return np.array([x, y, rx, ry, angle])
+
+
 class TestSimulate:
     def test_outputs_and_values(self, fast_cfg, tmp_path):
         out = tmp_path / "sim"
@@ -268,9 +273,9 @@ class TestSimulate:
         assert float(read_stats(out / "stats.csv")["grid-output"]["schmidt_k"]) > 1.0
 
     def test_one_spectrum_per_panel(self, fast_cfg, tmp_path, monkeypatch):
-        # each panel's contour is fitted on one full-resolution spectrum,
-        # and its heatmap drawn from one display spectrum; when the display
-        # keeps every sample (256 x 128), the two are the same spectrum
+        # each panel is drawn from one spectrum at its display shape, and
+        # its ellipse from the moments, with no fit; a field within the plot
+        # box (256 x 128 in, 313 x 128 out) keeps every sample
         calls = []
         original = cli.spectrum_from_field
 
@@ -278,48 +283,48 @@ class TestSimulate:
             calls.append(shape)
             return original(field, shape)
 
+        def no_fit(*args, **kwargs):
+            raise AssertionError("simulate fitted a spectrum")
+
         monkeypatch.setattr(cli, "spectrum_from_field", counting)
+        monkeypatch.setattr(analysis, "fit_gaussian_2d", no_fit)
+        monkeypatch.setattr(cli, "fit_gaussian_2d", no_fit, raising=False)
         for grid_args, shapes in (
-            ([], [None, None]),
-            (["--grid", "1024"], [None, (520, 128), None, (520, 128)]),
+            ([], [(256, 128), (313, 128)]),
+            (["--grid", "1024"], [(520, 128), (520, 128)]),
         ):
             calls.clear()
             out = tmp_path / f"sim{len(grid_args)}"
             assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)] + grid_args) == 0
             assert calls == shapes
+            for name in ("jsi_input.svg", "jsi_output.svg"):
+                assert "<ellipse" in (out / name).read_text()
 
-    def test_contour_fit_on_subsample(self, tmp_path, monkeypatch):
-        # the 512 x 512 panels of the measured operating point are fitted on
-        # at most 128 bins per axis, as a full-resolution fit places them
-        full_spectra, fits = [], []
-        subsample, fit = cli.contour_subsample, cli.fit_gaussian_2d
-
-        def recording_subsample(spec):
-            full_spectra.append(spec)
-            return subsample(spec)
-
-        def recording_fit(spec):
-            params = fit(spec)
-            fits.append((spec.counts.shape, params))
-            return params
-
-        monkeypatch.setattr(cli, "contour_subsample", recording_subsample)
-        monkeypatch.setattr(cli, "fit_gaussian_2d", recording_fit)
-        assert main(["simulate", "--config", "experimental.cfg", "--out", str(tmp_path / "sim")]) == 0
-        assert [spec.counts.shape for spec in full_spectra] == [(512, 512)] * 2
-        assert len(fits) == 2
-        for spec, (shape, raw) in zip(full_spectra, fits):
-            assert max(shape) <= 128
-            assert_same_fit(raw, fit_gaussian_2d(spec))
-
-    def test_subsample_contour_svgs_match_full_fit(self, fast_cfg, tmp_path, monkeypatch):
-        sub, full = tmp_path / "sub", tmp_path / "full"
-        assert main(["simulate", "--config", str(fast_cfg), "--out", str(sub)]) == 0
-        monkeypatch.setattr(cli, "contour_subsample", lambda spec: spec)
-        assert main(["simulate", "--config", str(fast_cfg), "--out", str(full)]) == 0
-        for name in ("jsi_input.svg", "jsi_output.svg"):
-            assert "<ellipse" in (sub / name).read_text()
-            assert (sub / name).read_bytes() == (full / name).read_bytes(), name
+    @pytest.mark.parametrize(
+        "name", ["experimental.cfg", "ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"]
+    )
+    def test_ellipse_matches_full_resolution_fit(self, name, tmp_path):
+        # the moments' ellipse lies within 0.2 px of the 25 percent contour
+        # of a Gaussian fitted to the full-resolution wavelength spectrum
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", name, "--format", "bin", "--out", str(out)]) == 0
+        for field_name in ("jsi_input", "jsi_output"):
+            svg = (out / f"{field_name}.svg").read_text()
+            meta = json.loads(re.search(r"<metadata>(.*?)</metadata>", svg).group(1))
+            fit = fit_gaussian_2d(
+                spectrum_from_field(gridio.read_field_binary(out / f"{field_name}.bin"))
+            )
+            s1, sh = fit.sigma1_nm, fit.sigmah_nm
+            cov = [[s1**2, fit.rho * s1 * sh], [fit.rho * s1 * sh, sh**2]]
+            fitted = svgplot.render_heatmap(
+                np.ones((2, 2)), [meta["x_start"], meta["x_stop"]],
+                [meta["y_start"], meta["y_stop"]], title="",
+                contour=(fit.center1_nm, fit.centerh_nm, cov, 2.0 * np.log(4.0)),
+            )
+            drawn, want = ellipse_geometry(svg), ellipse_geometry(fitted)
+            assert np.abs(drawn[:4] - want[:4]).max() < 0.2, field_name
+            turn = (drawn[4] - want[4] + 90.0) % 180.0 - 90.0
+            assert abs(turn) < 0.01, field_name
 
     def test_experimental_correlation_reversal(self, tmp_path):
         out = tmp_path / "sim"
@@ -389,24 +394,6 @@ class TestSimulate:
         assert f"OSError: {out / 'jsi_input.csv'}: helper" in capsys.readouterr().err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    def test_contour_fit_failure_drops_ellipse(self, fast_cfg, tmp_path, monkeypatch, capsys):
-        def fail(spec):
-            raise FitConvergenceError("no convergence")
-
-        monkeypatch.setattr(cli, "fit_gaussian_2d", fail)
-        out = tmp_path / "sim"
-        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 0
-        assert "<ellipse" not in (out / "jsi_output.svg").read_text()
-        assert "no contour" in capsys.readouterr().err
-
-    def test_contour_fit_bug_is_runtime_error(self, fast_cfg, tmp_path, monkeypatch):
-        def crash(spec):
-            raise RuntimeError("bug")
-
-        monkeypatch.setattr(cli, "fit_gaussian_2d", crash)
-        out = tmp_path / "sim"
-        assert main(["simulate", "--config", str(fast_cfg), "--out", str(out)]) == 3
 
     def test_grid_convergence_smoke(self, fast_cfg, tmp_path):
         outs = {}
@@ -836,6 +823,20 @@ class TestFit:
         rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
         for key in ("rho", "signal_fwhm_nm", "herald_fwhm_nm"):
             assert rows[key][3] == rows[key][1], key  # deconvolved equals raw
+
+    def test_fit_field_csv_exit_2_before_fitting(self, fast_cfg, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a field dump")
+
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(fast_cfg), "--out", str(sim)]) == 0
+        monkeypatch.setattr(cli, "montecarlo_errorbars", no_fit)
+        out = tmp_path / "fit"
+        assert main(["fit", str(sim / "jsi_output.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is a simulate field dump" in err
+        assert "fit reads histogram CSVs and simulate --format bin dumps" in err
+        assert not out.exists()
 
     def test_fit_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -45,6 +45,7 @@ from timelens.config import parse_config
 from timelens.lens import gaussian_output
 
 import oracles
+from test_cli import FAST_SIM
 
 
 def planned_output(cfg, state, **grid):
@@ -771,6 +772,36 @@ class TestGridBytes:
 
         peak = self.traced_peak(simulate)
         bound = grid_bytes(*plans[0])
+        assert 0.5 * bound < peak <= bound
+
+    @pytest.mark.parametrize(
+        "config, grid_args",
+        [
+            pytest.param("experimental.cfg", [], id="experimental"),
+            pytest.param(None, ["--grid", "1024"], id="fast-1024"),
+            pytest.param(None, [], id="fast-256"),
+        ],
+    )
+    def test_bounds_a_whole_simulate_run(self, config, grid_args, tmp_path, monkeypatch):
+        # all of cmd_simulate --format bin, its two heatmap panels included,
+        # on the grids its planner chose; None runs test_cli's FAST_SIM
+        if config is None:
+            config = tmp_path / "fast.cfg"
+            config.write_text(FAST_SIM)
+        plans = []
+        prepare = cli.prepare_sweep
+
+        def recording(*args, **kwargs):
+            field, out_grid = prepare(*args, **kwargs)
+            plans.append((field.axis1.n, field.axis_h.n, out_grid.n))
+            return field, out_grid
+
+        monkeypatch.setattr(cli, "prepare_sweep", recording)
+        argv = ["simulate", "--config", str(config), "--format", "bin", "--out", str(tmp_path)]
+        codes = []
+        peak = self.traced_peak(lambda: codes.append(cli.main(argv + grid_args)))
+        bound = grid_bytes(*plans[0])
+        assert codes == [0]
         assert 0.5 * bound < peak <= bound
 
     def test_sweep_holds_no_complex_output(self, exp_state, exp_lens):
