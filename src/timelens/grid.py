@@ -11,11 +11,29 @@ All functions are pure and operate on immutable inputs.  A field holds
 a read-only view of the array it is given, not a copy, so fields can be
 shared freely across threads; the caller's own array stays writeable,
 and writing to it changes the field.
+
+The FFT path's three block loops, sampling (sample_jsa), the input's
+transform (_input_spectrum) and the per-delay convolution (_fft_blocks),
+run on up to _MAX_WORKERS threads when they have at least
+_THREAD_MIN_BLOCKS blocks (_run_blocks).  The threads are started and
+joined inside each call, so none is alive between calls, and none is
+left when gridio forks.  Every block writes rows of its own, and the one
+sum across blocks, a sweep's w3 marginal, adds per-block partials in
+block order, so every output is byte-identical for any thread count.
+numpy releases the interpreter lock inside its ufunc loops and
+transforms, and np.fft may be called from several threads at once:
+numpy's own suite checks it (TestFFTThreadSafe in
+numpy/fft/tests/test_pocketfft.py, as of 2.4.6), and on numpy 2.0, the
+oldest pyproject.toml admits, CI's job on that version runs these
+loops.  A thread calls jsa_amplitude and numpy only, never a public
+function of this package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
@@ -33,6 +51,15 @@ GRID_BYTES_LIMIT = 2**30
 # default cells per row block of row_blocks: 1 MB of complex128, so a
 # block and its temporaries stay near the 2 MB L2 cache
 _BLOCK_CELLS = 2**16
+# most threads that _run_blocks spreads one loop over; 2 is the only count
+# measured (a 2-vCPU Xeon), a larger one is untested
+_MAX_WORKERS = 2
+# a loop of fewer blocks runs on the calling thread alone.  In a size scan
+# on a 2-vCPU Xeon, sample_jsa's loop ran 6-11% slower on two threads below
+# 32 blocks and broke even at 32; the FFT loops gained 1.4-2x from 8 blocks,
+# some 2-5 ms a call, while the second thread's workspace and malloc arena
+# added 1-3 MB to the peak RSS
+_THREAD_MIN_BLOCKS = 32
 # compute_stats zeroes the Gram's factor parts below the square root of
 # the smallest normal double, so no product of two kept parts is subnormal
 _GRAM_FLOOR = math.sqrt(np.finfo(float).tiny)
@@ -209,7 +236,8 @@ def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
 
     The marginal mass falling outside either grid must not exceed 1e-4,
     otherwise a CoverageError is raised.  Rows are sampled in blocks of
-    about _BLOCK_CELLS cells into one array, which is normalized in place.
+    about _BLOCK_CELLS cells into one array, on threads when there are
+    enough blocks (_run_blocks), which is then normalized in place.
     """
     outside = _gaussian_tail_mass(
         state.omega1, state.sigma1, grid1.start, grid1.stop
@@ -221,8 +249,11 @@ def sample_jsa(state: GaussianJSA, grid1: Grid1D, gridh: Grid1D) -> GridField2D:
     w1 = grid1.points[:, None]
     wh = gridh.points[None, :]
     values = np.empty((grid1.n, gridh.n), dtype=complex)
-    for rows in row_blocks(grid1.n, gridh.n):
+
+    def sample(index, rows):
         values[rows] = jsa_amplitude(state, w1[rows], wh)
+
+    _run_blocks(row_blocks(grid1.n, gridh.n), lambda: sample)
     field = GridField2D(grid1, gridh, values)
     norm = field.norm()
     if norm <= 0.0:
@@ -271,9 +302,11 @@ def sfg_convolve(
     with the delay phase applied to the input.  method="fft" is a fast
     path requiring equal steps on the input and output axes
     (ResamplingRequiredError otherwise).  It takes the input's transform,
-    _input_spectrum, and the circular convolution of _fft_blocks, then
-    multiplies each block's kept rows by the output factor
-    step * exp(-i w3 tau).  Both paths agree to better than 1e-9.
+    _input_spectrum, and the circular convolution of _fft_blocks, whose
+    callback multiplies each block's kept rows by the output factor
+    step * exp(-i w3 tau) into that block's herald columns of the output,
+    from whichever thread ran the block.  Both paths agree to better
+    than 1e-9.
     """
     w3 = out_grid.points
     step = field.axis1.step
@@ -297,9 +330,11 @@ def sfg_convolve(
         if tau != 0.0:
             factor = step * np.exp(-1j * w3 * tau)[:, None]
         out_values = np.empty((out_grid.n, nh), dtype=complex)
-        for rows, kept in _fft_blocks(spectrum, field.axis1, escort, tau, out_grid):
+
+        def multiply(index, rows, kept):
             np.multiply(kept.T, factor, out=out_values[:, rows])
-        del kept  # the last block's workspace is not held through the intensity pass
+
+        _fft_blocks(spectrum, field.axis1, escort, tau, out_grid, multiply)
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
@@ -337,8 +372,13 @@ def _check_output(weight: float, edge: float, total: float) -> None:
 
 
 def _fft_blocks(
-    spectrum: np.ndarray, axis1: Grid1D, escort: EscortPulse, tau: float, out_grid: Grid1D
-):
+    spectrum: np.ndarray,
+    axis1: Grid1D,
+    escort: EscortPulse,
+    tau: float,
+    out_grid: Grid1D,
+    consume: Callable[[int, slice, np.ndarray], None],
+) -> None:
     """The FFT path's convolution, one block of herald rows at a time.
 
     spectrum is the input's transform, _input_spectrum(field, out_grid.n).
@@ -348,10 +388,14 @@ def _fft_blocks(
     exp(-i w1 tau) = exp(i (w3 - w1) tau) exp(-i w3 tau): the first factor
     goes onto the escort kernel here, and the second, with the step, is
     the output factor the caller applies, so the input's transform does
-    not depend on tau and a sweep computes it once.  Yields (rows, kept)
-    per block of about _BLOCK_CELLS cells: kept[j, k] is herald row
-    rows[j] at output sample k, before the output factor, a view of the
-    block's workspace that the next block overwrites.
+    not depend on tau and a sweep computes it once.  Calls
+    consume(index, rows, kept) once per block of about _BLOCK_CELLS
+    cells, index counting blocks from 0: kept[j, k] is herald row rows[j]
+    at output sample k, before the output factor, a view of the running
+    thread's workspace that its next block overwrites.  The blocks run
+    through _run_blocks, one workspace per thread, so consume may be
+    called from several threads at once and must write only into rows
+    of its own.
     """
     n1, n3 = axis1.n, out_grid.n
     size = spectrum.shape[1]
@@ -363,12 +407,19 @@ def _fft_blocks(
     # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
     # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
     blocks = row_blocks(spectrum.shape[0], size)
-    workspace = np.empty((blocks[0].stop, size), dtype=complex)
-    for rows in blocks:
-        circular = workspace[: rows.stop - rows.start]
-        np.multiply(spectrum[rows], kspec, out=circular)
-        np.fft.ifft(circular, out=circular)
-        yield rows, circular[:, n1 - 1 : n1 - 1 + n3]
+
+    def worker():
+        workspace = np.empty((blocks[0].stop, size), dtype=complex)
+
+        def convolve(index, rows):
+            circular = workspace[: rows.stop - rows.start]
+            np.multiply(spectrum[rows], kspec, out=circular)
+            np.fft.ifft(circular, out=circular)
+            consume(index, rows, circular[:, n1 - 1 : n1 - 1 + n3])
+
+        return convolve
+
+    _run_blocks(blocks, worker)
 
 
 def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
@@ -376,14 +427,17 @@ def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
 
     One row per herald sample, of length next_fast_len(n_in + n_out - 1),
     the FFT path's circular length; herald rows are transformed in
-    blocks of about _BLOCK_CELLS cells, so no transposed copy of the
-    input is made.
+    blocks of about _BLOCK_CELLS cells, on threads when there are enough
+    blocks (_run_blocks), so no transposed copy of the input is made.
     """
     n1, nh = field.values.shape
     size = _next_fast_len(n1 + n_out - 1)
     spectrum = np.empty((nh, size), dtype=complex)
-    for rows in row_blocks(nh, size):
+
+    def transform(index, rows):
         np.fft.fft(field.values[:, rows].T, n=size, out=spectrum[rows])
+
+    _run_blocks(row_blocks(nh, size), lambda: transform)
     return spectrum
 
 
@@ -547,6 +601,59 @@ def suggested_input_samples(
     return min(n, 16384)
 
 
+def _run_blocks(blocks: list[slice], worker: Callable[[], Callable[[int, slice], None]]) -> None:
+    """Run a block loop: worker() once per thread, then its body(index, rows) per block.
+
+    A loop of at least _THREAD_MIN_BLOCKS blocks is spread over as many
+    threads as the process may run on CPUs, at most _MAX_WORKERS: this
+    one and the rest started here, which take the blocks in order from
+    one shared queue.  A shorter loop, or one CPU, runs every block on
+    this thread and starts none.  Each body must write rows of its own
+    only, and a sum across blocks must be taken afterwards in block
+    order, so no result depends on the thread count.  Once a body
+    raises, no thread takes another block, and the first exception is
+    raised again after every thread has been joined, so no thread
+    outlives the call.
+    """
+    count = 1
+    # sched_getaffinity is missing on some POSIX systems (macOS)
+    if len(blocks) >= _THREAD_MIN_BLOCKS and hasattr(os, "sched_getaffinity"):
+        count = min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
+    if count == 1:
+        body = worker()
+        for index, rows in enumerate(blocks):
+            body(index, rows)
+        return
+    queue = enumerate(blocks)
+    lock = threading.Lock()
+    errors = []
+
+    def run():
+        try:
+            body = worker()
+            while not errors:
+                with lock:
+                    task = next(queue, None)
+                if task is None:
+                    return
+                body(*task)
+        except BaseException as exc:  # raised again by the caller once all are joined
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(count - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def row_blocks(n_rows: int, row_cells: int, budget: int = _BLOCK_CELLS) -> list[slice]:
     """Slices that take n_rows rows of row_cells cells, in order, about budget cells at a time.
 
@@ -561,43 +668,47 @@ def row_blocks(n_rows: int, row_cells: int, budget: int = _BLOCK_CELLS) -> list[
 def grid_bytes(n: int, nh: int, n_out: int) -> int:
     """Estimated peak bytes that numpy allocates in an FFT convolution run.
 
-    Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs
-    are counted throughout, simulate's sampled and unchirped fields
-    (both normalized in place), plus half an input, its intensity, while
-    one is sampled; a sweep releases its one input once transformed.  On
-    top comes the larger of two moments.  One is a delay's convolution:
-    the input's transform, _next_fast_len(n + n_out - 1) x nh, which a
-    sweep holds for all of its delays; the one output; and the largest
-    of the block's product with the kernel spectrum, about _BLOCK_CELLS
-    cells (all nh rows when fewer) and transformed in place through
-    numpy's out=, the output's intensity and its |v| temporary for the
-    weight and moments, and a heatmap panel.  Simulate draws its two
-    panels beside the output once the transform is freed, which this
-    moment bounds.  A sweep's delay forms no complex output: beside the
-    transform it holds the output's intensity (8 bytes a cell) and the
-    larger of one block and its panel, which this moment bounds.  A
-    panel is drawn at display resolution, at most the plot box,
-    _PANEL_BYTES per display cell and at least one row block of cells
-    for the resampling's and colormap's block temporaries; a peak
-    narrower than 8 display bins asks for more samples, up to the
-    field's own, and that is not counted.  The other moment is the
-    Schmidt number of simulate's input: first its intensity and |v|
-    temporary for the moments, then compute_stats' upper Gram tiles on
-    the smaller side with one row block, its conjugate and floor mask
-    (34 bytes a cell), and one tile product.  Simulate's field CSV
-    moment is not counted: the output, the written field's intensity and
-    phase (16 bytes a cell) and one row block's text buffers, at most
-    4 MiB, stay below the convolution moment on every bundled config
-    (12.6 against 18.4 MB on experimental.cfg); only a grid small enough
-    for those 4 MiB to dominate can exceed it.  pocketfft's working buffer,
-    about one transform row, is allocated outside numpy and is not
+    Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs are
+    counted throughout, simulate's sampled and unchirped fields (both
+    normalized in place), plus half an input, its intensity, while one is
+    sampled; a sweep releases its one input once transformed.  On top comes
+    the larger of two moments.  One is a delay's convolution: the input's
+    transform, _next_fast_len(n + n_out - 1) x nh, which a sweep holds for
+    all of its delays; the one output; and the largest of the blocks'
+    products with the kernel spectrum, about _BLOCK_CELLS cells each (all nh
+    rows when fewer), transformed in place through numpy's out= and one per
+    thread (_MAX_WORKERS of them when the loop has _THREAD_MIN_BLOCKS
+    blocks, whatever the machine's CPU count), the output's intensity and
+    its |v| temporary for the weight and moments, and a heatmap panel.
+    Simulate draws its two panels beside the output once the transform is
+    freed, which this moment bounds.  A sweep's delay forms no complex
+    output: beside the transform it holds the output's intensity (8 bytes a
+    cell) and the larger of the blocks and its panel, which this moment
+    bounds; its per-block w3 marginals, at most 8 bytes per output cell, fit
+    in the other half of the complex output counted here.  A panel is drawn
+    at display resolution, at most the plot box, _PANEL_BYTES per display
+    cell and at least one row block of cells for the resampling's and
+    colormap's block temporaries; a peak narrower than 8 display bins asks
+    for more samples, up to the field's own, and that is not counted.  The
+    other moment is the Schmidt number of simulate's input: first its
+    intensity and |v| temporary for the moments, then compute_stats' upper
+    Gram tiles on the smaller side with one row block, its conjugate and
+    floor mask (34 bytes a cell), and one tile product.  Simulate's field
+    CSV moment is not counted: the output, the written field's intensity and
+    phase (16 bytes a cell) and one row block's text buffers, at most 4 MiB,
+    stay below the convolution moment on every bundled config (12.6 against
+    18.4 MB on experimental.cfg); only a grid small enough for those 4 MiB
+    to dominate can exceed it.  pocketfft's working buffers, about one
+    transform row per thread, are allocated outside numpy and are not
     counted.
     """
     # svgplot imports this module, so the plot box is read at call time
     from .svgplot import PLOT_HEIGHT, PLOT_WIDTH
 
     size = _next_fast_len(n + n_out - 1)
-    block = 16 * row_blocks(nh, size)[0].stop * size
+    blocks = row_blocks(nh, size)
+    workers = _MAX_WORKERS if len(blocks) >= _THREAD_MIN_BLOCKS else 1
+    block = 16 * workers * blocks[0].stop * size
     display = min(n_out, PLOT_WIDTH) * min(nh, PLOT_HEIGHT)
     panel = _PANEL_BYTES * max(display, _BLOCK_CELLS)
     convolution = 16 * nh * (size + n_out) + max(block, 16 * nh * n_out, panel)
@@ -677,17 +788,18 @@ def _output_intensity(
 ) -> tuple[GridIntensity2D, IntensityMoments, float]:
     """One delay of a sweep as output intensity only: its record, moments and weight.
 
-    spectrum is the input's transform on the grids axis1 x axis_h.  The
-    FFT path's blocks (_fft_blocks) are taken as sfg_convolve takes them,
-    but the output factor step * exp(-i w3 tau) has modulus step, so each
-    block's kept rows enter as |kept|^2, times the acceptance squared
-    when finite, written into one herald-major array.  While a block is
-    in cache its herald-row totals, its w3 marginal and each herald row's
-    first moment along w3 are summed.  From those sums come the
-    conversion weight, step^2 * cell times the total (sfg_convolve's
-    weight), the same CoverageErrors, and the moments; the array is then
-    scaled to unit discrete norm.  No complex output is formed, and the
-    intensity is taken once.
+    spectrum is the input's transform on the grids axis1 x axis_h.  The FFT
+    path's blocks (_fft_blocks) are taken as sfg_convolve takes them, but
+    the output factor step * exp(-i w3 tau) has modulus step, so each
+    block's kept rows enter as |kept|^2, times the acceptance squared when
+    finite, written into one herald-major array.  While a block is in cache
+    its herald-row totals, its w3 marginal and each herald row's first
+    moment along w3 are summed; the blocks' w3 marginals are added
+    afterwards in block order, whichever thread ran each.  From those sums
+    come the conversion weight, step^2 * cell times the total
+    (sfg_convolve's weight), the same CoverageErrors, and the moments; the
+    array is then scaled to unit discrete norm.  No complex output is
+    formed, and the intensity is taken once.
     """
     w3, wh = out_grid.points, axis_h.points
     acceptance = None
@@ -698,8 +810,9 @@ def _output_intensity(
     intensity = np.empty((axis_h.n, out_grid.n))
     row_total = np.empty(axis_h.n)
     row_first = np.empty(axis_h.n)
-    marginal3 = np.zeros(out_grid.n)
-    for rows, kept in _fft_blocks(spectrum, axis1, escort, tau, out_grid):
+    partials = {}
+
+    def accumulate(index, rows, kept):
         block = intensity[rows]
         np.abs(kept, out=block)
         block *= block
@@ -707,7 +820,14 @@ def _output_intensity(
             block *= acceptance
         row_total[rows] = block.sum(axis=1)
         row_first[rows] = block @ d3
-        marginal3 += block.sum(axis=0)
+        partials[index] = block.sum(axis=0)
+
+    _fft_blocks(spectrum, axis1, escort, tau, out_grid, accumulate)
+    # the w3 marginal adds the blocks' partials in block order, whichever
+    # thread took each block
+    marginal3 = np.zeros(out_grid.n)
+    for index in range(len(partials)):
+        marginal3 += partials[index]
     total = row_total.sum()
     cell = out_grid.step * axis_h.step
     weight = float(axis1.step**2 * total * cell)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -947,10 +948,50 @@ def test_cli_import_leaves_out_scipy_signal():
 
 
 @pytest.mark.parametrize("prefix", ["multiprocessing", "concurrent.futures", "subprocess"])
-def test_cli_import_leaves_out_process_pools(prefix):
-    # the field CSV's helper process comes from one os.fork; nothing that
-    # starts pools or subprocesses is imported
+def test_cli_import_leaves_out_process_pools(prefix, tmp_path):
+    # the field CSV's helper process comes from one os.fork and the block
+    # loops' threads from threading; nothing that starts pools or
+    # subprocesses is imported, up front or by a sweep whose loops run
+    # on threads
     assert _scipy_modules_after(["simulate", "--config", "no-such.cfg"], prefix) == "2 []"
+    argv = ["sweep", "--config", "filterlimit.cfg", "--out", str(tmp_path / "out")]
+    assert _scipy_modules_after(argv, prefix) == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["simulate", "--format", "bin"]],
+    ids=["sweep", "simulate"],
+)
+def test_commands_leave_no_thread_alive(argv, tmp_path, set_workers, thread_starts):
+    # filterlimit.cfg's grids put every block loop above the gate
+    set_workers(2)
+    before = threading.active_count()
+    out = str(tmp_path / "out")
+    assert main(argv[:1] + ["--config", "filterlimit.cfg", "--out", out] + argv[1:]) == 0
+    assert thread_starts
+    assert threading.active_count() == before
+
+
+def test_field_csv_forks_with_no_other_thread_alive(
+    fast_cfg, tmp_path, monkeypatch, set_workers, thread_starts
+):
+    # a process with threads that forks is unsafe (CPython 3.12 warns);
+    # every block loop runs on threads here, so the fork comes after them
+    set_workers(2)
+    monkeypatch.setattr(grid, "_THREAD_MIN_BLOCKS", 1)
+    before = threading.active_count()
+    alive = []
+    fork = os.fork
+
+    def counted_fork():
+        alive.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["simulate", "--config", str(fast_cfg), "--out", str(tmp_path / "out")]) == 0
+    assert thread_starts
+    assert alive == [before, before]
 
 
 def test_sweep_leaves_out_scipy_interpolate(fast_cfg, tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -736,6 +739,131 @@ class TestRowBlocks:
         assert row_blocks(n_rows, 64) == [slice(0, n_rows)]
 
 
+def threaded_grids(cfg, state, taus):
+    """prepare_sweep's field and output grid, on a grid whose three block loops reach the gate.
+
+    512 herald samples and as many signal rows as the gate's count of
+    sampling blocks; the transforms' rows are longer than the 128 cells
+    a sampling row has, so they hold at least as many blocks.
+    """
+    nh = 512
+    n = grid._THREAD_MIN_BLOCKS * (grid._BLOCK_CELLS // nh)
+    field, out_grid = prepare_sweep(cfg, state, taus, n=n, nh=nh)
+    size = grid._next_fast_len(n + out_grid.n - 1)
+    assert len(row_blocks(n, nh)) >= grid._THREAD_MIN_BLOCKS
+    assert len(row_blocks(nh, size)) >= grid._THREAD_MIN_BLOCKS
+    return field, out_grid
+
+
+@pytest.fixture
+def fast_switching():
+    """A 10 us switch interval, so threads interleave between numpy calls as often as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreadedBlocks:
+    """The FFT path's block loops give the same bytes on any number of threads."""
+
+    TAUS = [-0.5e-12, 0.0, 0.5e-12]
+
+    @pytest.mark.parametrize(
+        "part, loops",
+        # threaded loops per call: a sweep samples, transforms, then convolves each delay
+        [("sample_jsa", 1), ("input_spectrum", 1), ("sfg_convolve", 2), ("delay_sweep", 5)],
+    )
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, part, loops, exp_state, exp_lens, set_workers, thread_starts, fast_switching
+    ):
+        field, out_grid = threaded_grids(exp_lens, exp_state, self.TAUS)
+
+        def run():
+            if part == "sample_jsa":
+                return [sample_jsa(exp_state, field.axis1, field.axis_h).values]
+            if part == "input_spectrum":
+                return [grid._input_spectrum(field, out_grid.n)]
+            if part == "sfg_convolve":
+                out, weight = sfg_convolve(
+                    field, exp_lens.escort, exp_lens.phasematching, 0.5e-12,
+                    out_grid=out_grid, method="fft",
+                )
+                return [out.values, weight]
+            panels = []
+            sweep = delay_sweep(
+                exp_lens, exp_state, self.TAUS, n=field.axis1.n, nh=field.axis_h.n,
+                panel=lambda index, tau, x, moments: panels.extend([x.values.copy(), moments]),
+            )
+            return [sweep] + panels
+
+        reference = None
+        # three threads on two CPUs as well: more threads than cores
+        for count in (1, 2, 3):
+            set_workers(count)
+            thread_starts.clear()
+            result = run()
+            assert len(thread_starts) == (count - 1) * loops
+            if reference is None:
+                reference = result
+                continue
+            assert len(result) == len(reference)
+            for got, want in zip(result, reference):
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want
+            del result
+
+    def test_a_failing_block_is_raised_once_every_thread_is_joined(
+        self, exp_state, set_workers, thread_starts, monkeypatch
+    ):
+        set_workers(2)
+        nh = 512
+        rows = grid._BLOCK_CELLS // nh
+        g1, gh = grids_for_state(exp_state, n=grid._THREAD_MIN_BLOCKS * rows, nh=nh)
+        failing = g1.points[rows]  # the first signal sample of block 1
+        amplitude = grid.jsa_amplitude
+        finished = []
+
+        def one_block_fails(state, w1, wh):
+            if w1[0, 0] == failing:
+                raise RuntimeError("block 1 fails")
+            # the other thread is still in its block when block 1 fails
+            time.sleep(0.02)
+            values = amplitude(state, w1, wh)
+            finished.append(time.perf_counter())
+            return values
+
+        monkeypatch.setattr(grid, "jsa_amplitude", one_block_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 fails"):
+            sample_jsa(exp_state, g1, gh)
+        raised = time.perf_counter()
+        assert len(thread_starts) == 1
+        assert threading.active_count() == before
+        assert finished and max(finished) < raised
+        # no thread took another block once block 1 had failed
+        assert len(finished) <= 2
+
+    def test_a_loop_below_the_gate_starts_no_thread(
+        self, exp_state, exp_lens, set_workers, thread_starts
+    ):
+        set_workers(2)
+        field, out_grid = prepare_sweep(exp_lens, exp_state, [0.0], n=512, nh=64)
+        size = grid._next_fast_len(field.axis1.n + out_grid.n - 1)
+        assert len(row_blocks(512, 64)) < grid._THREAD_MIN_BLOCKS
+        assert len(row_blocks(64, size)) < grid._THREAD_MIN_BLOCKS
+        sample_jsa(exp_state, field.axis1, field.axis_h)
+        sfg_convolve(
+            field, exp_lens.escort, exp_lens.phasematching, out_grid=out_grid, method="fft"
+        )
+        delay_sweep(exp_lens, exp_state, [-1e-12, 1e-12], n=512, nh=64)
+        assert thread_starts == []
+
+
 def test_next_fast_len_matches_scipy():
     # the transform length rule: the smallest 11-smooth length, as scipy
     # picks it for complex input
@@ -815,6 +943,27 @@ class TestGridBytes:
             lambda: delay_sweep(exp_lens, exp_state, taus, n=n, nh=nh, n_out=4096)
         )
         assert peak < spectrum + 16 * out_grid.n * nh
+
+    def test_bounds_a_threaded_sweep(self, exp_state, exp_lens, set_workers, thread_starts):
+        # every block loop at or above the gate, on as many threads as
+        # grid_bytes counts workspaces for, each delay drawn as a panel
+        set_workers(grid._MAX_WORKERS)
+        taus = [-1e-12, 0.0, 1e-12]
+        field, out_grid = threaded_grids(exp_lens, exp_state, taus)
+        n, nh = field.axis1.n, field.axis_h.n
+        del field
+        thread_starts.clear()
+        svgs = []
+        peak = self.traced_peak(
+            lambda: delay_sweep(
+                exp_lens, exp_state, taus, n=n, nh=nh,
+                panel=lambda *args: cli._sweep_panel(svgs, *args),
+            )
+        )
+        bound = grid_bytes(n, nh, out_grid.n)
+        assert len(svgs) == len(taus)
+        assert len(thread_starts) == (grid._MAX_WORKERS - 1) * (2 + len(taus))
+        assert 0.5 * bound < peak <= bound
 
     @pytest.mark.parametrize(
         "panels, n, nh, n_out",
