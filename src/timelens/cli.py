@@ -38,7 +38,7 @@ from .config import (
     at_least,
     parse_config,
 )
-from .grid import compute_stats, delay_sweep, prepare_sweep, sample_jsa, sfg_convolve
+from .grid import compute_stats, delay_sweep, lens_chirp, prepare_sweep, sfg_convolve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -175,20 +175,20 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(config_path)
     state, lens_cfg = cfg.state, cfg.lens
     # the sweep's planner sizes the grids and refuses oversized ones
-    # before sampling; simulate convolves once, at its one delay
-    eff_field, out_grid = prepare_sweep(
+    # before sampling; simulate convolves once, at its one delay, the one
+    # sampled input times the lens chirp
+    input_field, out_grid = prepare_sweep(
         lens_cfg, state, [cfg.tau], n=_input_samples(args, cfg), nh=cfg.grid.herald_n,
-        n_out=cfg.grid.output_n, span_sigmas=cfg.grid.span,
+        n_out=cfg.grid.output_n, span_sigmas=cfg.grid.span, command=f"simulate-{args.format}",
     )
-    input_field = sample_jsa(state, eff_field.axis1, eff_field.axis_h)
     input_stats = compute_stats(input_field)
     out_field, weight = sfg_convolve(
-        eff_field, lens_cfg.escort, lens_cfg.phasematching, cfg.tau, out_grid=out_grid,
-        method="fft",
+        input_field, lens_cfg.escort, lens_cfg.phasematching, cfg.tau, out_grid=out_grid,
+        method="fft", chirp=lens_chirp(lens_cfg, state, input_field.axis1),
     )
     output_stats = compute_stats(out_field)
     pred = lens.predict_output(lens_cfg, replace(state, delay=cfg.tau))
-    validate.check_closed_form("grid-output", eff_field.axis1.n, pred, output_stats)
+    validate.check_closed_form("grid-output", input_field.axis1.n, pred, output_stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -12,17 +12,22 @@ a read-only view of the array it is given, not a copy, so fields can be
 shared freely across threads; the caller's own array stays writeable,
 and writing to it changes the field.
 
-The FFT path's three block loops, sampling (sample_jsa), the input's
-transform (_input_spectrum) and the per-delay convolution (_fft_blocks),
-run on up to _MAX_WORKERS threads when they have at least
-_THREAD_MIN_BLOCKS blocks (_run_blocks).  The threads are started and
-joined inside each call, so none is alive between calls, and none is
-left when gridio forks.  Every block writes rows of its own, and the one
-sum across blocks, a sweep's w3 marginal, adds per-block partials in
-block order, so every output is byte-identical for any thread count.
-numpy releases the interpreter lock inside its ufunc loops and
-transforms, and np.fft may be called from several threads at once:
-numpy's own suite checks it (TestFFTThreadSafe in
+The lens signal chirp is one complex factor per signal sample
+(lens_chirp): simulate and sweep sample the unchirped state once, and the
+factor multiplies the input inside each block's transform.
+
+The FFT path's block loops, sampling (sample_jsa), the convolution
+(_fft_blocks, which sfg_convolve feeds each block's forward transform
+through _transform_rows) and a sweep's one input transform
+(_input_spectrum), run on up to _MAX_WORKERS threads when they have at
+least _THREAD_MIN_BLOCKS blocks (_run_blocks).  The threads are started
+and joined inside each call, so none is alive between calls, and none is
+left when gridio forks.  Every block writes rows of its own, and each
+sum across blocks, an output's edge bands or a sweep's w3 marginal, adds
+per-block partials in block order, so every output is byte-identical for
+any thread count.  numpy releases the interpreter lock inside its ufunc
+loops and transforms, and np.fft may be called from several threads at
+once: numpy's own suite checks it (TestFFTThreadSafe in
 numpy/fft/tests/test_pocketfft.py, as of 2.4.6), and on numpy 2.0, the
 oldest pyproject.toml admits, CI's job on that version runs these
 loops.  A thread calls jsa_amplitude and numpy only, never a public
@@ -66,11 +71,24 @@ _GRAM_FLOOR = math.sqrt(np.finfo(float).tiny)
 # cells per column tile of compute_stats' Gram: its fastest on 512 and 1024
 # columns with one OpenBLAS thread on a 2-vCPU Xeon
 _GRAM_TILE_CELLS = 2**15
-# bytes per display cell of a heatmap panel: the wavelength counts (8),
-# the render's RGB image, PNG rows and join beside them (9) and the
-# per-axis vectors (1) make 18; the other 8 go to the resampling's and the
-# render's row-block temporaries, which outweigh the cells on small displays
-_PANEL_BYTES = 26
+# bytes of a heatmap panel per display cell once it is rendered: the
+# wavelength counts (8), the render's RGB image, PNG rows and join beside
+# them (9) and the per-axis vectors (1)
+_PANEL_BYTES = 18
+# bytes per cell of the panel resampling's row block of gathered
+# neighbour rows, with the block's term: complex rows and their moduli
+# (16 + 16 + 8 + 8 + 8), or rows of a real intensity (8 + 8 + 8)
+_GATHER_BYTES_COMPLEX = 56
+_GATHER_BYTES_REAL = 24
+# bytes per cell of the colormap's row block of temporaries, beside the
+# counts and the RGB image (11 bytes per display cell)
+_COLORMAP_BYTES = 72
+# the run's Python objects and small arrays, the PNG and SVG text of a
+# small panel among them
+_OBJECT_BYTES = 2**19
+# the runs grid_bytes estimates: a sweep, and simulate writing its field
+# dumps in either format
+COMMANDS = ("sweep", "simulate-bin", "simulate-csv")
 
 
 class CoverageError(ValueError):
@@ -278,6 +296,19 @@ def default_output_grid(
     return Grid1D(start=center - step * (n - 1) / 2.0, step=step, n=n)
 
 
+def lens_chirp(cfg: LensConfig, state: GaussianJSA, axis1: Grid1D) -> np.ndarray:
+    """The lens signal chirp on the signal axis, one complex factor per sample.
+
+    exp(i signal_chirp (w1 - state.omega1)^2), with the phase formed as
+    jsa_amplitude forms the state's own chirp: the state sampled on
+    axis1 times this factor per signal row is the chirped state,
+    replace(state, chirp=state.chirp + cfg.signal_chirp), sampled there,
+    to rounding.
+    """
+    d1 = axis1.points - state.omega1
+    return np.exp(1j * (cfg.signal_chirp * d1**2))
+
+
 def sfg_convolve(
     field: GridField2D,
     escort: EscortPulse,
@@ -286,73 +317,100 @@ def sfg_convolve(
     *,
     out_grid: Grid1D,
     method: str = "direct",
+    chirp: np.ndarray | None = None,
 ) -> tuple[GridField2D, float]:
     """Upconvert the sampled input field with a chirped escort.
 
     The output amplitude on frequency w3 is the escort-weighted sum over
     input frequencies w1 of the field times escort_amplitude(w3 - w1),
-    multiplied by the phasematching acceptance in w3.  A relative delay
-    tau multiplies the input by exp(-i w1 tau).  Returns the
-    renormalized output field together with the pre-normalization norm
-    (the relative conversion weight).  CoverageError is raised when that
-    weight is zero or when the two-sample bands along the output grid's
-    edges hold more than EDGE_MASS_LIMIT of the intensity.
+    multiplied by the phasematching acceptance in w3.  chirp, when
+    given, is one complex factor per signal sample that multiplies the
+    input first (lens_chirp, so an unchirped sample serves as the
+    chirped input), and a relative delay tau multiplies the input by
+    exp(-i w1 tau).  Returns the renormalized output field together with
+    the pre-normalization norm (the relative conversion weight).
+    CoverageError is raised when that weight is zero or when the
+    two-sample bands along the output grid's edges hold more than
+    EDGE_MASS_LIMIT of the intensity.  The weight and the edge bands are
+    summed per block of herald columns of the output, and the blocks'
+    sums are added in block order, so no whole-output intensity is
+    formed.
 
     method="direct" evaluates the kernel sum exactly per output sample,
-    with the delay phase applied to the input.  method="fft" is a fast
-    path requiring equal steps on the input and output axes
-    (ResamplingRequiredError otherwise).  It takes the input's transform,
-    _input_spectrum, and the circular convolution of _fft_blocks, whose
-    callback multiplies each block's kept rows by the output factor
-    step * exp(-i w3 tau) into that block's herald columns of the output,
+    with the chirp and delay phase applied to the input.  method="fft"
+    is a fast path requiring equal steps on the input and output axes
+    (ResamplingRequiredError otherwise).  It convolves one block of
+    herald rows at a time (_fft_blocks): each block is transformed
+    forward into its thread's workspace, chirp included
+    (_transform_rows), multiplied by the kernel spectrum and transformed
+    back, and its kept rows, times the output factor step * exp(-i w3
+    tau), are written into that block's herald columns of the output,
     from whichever thread ran the block.  Both paths agree to better
     than 1e-9.
     """
     w3 = out_grid.points
     step = field.axis1.step
     nh = field.axis_h.n
+    acceptance = None
+    if not pm.is_infinite:
+        acceptance = pm.amplitude(w3, field.axis1.center + escort.center)[:, None]
+    out_values = np.empty((out_grid.n, nh), dtype=complex)
+    row_total = np.empty(nh)
+    edges = {}
+
+    def accumulate(index, rows):
+        # the block's columns of the output: acceptance, then the sums
+        block = out_values[:, rows]
+        if acceptance is not None:
+            block *= acceptance
+        intensity = np.abs(block)
+        intensity *= intensity
+        row_total[rows] = intensity.sum(axis=0)
+        edges[index] = intensity[:2].sum() + intensity[-2:].sum()
+
     if method == "direct":
         w1 = field.axis1.points
         values = field.values
+        factor = chirp
         if tau != 0.0:
-            values = values * np.exp(-1j * w1 * tau)[:, None]
+            delay = np.exp(-1j * w1 * tau)
+            factor = delay if chirp is None else chirp * delay
+        if factor is not None:
+            values = values * factor[:, None]
         kernel = escort_amplitude(escort, w3[:, None] - w1[None, :])
-        out_values = kernel @ values * step
+        np.matmul(kernel, values, out=out_values)
+        out_values *= step
+        for index, rows in enumerate(row_blocks(nh, out_grid.n)):
+            accumulate(index, rows)
     elif method == "fft":
         if not math.isclose(out_grid.step, step, rel_tol=1e-9):
             raise ResamplingRequiredError(
                 f"fft path needs equal steps, got output {out_grid.step} "
                 f"vs input {step}; resample or use method='direct'"
             )
-        # held through the intensity pass below, as grid_bytes counts it
-        spectrum = _input_spectrum(field, out_grid.n)
         factor = step
         if tau != 0.0:
             factor = step * np.exp(-1j * w3 * tau)[:, None]
-        out_values = np.empty((out_grid.n, nh), dtype=complex)
+
+        def forward(rows, kspec, out):
+            _transform_rows(field.values, rows, chirp, out)
+            out *= kspec
 
         def multiply(index, rows, kept):
             np.multiply(kept.T, factor, out=out_values[:, rows])
+            accumulate(index, rows)
 
-        _fft_blocks(spectrum, field.axis1, escort, tau, out_grid, multiply)
+        _fft_blocks(forward, nh, field.axis1, escort, tau, out_grid, multiply)
     else:
         raise ValueError(f"unknown convolution method: {method!r}")
 
-    nominal = field.axis1.center + escort.center
-    if not pm.is_infinite:
-        out_values *= pm.amplitude(w3, nominal)[:, None]
-
-    # one intensity pass: the weight as norm() computes it, and the edge fraction
-    out = GridField2D(out_grid, field.axis_h, out_values)
-    intensity = out.intensity()
-    total = np.sum(intensity)
-    weight = float(total * out.cell)
-    edge = intensity[:2, :].sum() + intensity[-2:, :].sum()
-    edge += intensity[:, :2].sum() + intensity[:, -2:].sum()
-    _check_output(weight, edge, total)
-    # out views out_values, so this normalizes it with no second copy
+    total = row_total.sum()
+    weight = float(total * (out_grid.step * field.axis_h.step))
+    # the blocks' edge sums in block order, whichever thread took each block
+    edge = sum(edges[index] for index in range(len(edges)))
+    _check_output(weight, edge + row_total[:2].sum() + row_total[-2:].sum(), total)
     out_values /= math.sqrt(weight)
-    return out, weight
+    return GridField2D(out_grid, field.axis_h, out_values), weight
 
 
 def _check_output(weight: float, edge: float, total: float) -> None:
@@ -372,33 +430,35 @@ def _check_output(weight: float, edge: float, total: float) -> None:
 
 
 def _fft_blocks(
-    spectrum: np.ndarray,
+    forward: Callable[[slice, np.ndarray, np.ndarray], None],
+    n_rows: int,
     axis1: Grid1D,
     escort: EscortPulse,
     tau: float,
     out_grid: Grid1D,
     consume: Callable[[int, slice, np.ndarray], None],
 ) -> None:
-    """The FFT path's convolution, one block of herald rows at a time.
+    """The FFT path's convolution, one block of the n_rows herald rows at a time.
 
-    spectrum is the input's transform, _input_spectrum(field, out_grid.n).
     The circular convolution has length next_fast_len(n_in + n_out - 1)
     along the input axis; the n_out rows kept never wrap at that length,
     so they are the linear convolution.  The delay phase is split as
     exp(-i w1 tau) = exp(i (w3 - w1) tau) exp(-i w3 tau): the first factor
     goes onto the escort kernel here, and the second, with the step, is
     the output factor the caller applies, so the input's transform does
-    not depend on tau and a sweep computes it once.  Calls
-    consume(index, rows, kept) once per block of about _BLOCK_CELLS
-    cells, index counting blocks from 0: kept[j, k] is herald row rows[j]
-    at output sample k, before the output factor, a view of the running
-    thread's workspace that its next block overwrites.  The blocks run
-    through _run_blocks, one workspace per thread, so consume may be
-    called from several threads at once and must write only into rows
-    of its own.
+    not depend on tau and a sweep computes it once.  Per block of about
+    _BLOCK_CELLS cells, index counting blocks from 0, forward(rows,
+    kspec, out) writes the input's transform of the block's herald rows,
+    times kspec, the kernel's transform, into out, the running thread's
+    workspace; then consume(index, rows, kept) is called, kept[j, k]
+    being herald row rows[j] at output sample k, before the output
+    factor, a view of that workspace that the thread's next block
+    overwrites.  The blocks run through _run_blocks, one workspace per
+    thread, so forward and consume may be called from several threads at
+    once and must write only into rows of their own.
     """
     n1, n3 = axis1.n, out_grid.n
-    size = spectrum.shape[1]
+    size = _next_fast_len(n1 + n3 - 1)
     offsets = out_grid.start - axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * axis1.step
     kvec = escort_amplitude(escort, offsets)
     if tau != 0.0:
@@ -406,14 +466,14 @@ def _fft_blocks(
     kspec = np.fft.fft(kvec, n=size)
     # rows n1-1 .. n1+n3-2 of the linear convolution read kernel
     # indices 0 .. n1+n3-2 only, so any length >= n1+n3-1 is exact
-    blocks = row_blocks(spectrum.shape[0], size)
+    blocks = row_blocks(n_rows, size)
 
     def worker():
         workspace = np.empty((blocks[0].stop, size), dtype=complex)
 
         def convolve(index, rows):
             circular = workspace[: rows.stop - rows.start]
-            np.multiply(spectrum[rows], kspec, out=circular)
+            forward(rows, kspec, circular)
             np.fft.ifft(circular, out=circular)
             consume(index, rows, circular[:, n1 - 1 : n1 - 1 + n3])
 
@@ -422,20 +482,42 @@ def _fft_blocks(
     _run_blocks(blocks, worker)
 
 
-def _input_spectrum(field: GridField2D, n_out: int) -> np.ndarray:
-    """Transform along w1 of the input zero-padded for an n_out-sample convolution.
+def _transform_rows(
+    values: np.ndarray, rows: slice, chirp: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Transform along w1 of the herald rows `rows` of values, into out.
+
+    values is an n_in x nh input; out has one row per herald row and the
+    FFT path's circular length.  Each row is the input column times the
+    chirp factor per signal sample when one is given, zero-padded to
+    that length and transformed in place, so no temporary of the block
+    is made.
+    """
+    n1 = values.shape[0]
+    head = out[:, :n1]
+    if chirp is None:
+        np.copyto(head, values[:, rows].T)
+    else:
+        np.multiply(values[:, rows].T, chirp, out=head)
+    out[:, n1:] = 0.0
+    np.fft.fft(out, out=out)
+
+
+def _input_spectrum(field: GridField2D, n_out: int, chirp: np.ndarray) -> np.ndarray:
+    """The whole input's transform for an n_out-sample convolution: a sweep's, kept for every delay.
 
     One row per herald sample, of length next_fast_len(n_in + n_out - 1),
-    the FFT path's circular length; herald rows are transformed in
+    the FFT path's circular length, each the input column times the
+    chirp factor (_transform_rows); herald rows are transformed in
     blocks of about _BLOCK_CELLS cells, on threads when there are enough
-    blocks (_run_blocks), so no transposed copy of the input is made.
+    blocks (_run_blocks), straight into the result.
     """
     n1, nh = field.values.shape
     size = _next_fast_len(n1 + n_out - 1)
     spectrum = np.empty((nh, size), dtype=complex)
 
     def transform(index, rows):
-        np.fft.fft(field.values[:, rows].T, n=size, out=spectrum[rows])
+        _transform_rows(field.values, rows, chirp, spectrum[rows])
 
     _run_blocks(row_blocks(nh, size), lambda: transform)
     return spectrum
@@ -665,63 +747,93 @@ def row_blocks(n_rows: int, row_cells: int, budget: int = _BLOCK_CELLS) -> list[
     return [slice(r, min(r + rows, n_rows)) for r in range(0, max(1, n_rows), rows)]
 
 
-def grid_bytes(n: int, nh: int, n_out: int) -> int:
-    """Estimated peak bytes that numpy allocates in an FFT convolution run.
+def grid_bytes(n: int, nh: int, n_out: int, command: str) -> int:
+    """Estimated peak bytes that numpy allocates in one command's FFT convolution run.
 
-    Counted in complex n x nh inputs and n_out x nh outputs.  Two inputs are
-    counted throughout, simulate's sampled and unchirped fields (both
-    normalized in place), plus half an input, its intensity, while one is
-    sampled; a sweep releases its one input once transformed.  On top comes
-    the larger of two moments.  One is a delay's convolution: the input's
-    transform, _next_fast_len(n + n_out - 1) x nh, which a sweep holds for
-    all of its delays; the one output; and the largest of the blocks'
-    products with the kernel spectrum, about _BLOCK_CELLS cells each (all nh
-    rows when fewer), transformed in place through numpy's out= and one per
-    thread (_MAX_WORKERS of them when the loop has _THREAD_MIN_BLOCKS
-    blocks, whatever the machine's CPU count), the output's intensity and
-    its |v| temporary for the weight and moments, and a heatmap panel.
-    Simulate draws its two panels beside the output once the transform is
-    freed, which this moment bounds.  A sweep's delay forms no complex
-    output: beside the transform it holds the output's intensity (8 bytes a
-    cell) and the larger of the blocks and its panel, which this moment
-    bounds; its per-block w3 marginals, at most 8 bytes per output cell, fit
-    in the other half of the complex output counted here.  A panel is drawn
-    at display resolution, at most the plot box, _PANEL_BYTES per display
-    cell and at least one row block of cells for the resampling's and
-    colormap's block temporaries; a peak narrower than 8 display bins asks
-    for more samples, up to the field's own, and that is not counted.  The
-    other moment is the Schmidt number of simulate's input: first its
-    intensity and |v| temporary for the moments, then compute_stats' upper
-    Gram tiles on the smaller side with one row block, its conjugate and
-    floor mask (34 bytes a cell), and one tile product.  Simulate's field
-    CSV moment is not counted: the output, the written field's intensity and
-    phase (16 bytes a cell) and one row block's text buffers, at most 4 MiB,
-    stay below the convolution moment on every bundled config (12.6 against
-    18.4 MB on experimental.cfg); only a grid small enough for those 4 MiB
-    to dominate can exceed it.  pocketfft's working buffers, about one
-    transform row per thread, are allocated outside numpy and are not
-    counted.
+    Counted for complex n x nh inputs and n_out x nh outputs, 16 bytes a
+    cell, and command, one of COMMANDS:
+
+    - "sweep": its one input and the input's transform, size x nh with
+      size = _next_fast_len(n + n_out - 1), while the transform is taken;
+      then, the input released, the transform beside one delay's output
+      intensity (8 bytes a cell), its per-block w3 marginals (8 bytes per
+      output sample and block) and the larger of the blocks and a panel
+      of the intensity.
+    - "simulate-bin" (simulate --format bin, and validate's
+      convolutions): its one input and the output, and on top the
+      largest of the blocks, compute_stats of either field and a panel
+      of either field.
+    - "simulate-csv": the same, with the field CSV writer's parent
+      (gridio.csv_writer_bytes) among the candidates on top.
+
+    Both count the per-axis vectors, 64 bytes per input and output
+    sample (the chirp, the grid points, the kernel and its spectrum), and
+    _OBJECT_BYTES for the rest of the run's small objects.  The
+    blocks are the FFT path's per-thread workspaces, about _BLOCK_CELLS
+    cells of the circular length each (all nh rows when fewer),
+    transformed in place through numpy's out=, and the kept rows'
+    intensity (8 bytes per output cell); there is one per thread,
+    _MAX_WORKERS of them when the loop has _THREAD_MIN_BLOCKS blocks,
+    whatever the machine's CPU count.  compute_stats first takes a
+    field's intensity and its |v| temporary (16 bytes a cell), then the
+    upper Gram tiles on the smaller side with one row block, its
+    conjugate and floor mask (34 bytes a cell), and one tile product.  A
+    panel is drawn at display resolution, at most the plot box; it holds
+    the largest of three moments, each beside the display's counts: the
+    resampling's row block of gathered neighbour rows, the colormap's
+    image and row block, and the rendered PNG and SVG text (see
+    _PANEL_BYTES).  A peak narrower than 8 display bins asks for more
+    samples, up to the field's own, and that is not counted.
+    pocketfft's working buffers, about one transform row per thread, are
+    allocated outside numpy and are not counted.
     """
-    # svgplot imports this module, so the plot box is read at call time
+    # gridio and svgplot import this module, so they are read at call time
+    from .gridio import csv_writer_bytes
+    from .svgplot import _BLOCK_CELLS as colormap_cells
     from .svgplot import PLOT_HEIGHT, PLOT_WIDTH
 
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
     size = _next_fast_len(n + n_out - 1)
     blocks = row_blocks(nh, size)
     workers = _MAX_WORKERS if len(blocks) >= _THREAD_MIN_BLOCKS else 1
-    block = 16 * workers * blocks[0].stop * size
-    display = min(n_out, PLOT_WIDTH) * min(nh, PLOT_HEIGHT)
-    panel = _PANEL_BYTES * max(display, _BLOCK_CELLS)
-    convolution = 16 * nh * (size + n_out) + max(block, 16 * nh * n_out, panel)
-    side = min(n, nh)
-    tiles = row_blocks(side, side, _GRAM_TILE_CELLS)
-    gram = 16 * sum(cols.stop * (cols.stop - cols.start) for cols in tiles)
-    gram_block = 34 * row_blocks(max(n, nh), side)[0].stop * side
-    input_stats = max(16 * nh * n, gram + gram_block + 16 * side * tiles[0].stop)
-    return 32 * nh * n + max(convolution, input_stats)
+    block = workers * blocks[0].stop * (16 * size + 8 * n_out)
+    small = _OBJECT_BYTES + 64 * (n + n_out)
+    shown_h = min(nh, PLOT_HEIGHT)
+
+    def panel(display: int, gathered: int, per_gathered: int) -> int:
+        colormap = 11 * display + _COLORMAP_BYTES * min(display, colormap_cells)
+        gather = 8 * display + per_gathered * gathered
+        return max(gather, colormap, _PANEL_BYTES * display)
+
+    if command == "sweep":
+        # the intensity is herald-major, so its panel is resampled along
+        # the herald axis first, gathering rows of n_out samples
+        shown = min(shown_h, max(1, _BLOCK_CELLS // n_out)) * n_out
+        drawn = panel(min(n_out, PLOT_WIDTH) * shown_h, shown, _GATHER_BYTES_REAL)
+        delay = 8 * n_out * (nh + len(blocks)) + max(block, drawn)
+        return small + 16 * nh * size + max(16 * nh * n, delay)
+
+    def stats(rows: int) -> int:
+        side = min(rows, nh)
+        tiles = row_blocks(side, side, _GRAM_TILE_CELLS)
+        gram = 16 * sum(cols.stop * (cols.stop - cols.start) for cols in tiles)
+        gram_block = 34 * row_blocks(max(rows, nh), side)[0].stop * side
+        return max(16 * rows * nh, gram + gram_block + 16 * side * tiles[0].stop)
+
+    def field_panel(rows: int) -> int:
+        shown = min(rows, PLOT_WIDTH)
+        gathered = min(shown, max(1, _BLOCK_CELLS // nh)) * nh
+        return panel(shown * shown_h, gathered, _GATHER_BYTES_COMPLEX)
+
+    moments = [block, stats(n), stats(n_out), field_panel(n), field_panel(n_out)]
+    if command == "simulate-csv":
+        moments.append(csv_writer_bytes(max(n, n_out), nh))
+    return small + 16 * nh * (n + n_out) + max(moments)
 
 
 def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_sigmas: float):
-    """Chirped input state, output half span, center-drift margin, automatic n."""
+    """Output half span, center-drift margin and automatic n; the chirped state sets n."""
     # sizing hints only (coverage is enforced by the edge-mass check);
     # the core adds the lens chirp to the state itself
     moments = gaussian_output(cfg, state)
@@ -733,7 +845,7 @@ def _planning_hints(cfg: LensConfig, state: GaussianJSA, max_tau: float, span_si
     effective = replace(state, chirp=state.chirp + cfg.signal_chirp)
     out_half = span_sigmas * hint + margin
     auto = suggested_input_samples(effective, cfg.escort, span_sigmas, max_tau, out_half)
-    return effective, out_half, margin, auto
+    return out_half, margin, auto
 
 
 def prepare_sweep(
@@ -744,24 +856,28 @@ def prepare_sweep(
     nh: int = 512,
     n_out: int = 512,
     span_sigmas: float = 6.0,
+    command: str = "sweep",
 ) -> tuple[GridField2D, Grid1D]:
-    """Plan the grids of an FFT convolution run and sample the chirped input.
+    """Plan the grids of an FFT convolution run and sample the unchirped input.
 
-    The one grid planner of simulate and sweep.  The input state gets the
-    lens signal chirp; the output grid, centered on the nominal sum
-    frequency, spans the output-width hint plus a margin for the center
-    drift over the delays and the shift of an off-nominal acceptance,
-    on the input step.  Before sampling, ConfigError is raised if
-    grid_bytes exceeds GRID_BYTES_LIMIT or the output grid reaches zero
-    frequency.
+    The one grid planner of simulate and sweep.  The input state is
+    sampled as it is: the lens signal chirp is the caller's to pass on,
+    lens_chirp(cfg, state, field.axis1), to sfg_convolve or the sweep's
+    transform, and the chirped state only sizes the automatic n.  The
+    output grid, centered on the nominal sum frequency, spans the
+    output-width hint plus a margin for the center drift over the delays
+    and the shift of an off-nominal acceptance, on the input step.
+    command names the run planned for, as grid_bytes takes it.  Before
+    sampling, ConfigError is raised if that command's grid_bytes exceeds
+    GRID_BYTES_LIMIT or the output grid reaches zero frequency.
     """
     taus = np.asarray(list(taus), dtype=float)
     max_tau = float(np.max(np.abs(taus)))
-    effective, out_half, margin, auto = _planning_hints(cfg, state, max_tau, span_sigmas)
+    out_half, margin, auto = _planning_hints(cfg, state, max_tau, span_sigmas)
     n = auto if n is None else n
-    g1, gh = grids_for_state(effective, n=n, nh=nh, span_sigmas=span_sigmas)
-    out_grid = default_output_grid(effective, cfg.escort, out_half, g1.step, n_out)
-    need = grid_bytes(g1.n, gh.n, out_grid.n)
+    g1, gh = grids_for_state(state, n=n, nh=nh, span_sigmas=span_sigmas)
+    out_grid = default_output_grid(state, cfg.escort, out_half, g1.step, n_out)
+    need = grid_bytes(g1.n, gh.n, out_grid.n, command)
     if need > GRID_BYTES_LIMIT:
         raise ConfigError(
             f"{g1.n} x {gh.n} input and {out_grid.n} x {gh.n} output samples "
@@ -774,7 +890,7 @@ def prepare_sweep(
             f"below zero frequency (center {out_grid.center:.3e} rad/s, center-drift margin "
             f"{margin:.3e} rad/s for delays up to {max_tau * 1e12:.3g} ps)"
         )
-    return sample_jsa(effective, g1, gh), out_grid
+    return sample_jsa(state, g1, gh), out_grid
 
 
 def _output_intensity(
@@ -788,8 +904,10 @@ def _output_intensity(
 ) -> tuple[GridIntensity2D, IntensityMoments, float]:
     """One delay of a sweep as output intensity only: its record, moments and weight.
 
-    spectrum is the input's transform on the grids axis1 x axis_h.  The FFT
-    path's blocks (_fft_blocks) are taken as sfg_convolve takes them, but
+    spectrum is the input's transform on the grids axis1 x axis_h, lens
+    chirp included (_input_spectrum).  The FFT path's blocks (_fft_blocks)
+    are taken as sfg_convolve takes them, each block's rows of spectrum
+    times the kernel spectrum standing in for its forward transform, but
     the output factor step * exp(-i w3 tau) has modulus step, so each
     block's kept rows enter as |kept|^2, times the acceptance squared when
     finite, written into one herald-major array.  While a block is in cache
@@ -822,7 +940,10 @@ def _output_intensity(
         row_first[rows] = block @ d3
         partials[index] = block.sum(axis=0)
 
-    _fft_blocks(spectrum, axis1, escort, tau, out_grid, accumulate)
+    def forward(rows, kspec, out):
+        np.multiply(spectrum[rows], kspec, out=out)
+
+    _fft_blocks(forward, axis_h.n, axis1, escort, tau, out_grid, accumulate)
     # the w3 marginal adds the blocks' partials in block order, whichever
     # thread took each block
     marginal3 = np.zeros(out_grid.n)
@@ -854,10 +975,11 @@ def delay_sweep(
 ) -> SweepResult:
     """Upconvert the state at each delay and regress the output centers.
 
-    The input state is augmented with the lens signal chirp, sampled
-    once on the grids of :func:`prepare_sweep`, transformed once, and
-    convolved per delay on the FFT path from that one transform; the
-    sampled values are released once transformed.  Each delay is taken
+    The input state is sampled once, unchirped, on the grids of
+    :func:`prepare_sweep`, transformed once with the lens signal chirp
+    (lens_chirp, _input_spectrum), and convolved per delay on the FFT
+    path from that one transform; the sampled values are released once
+    transformed.  Each delay is taken
     as output intensity only (_output_intensity): no complex output
     field is formed.  Centers are intensity-weighted means.  A
     CoverageError at one delay is raised again naming that delay.  Rows
@@ -880,7 +1002,7 @@ def delay_sweep(
     axis1, axis_h = field.axis1, field.axis_h
     # the FFT path puts the delay phase on the kernel, so one transform
     # of the input serves every delay
-    spectrum = _input_spectrum(field, out_grid.n)
+    spectrum = _input_spectrum(field, out_grid.n, lens_chirp(cfg, state, axis1))
     del field
     points = []
     for index, tau in enumerate(taus):
@@ -891,7 +1013,7 @@ def delay_sweep(
         except CoverageError as exc:
             note = ""
             max_tau = float(np.max(np.abs(taus)))
-            auto = _planning_hints(cfg, state, max_tau, span_sigmas)[3]
+            auto = _planning_hints(cfg, state, max_tau, span_sigmas)[2]
             if n is not None and auto > n:
                 # a given n is never checked against the delay phase exp(-i w1 tau)
                 note = (

@@ -30,6 +30,12 @@ CSV_HEADER = "omega1_rad_s,omegah_rad_s,intensity_per_rad_s_sq,phase_rad"
 # cells per row block of the CSV text: a block's padded lines, their bytes
 # and the formatter's temporaries take under 4 MiB
 _CSV_BLOCK_CELLS = 2**13
+# bytes the parent of write_field_csv holds per cell of its largest row
+# block, and per axis sample: a block's padded words, their bytes and the
+# formatter's temporaries (measured 430-470), and an axis value's text
+# and its padded words
+_CSV_BLOCK_BYTES = 450
+_CSV_AXIS_BYTES = 128
 # uint64 words per value of _format_g17: sign and lead, then the digits,
 # dot and exponent suffix
 _G17_WORDS = 4
@@ -55,12 +61,13 @@ def write_field_csv(field: GridField2D, path) -> None:
     helper forked here formats the second half into one buffer and sends
     it through a pipe while this process formats and writes the first
     half, then appends the helper's bytes.  The bytes are those of a
-    single process writing every row in order.
+    single process writing every row in order.  The intensity and phase
+    are taken per row block (_format_rows), so neither process holds a
+    whole-field column.
     """
     w1 = ["%.17g," % w for w in field.axis1.points.tolist()]
     wh = ["%.17g," % w for w in field.axis_h.points.tolist()]
-    intensity = field.intensity()
-    phase = np.angle(field.values)
+    values = field.values
     half = len(w1) // 2
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
@@ -72,10 +79,10 @@ def write_field_csv(field: GridField2D, path) -> None:
             os.close(write_end)
             raise
         if pid == 0:
-            _send_rows(read_end, write_end, w1[half:], wh, intensity[half:], phase[half:])
+            _send_rows(read_end, write_end, w1[half:], wh, values[half:])
         os.close(write_end)
         try:
-            for chunk in _format_rows(w1[:half], wh, intensity[:half], phase[:half]):
+            for chunk in _format_rows(w1[:half], wh, values[:half]):
                 fh.write(chunk)
             while chunk := os.read(read_end, 1 << 20):
                 fh.write(chunk)
@@ -91,13 +98,26 @@ def write_field_csv(field: GridField2D, path) -> None:
         )
 
 
-def _format_rows(w1, wh, intensity, phase):
+def csv_writer_bytes(n1: int, nh: int) -> int:
+    """Estimated peak bytes that numpy and Python allocate in write_field_csv's parent.
+
+    For an n1 x nh field: the largest row block of the half this process
+    formats itself, _CSV_BLOCK_BYTES a cell, and the formatted axis
+    values.  The helper's half is another process's, and not counted.
+    """
+    rows = row_blocks(n1 // 2, nh, _CSV_BLOCK_CELLS)[0]
+    return _CSV_BLOCK_BYTES * (rows.stop - rows.start) * nh + _CSV_AXIS_BYTES * (n1 + nh)
+
+
+def _format_rows(w1, wh, values):
     """Yield the CSV lines of the signal rows as bytes, one chunk per row block.
 
-    w1 and wh hold the formatted axis values ending in a comma.  Each
-    line is laid out in NUL-padded 8-byte words: its signal and herald
-    values, then the intensity and phase by _format_g17 with the comma
-    and newline in their last bytes; the padding is dropped in one pass.
+    w1 and wh hold the formatted axis values ending in a comma, and
+    values the rows' complex amplitudes.  Each line is laid out in
+    NUL-padded 8-byte words: its signal and herald values, then the
+    intensity |v|^2 and phase angle(v), taken for the block alone, by
+    _format_g17 with the comma and newline in their last bytes; the
+    padding is dropped in one pass.
     """
     nh = len(wh)
     signal, herald = _padded_words(w1), _padded_words(wh)
@@ -110,8 +130,8 @@ def _format_rows(w1, wh, intensity, phase):
         block[:, :, :h] = signal[rows, None]
         block[:, :, h:i] = herald
         cells = block.reshape(-1, block.shape[2])
-        _format_g17(intensity[rows].ravel(), cells[:, i:p])
-        _format_g17(phase[rows].ravel(), cells[:, p:])
+        _format_g17((np.abs(values[rows]) ** 2).ravel(), cells[:, i:p])
+        _format_g17(np.angle(values[rows]).ravel(), cells[:, p:])
         cells[:, p - 1] |= ord(",") << 56
         cells[:, -1] |= ord("\n") << 56
         yield block.tobytes().translate(None, b"\0")
@@ -264,7 +284,8 @@ def _g17_scales(exp2: np.ndarray) -> np.ndarray:
     first use of its exponent.
     """
     index = exp2 - _EXP2_MIN
-    for i in np.unique(index[~_SCALES_BUILT[index]]).tolist():
+    # a set, not np.unique, which imports numpy.ma on its first call
+    for i in set(index[~_SCALES_BUILT[index]].tolist()):
         e = i + _EXP2_MIN
         k = len(str(2 ** (e - 1))) - 1 if e > 0 else -len(str(2 ** (1 - e)))
         num = 2 ** max(e, 0) * 10 ** max(16 - k, 0)

@@ -34,6 +34,7 @@ from .grid import (
     default_output_grid,
     grids_for_state,
     intensity_moments,
+    lens_chirp,
     prepare_sweep,
     sample_jsa,
     sfg_convolve,
@@ -139,13 +140,19 @@ def _random_state_and_lens(rng: np.random.Generator):
 
 
 def _upconverted(cfg: LensConfig, state: GaussianJSA, n: int, nh: int | None = None):
-    """Chirped input and output field at zero delay on the route simulate ships.
+    """Unchirped input and output field at zero delay on the route simulate ships.
 
     The sweep planner's grids (n input samples, and at least n output
-    samples on the input step) and the FFT path.
+    samples on the input step) and the FFT path, the lens chirp applied
+    in the convolution.
     """
-    field, out_grid = prepare_sweep(cfg, state, [0.0], n=n, nh=n if nh is None else nh, n_out=n)
-    out, _ = sfg_convolve(field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft")
+    field, out_grid = prepare_sweep(
+        cfg, state, [0.0], n=n, nh=n if nh is None else nh, n_out=n, command="simulate-bin"
+    )
+    out, _ = sfg_convolve(
+        field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft",
+        chirp=lens_chirp(cfg, state, field.axis1),
+    )
     return field, out
 
 
@@ -404,9 +411,10 @@ def suite_schmidt_consistency(p: SuiteParams):
     # non-factorable joint phase, so its mode count exceeds the
     # phase-free value implied by its own correlation
     state, cfg = experimental_setup()
-    chirped, out = _upconverted(cfg, state, max(512, p.grid_n))
-    k_plain = compute_stats(sample_jsa(state, chirped.axis1, chirped.axis_h)).schmidt_k
-    k_chirped = compute_stats(chirped).schmidt_k
+    plain, out = _upconverted(cfg, state, max(512, p.grid_n))
+    k_plain = compute_stats(plain).schmidt_k
+    chirped = replace(state, chirp=state.chirp + cfg.signal_chirp)
+    k_chirped = compute_stats(sample_jsa(chirped, plain.axis1, plain.axis_h)).schmidt_k
     local_invariant = abs(k_chirped - k_plain) / k_plain <= 1e-6
     st = compute_stats(out)
     excess = st.schmidt_k > schmidt_number(st.rho) + 0.05

@@ -132,14 +132,15 @@ def ramp_colors(values, ramp: np.ndarray) -> np.ndarray:
     return np.round(rgb).astype(np.uint8)
 
 
-def fft_convolve_one_shot(field, escort, pm, out_grid):
+def fft_convolve_one_shot(field, chirp, escort, pm, out_grid):
     """(values, weight) of the zero-delay FFT convolution, all herald rows at once.
 
-    The herald-major copy of the input is transformed at the full
-    next_fast_len(n_in + n_out - 1) length, multiplied by the kernel's
-    transform and transformed back in one call; the kept rows are copied
-    out, scaled by the step, weighted by the acceptance, and divided by
-    the square root of the weight into a new array.
+    The input times the chirp factor per signal sample, as a herald-major
+    copy, is transformed at the full next_fast_len(n_in + n_out - 1)
+    length, multiplied by the kernel's transform and transformed back in
+    one call; the kept rows are copied out, scaled by the step and
+    weighted by the acceptance.  The values are returned before
+    normalization, with the weight summed over the whole array at once.
     """
     import scipy.fft
 
@@ -149,7 +150,8 @@ def fft_convolve_one_shot(field, escort, pm, out_grid):
     step = field.axis1.step
     offsets = out_grid.start - field.axis1.start + (np.arange(n3 + n1 - 1) - (n1 - 1)) * step
     size = scipy.fft.next_fast_len(n1 + n3 - 1)
-    spectrum = scipy.fft.fft(np.ascontiguousarray(field.values.T), n=size, axis=-1)
+    chirped = np.ascontiguousarray((field.values * chirp[:, None]).T)
+    spectrum = scipy.fft.fft(chirped, n=size, axis=-1)
     spectrum *= scipy.fft.fft(escort_amplitude(escort, offsets), n=size)
     circular = scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)
     values = np.ascontiguousarray(circular[:, n1 - 1 : n1 - 1 + n3].T) * step
@@ -157,7 +159,7 @@ def fft_convolve_one_shot(field, escort, pm, out_grid):
         nominal = field.axis1.center + escort.center
         values = values * pm.amplitude(out_grid.points, nominal)[:, None]
     weight = float(np.sum(np.abs(values) ** 2) * (out_grid.step * field.axis_h.step))
-    return values / math.sqrt(weight), weight
+    return values, weight
 
 
 def svd_schmidt_number(values: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from timelens.analysis import (
     deconvolve_resolution,
     montecarlo_errorbars,
 )
-from timelens.grid import prepare_sweep
+from timelens.grid import lens_chirp, prepare_sweep
 from timelens.states import schmidt_number
 
 import oracles
@@ -89,7 +89,10 @@ def test_criterion_02_cross_engine_100_configs():
         escort = tl.EscortPulse(center=2.43e15, sigma=sigmae, chirp=ae)
         cfg = tl.LensConfig(signal_chirp=a1, escort=escort)
         field, out_grid = prepare_sweep(cfg, state, [0.0], n=512)
-        out, _ = tl.sfg_convolve(field, escort, out_grid=out_grid, method="fft")
+        out, _ = tl.sfg_convolve(
+            field, escort, out_grid=out_grid, method="fft",
+            chirp=lens_chirp(cfg, state, field.axis1),
+        )
         st = tl.compute_stats(out)
         worst_sigma = max(
             worst_sigma, abs(st.sigma1 - tl.output_sigma3(cfg, state)) / st.sigma1
@@ -109,7 +112,10 @@ def test_criterion_03_correlation_reversal(exp, calibration):
     state, cfg = exp
     assert state.rho == -0.9776  # by construction
     field, out_grid = prepare_sweep(cfg, state, [0.0], n=512)
-    out, _ = tl.sfg_convolve(field, cfg.escort, out_grid=out_grid, method="fft")
+    out, _ = tl.sfg_convolve(
+        field, cfg.escort, out_grid=out_grid, method="fft",
+        chirp=lens_chirp(cfg, state, field.axis1),
+    )
     rho_grid = tl.compute_stats(out).rho
     assert rho_grid > 0.85
 
@@ -126,7 +132,8 @@ def test_criterion_03_correlation_reversal(exp, calibration):
     cal_cfg = replace(cfg, phasematching=cal.model)
     field_pm, out_grid_pm = prepare_sweep(cal_cfg, state, [0.0], n=512)
     out_pm, _ = tl.sfg_convolve(
-        field_pm, cfg.escort, cal.model, out_grid=out_grid_pm, method="fft"
+        field_pm, cfg.escort, cal.model, out_grid=out_grid_pm, method="fft",
+        chirp=lens_chirp(cal_cfg, state, field_pm.axis1),
     )
     rho_cal = tl.compute_stats(out_pm).rho
     assert rho_cal == pytest.approx(0.909, abs=0.03)

@@ -596,16 +596,16 @@ def simulated_fields(name: str, nh: int):
     from importlib import resources
 
     from timelens.config import parse_config
-    from timelens.grid import prepare_sweep, sfg_convolve
+    from timelens.grid import lens_chirp, prepare_sweep, sfg_convolve
 
     cfg = parse_config(resources.files("timelens") / "configs" / f"{name}.cfg")
     tau = 0.5e-12
-    chirped, out_grid = prepare_sweep(cfg.lens, cfg.state, [tau], n=512, nh=nh, n_out=64)
+    field, out_grid = prepare_sweep(cfg.lens, cfg.state, [tau], n=512, nh=nh, n_out=64)
     return [
-        sample_jsa(cfg.state, chirped.axis1, chirped.axis_h),
+        field,
         sfg_convolve(
-            chirped, cfg.lens.escort, cfg.lens.phasematching, tau, out_grid=out_grid,
-            method="fft",
+            field, cfg.lens.escort, cfg.lens.phasematching, tau, out_grid=out_grid,
+            method="fft", chirp=lens_chirp(cfg.lens, cfg.state, field.axis1),
         )[0],
     ]
 

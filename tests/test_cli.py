@@ -79,7 +79,6 @@ def test_oversized_grid_rejected_before_sampling(command, key, value, tmp_path, 
     # both commands plan with prepare_sweep, whose estimate alone refuses
     # the grid; nothing of that size is ever allocated
     monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
-    monkeypatch.setattr(cli, "sample_jsa", _no_sampling)
     cfg = tmp_path / "big.cfg"
     cfg.write_text(re.sub(rf"(?m)^{key} = \d+$", f"{key} = {value}", FAST_SIM))
     out = tmp_path / "out"
@@ -101,7 +100,6 @@ def test_grid_below_16_samples_rejected_before_sampling(
 ):
     # --grid 0 is refused, not read as "no flag"
     monkeypatch.setattr(grid, "sample_jsa", _no_sampling)
-    monkeypatch.setattr(cli, "sample_jsa", _no_sampling)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(FAST_SIM.replace("n = 256\nherald_n", f"n = {n}\nherald_n"))
     out = tmp_path / "out"
@@ -300,6 +298,26 @@ class TestSimulate:
             assert calls == shapes
             for name in ("jsi_input.svg", "jsi_output.svg"):
                 assert "<ellipse" in (out / name).read_text()
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_samples_once_and_transforms_no_whole_input(
+        self, fmt, fast_cfg, tmp_path, monkeypatch
+    ):
+        # the one sampled input is dumped, measured and convolved with the
+        # lens chirp applied per block; only a sweep keeps a whole transform
+        calls = {"sample_jsa": 0, "_input_spectrum": 0}
+        for name in calls:
+            original = getattr(grid, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(grid, name, counting)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--config", str(fast_cfg), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == {"sample_jsa": 1, "_input_spectrum": 0}
 
     @pytest.mark.parametrize(
         "name", ["experimental.cfg", "ideal.cfg", "filterlimit.cfg", "longcrystal.cfg"]

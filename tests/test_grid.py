@@ -39,6 +39,7 @@ from timelens.grid import (
     NormalizationError,
     ResamplingRequiredError,
     grid_bytes,
+    lens_chirp,
     prepare_sweep,
     row_blocks,
     weighted_moments,
@@ -50,11 +51,19 @@ from timelens.lens import gaussian_output
 import oracles
 from test_cli import FAST_SIM
 
+SMALL_SIM = FAST_SIM.replace(
+    "n = 256\nherald_n = 128\noutput_n = 256", "n = 64\nherald_n = 128\noutput_n = 64"
+)
+assert SMALL_SIM != FAST_SIM
+
 
 def planned_output(cfg, state, **grid):
-    """sfg_convolve at zero delay on prepare_sweep's grids and the FFT path."""
+    """sfg_convolve at zero delay on prepare_sweep's grids and the FFT path, with the lens chirp."""
     field, out_grid = prepare_sweep(cfg, state, [0.0], **grid)
-    return sfg_convolve(field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft")
+    return sfg_convolve(
+        field, cfg.escort, cfg.phasematching, out_grid=out_grid, method="fft",
+        chirp=lens_chirp(cfg, state, field.axis1),
+    )
 
 
 def kept_fields(count):
@@ -187,8 +196,9 @@ class TestComputeStats:
             field = sample_jsa(exp_state, *grids_for_state(exp_state, n=256, nh=512))
         else:
             field, _ = prepare_sweep(exp_lens, exp_state, [0.0], n=512, nh=512)
-            if kind == "plain":
-                field = sample_jsa(exp_state, field.axis1, field.axis_h)
+            if kind == "chirped":
+                chirped = replace(exp_state, chirp=exp_lens.signal_chirp)
+                field = sample_jsa(chirped, field.axis1, field.axis_h)
         a = field.values
         assert np.any((0.0 < np.abs(a)) & (np.abs(a) < np.finfo(float).tiny))
         expected = oracles.gram_schmidt_number(a)
@@ -356,17 +366,50 @@ class TestSfgConvolve:
     @pytest.mark.parametrize("sigma_pm", [math.inf, 3e12])
     def test_fft_row_blocks_match_one_shot_bitwise(self, exp_state, exp_lens, sigma_pm):
         # 200 herald rows cross the edges of the row blocks and end in a
-        # partial one; at zero delay no phase is applied, so the blocked
-        # transforms give the one-shot route's bits
+        # partial one; at zero delay no phase but the chirp is applied, so
+        # the blocked transforms give the one-shot route's bits.  The
+        # weight is summed per block, in another order than the one-shot
+        # sum, so the outputs are compared normalized by the same weight
         pm = PhasematchingModel(sigma=sigma_pm)
         lens_cfg = replace(exp_lens, phasematching=pm)
         field, out_grid = prepare_sweep(lens_cfg, exp_state, [0.0], n=512, nh=200)
         rows = row_blocks(200, scipy.fft.next_fast_len(512 + out_grid.n - 1))[0].stop
         assert rows < 200 and 200 % rows != 0
-        out, weight = sfg_convolve(field, exp_lens.escort, pm, out_grid=out_grid, method="fft")
-        want, want_weight = oracles.fft_convolve_one_shot(field, exp_lens.escort, pm, out_grid)
-        assert np.array_equal(out.values, want)
-        assert weight == want_weight
+        chirp = lens_chirp(lens_cfg, exp_state, field.axis1)
+        out, weight = sfg_convolve(
+            field, exp_lens.escort, pm, out_grid=out_grid, method="fft", chirp=chirp
+        )
+        want, want_weight = oracles.fft_convolve_one_shot(
+            field, chirp, exp_lens.escort, pm, out_grid
+        )
+        assert np.array_equal(out.values, want / math.sqrt(weight))
+        assert weight == pytest.approx(want_weight, rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5e-12])
+    @pytest.mark.parametrize("name", ["experimental", "ideal", "filterlimit", "longcrystal"])
+    def test_lens_chirp_factor_matches_the_chirped_sample(self, name, tau):
+        # the unchirped sample times lens_chirp, on either path, gives the
+        # output of the chirped state's own sample to rounding; with the
+        # factor the two paths still agree at the 1e-9 contract.
+        # longcrystal's acceptance is finite
+        cfg = parse_config(resources.files("timelens") / "configs" / f"{name}.cfg")
+        state, lens_cfg = cfg.state, cfg.lens
+        field, out_grid = prepare_sweep(lens_cfg, state, [tau], n=512, nh=32, n_out=64)
+        chirped_state = replace(state, chirp=state.chirp + lens_cfg.signal_chirp)
+        chirped = sample_jsa(chirped_state, field.axis1, field.axis_h)
+        chirp = lens_chirp(lens_cfg, state, field.axis1)
+        args = (lens_cfg.escort, lens_cfg.phasematching, tau)
+        outs = []
+        for method in ("direct", "fft"):
+            got, weight = sfg_convolve(field, *args, out_grid=out_grid, method=method, chirp=chirp)
+            want, want_weight = sfg_convolve(chirped, *args, out_grid=out_grid, method=method)
+            peak = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * peak
+            assert weight == pytest.approx(want_weight, rel=1e-12)
+            outs.append((got.values, weight))
+        (a, wa), (b, wb) = outs
+        assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-9
+        assert wa == pytest.approx(wb, rel=1e-9)
 
     def test_fft_requires_matching_step(self):
         state = mild_state()
@@ -638,7 +681,7 @@ class TestDelaySweep:
         for tau, point, got in zip(taus, sw.points, fields):
             want, weight = sfg_convolve(
                 field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
-                method="direct",
+                method="direct", chirp=lens_chirp(exp_lens, exp_state, field.axis1),
             )
             # the panel's intensity is the direct output's, normalized by the weight
             direct = np.abs(want.values) ** 2 * weight / point.weight
@@ -662,7 +705,8 @@ class TestDelaySweep:
         field, out_grid = prepare_sweep(cfg, exp_state, taus, n=512, nh=96)
         for tau, intensity in zip(taus, kept):
             out, _ = sfg_convolve(
-                field, cfg.escort, cfg.phasematching, tau, out_grid=out_grid, method="fft"
+                field, cfg.escort, cfg.phasematching, tau, out_grid=out_grid, method="fft",
+                chirp=lens_chirp(cfg, exp_state, field.axis1),
             )
             for shape in (None, (300, 70)):
                 got = analysis.spectrum_from_field(intensity, shape)
@@ -773,23 +817,25 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize(
         "part, loops",
-        # threaded loops per call: a sweep samples, transforms, then convolves each delay
-        [("sample_jsa", 1), ("input_spectrum", 1), ("sfg_convolve", 2), ("delay_sweep", 5)],
+        # threaded loops per call: sfg_convolve transforms and convolves in
+        # one loop; a sweep samples, transforms, then convolves each delay
+        [("sample_jsa", 1), ("input_spectrum", 1), ("sfg_convolve", 1), ("delay_sweep", 5)],
     )
     def test_outputs_do_not_depend_on_the_worker_count(
         self, part, loops, exp_state, exp_lens, set_workers, thread_starts, fast_switching
     ):
         field, out_grid = threaded_grids(exp_lens, exp_state, self.TAUS)
+        chirp = lens_chirp(exp_lens, exp_state, field.axis1)
 
         def run():
             if part == "sample_jsa":
                 return [sample_jsa(exp_state, field.axis1, field.axis_h).values]
             if part == "input_spectrum":
-                return [grid._input_spectrum(field, out_grid.n)]
+                return [grid._input_spectrum(field, out_grid.n, chirp)]
             if part == "sfg_convolve":
                 out, weight = sfg_convolve(
                     field, exp_lens.escort, exp_lens.phasematching, 0.5e-12,
-                    out_grid=out_grid, method="fft",
+                    out_grid=out_grid, method="fft", chirp=chirp,
                 )
                 return [out.values, weight]
             panels = []
@@ -889,47 +935,61 @@ class TestGridBytes:
 
         def simulate():
             # the grid work of cmd_simulate, delay phase included
-            field, out_grid = prepare_sweep(exp_lens, exp_state, [tau], n=512, nh=64)
-            compute_stats(sample_jsa(exp_state, field.axis1, field.axis_h))
+            field, out_grid = prepare_sweep(
+                exp_lens, exp_state, [tau], n=512, nh=64, command="simulate-bin"
+            )
+            compute_stats(field)
             out, _ = sfg_convolve(
                 field, exp_lens.escort, exp_lens.phasematching, tau, out_grid=out_grid,
-                method="fft",
+                method="fft", chirp=lens_chirp(exp_lens, exp_state, field.axis1),
             )
             compute_stats(out)
             plans.append((field.axis1.n, field.axis_h.n, out_grid.n))
 
         peak = self.traced_peak(simulate)
-        bound = grid_bytes(*plans[0])
+        bound = grid_bytes(*plans[0], "simulate-bin")
         assert 0.5 * bound < peak <= bound
 
     @pytest.mark.parametrize(
-        "config, grid_args",
+        "config, grid_args, fmt",
         [
-            pytest.param("experimental.cfg", [], id="experimental"),
-            pytest.param(None, ["--grid", "1024"], id="fast-1024"),
-            pytest.param(None, [], id="fast-256"),
+            pytest.param("experimental.cfg", [], "bin", id="experimental"),
+            pytest.param("experimental.cfg", [], "csv", id="experimental-csv"),
+            # 37 blocks per block loop: the convolution runs on two threads
+            pytest.param("filterlimit.cfg", [], "bin", id="filterlimit"),
+            pytest.param(None, ["--grid", "1024"], "bin", id="fast-1024"),
+            pytest.param(None, [], "bin", id="fast-256"),
+            # a 64 x 128 -> 79 plan, where the CSV writer's row block dominates
+            pytest.param(SMALL_SIM, [], "bin", id="fast-64-bin"),
+            pytest.param(SMALL_SIM, [], "csv", id="fast-64-csv"),
         ],
     )
-    def test_bounds_a_whole_simulate_run(self, config, grid_args, tmp_path, monkeypatch):
-        # all of cmd_simulate --format bin, its two heatmap panels included,
-        # on the grids its planner chose; None runs test_cli's FAST_SIM
-        if config is None:
-            config = tmp_path / "fast.cfg"
-            config.write_text(FAST_SIM)
+    def test_bounds_a_whole_simulate_run(
+        self, config, grid_args, fmt, tmp_path, monkeypatch, set_workers
+    ):
+        # all of cmd_simulate, its field dumps and two heatmap panels
+        # included, on the grids its planner chose, on as many threads as
+        # grid_bytes counts workspaces for; None runs test_cli's FAST_SIM
+        set_workers(grid._MAX_WORKERS)
+        if config is None or config == SMALL_SIM:
+            path = tmp_path / "fast.cfg"
+            path.write_text(config or FAST_SIM)
+            config = path
         plans = []
         prepare = cli.prepare_sweep
 
         def recording(*args, **kwargs):
             field, out_grid = prepare(*args, **kwargs)
-            plans.append((field.axis1.n, field.axis_h.n, out_grid.n))
+            plans.append((field.axis1.n, field.axis_h.n, out_grid.n, kwargs["command"]))
             return field, out_grid
 
         monkeypatch.setattr(cli, "prepare_sweep", recording)
-        argv = ["simulate", "--config", str(config), "--format", "bin", "--out", str(tmp_path)]
+        argv = ["simulate", "--config", str(config), "--format", fmt, "--out", str(tmp_path)]
         codes = []
         peak = self.traced_peak(lambda: codes.append(cli.main(argv + grid_args)))
-        bound = grid_bytes(*plans[0])
         assert codes == [0]
+        assert plans[0][3] == f"simulate-{fmt}"
+        bound = grid_bytes(*plans[0])
         assert 0.5 * bound < peak <= bound
 
     def test_sweep_holds_no_complex_output(self, exp_state, exp_lens):
@@ -960,7 +1020,7 @@ class TestGridBytes:
                 panel=lambda *args: cli._sweep_panel(svgs, *args),
             )
         )
-        bound = grid_bytes(n, nh, out_grid.n)
+        bound = grid_bytes(n, nh, out_grid.n, "sweep")
         assert len(svgs) == len(taus)
         assert len(thread_starts) == (grid._MAX_WORKERS - 1) * (2 + len(taus))
         assert 0.5 * bound < peak <= bound
@@ -987,6 +1047,6 @@ class TestGridBytes:
             )
         )
         _, out_grid = prepare_sweep(exp_lens, exp_state, taus, n=n, nh=nh, n_out=n_out)
-        bound = grid_bytes(n, nh, out_grid.n)
+        bound = grid_bytes(n, nh, out_grid.n, "sweep")
         assert len(svgs) == panels
         assert 0.5 * bound < peak <= bound
